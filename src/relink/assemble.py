@@ -28,6 +28,7 @@ from .linking import (
     Span,
     Token,
     TypeHit,
+    content_spans,
     detect_elements,
     direct_match,
 )
@@ -61,6 +62,8 @@ class LinkConfig:
     def __post_init__(self):
         if self.max_recursion_depth < 1:
             raise ValueError("max_recursion_depth must be >= 1")
+        if not 0.0 <= self.theta_rel <= 1.0:
+            raise ValueError(f"theta_rel must be in [0, 1], got {self.theta_rel!r}")
         if self.validation not in (STRICT, PERMISSIVE):
             raise ValueError(f"unknown validation mode: {self.validation!r}")
 
@@ -272,24 +275,14 @@ class Linker:
     ):
         """Longest leftmost unlinked content n-gram the explainer can define."""
         blocked = [t.span for t in elems.types] + [r.span for r in elems.relations]
-        for length in range(3, 0, -1):
-            for start in range(0, len(tokens) - length + 1):
-                span = Span(start, start + length)
-                window = tokens[span.start : span.end]
-                if any(isinstance(t, PseudoRelation) for t in window):
-                    continue
-                if any(span.overlaps(b) for b in blocked):
-                    continue
-                words = [str(t) for t in window]
-                if words[0] in self._stopwords or words[-1] in self._stopwords:
-                    continue
-                gram = " ".join(words)
-                key = normalize_phrase(gram)
-                if key in state.active or key in state.failed_nested:
-                    continue
-                explanation = self.explainer.explain(gram)
-                if explanation is not None:
-                    return span, gram, explanation
+        for span in content_spans(tokens, self._stopwords, blocked):
+            gram = " ".join(str(t) for t in tokens[span.start : span.end])
+            key = normalize_phrase(gram)
+            if key in state.active or key in state.failed_nested:
+                continue
+            explanation = self.explainer.explain(gram)
+            if explanation is not None:
+                return span, gram, explanation
         return None
 
     # -- assembly -------------------------------------------------------------
@@ -519,10 +512,9 @@ def link_data_driven(
         return None
     r1, r2 = real[0], real[1]
 
-    all_triples = _sorted_triples(g)
     found: set[tuple[MetaPattern, tuple[str, str]]] = set()
-    for t1 in all_triples:
-        for t2 in all_triples:
+    for t1 in g.triples:
+        for t2 in g.triples:
             if t1.predicate == r1 and t2.predicate == r2:
                 if t1.object == t2.subject:
                     found.add((MetaPattern.RP2, (r1, r2)))
@@ -544,10 +536,3 @@ def link_data_driven(
             return instantiate(kind, list(rels))
     return None
 
-
-def _sorted_triples(g: KnowledgeGraph):
-    cached = g._label_cache.get("sorted_triples")
-    if cached is None:
-        cached = tuple(sorted(g.triples, key=lambda t: t.sort_key()))
-        g._label_cache["sorted_triples"] = cached
-    return cached

@@ -13,7 +13,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence
@@ -107,9 +107,15 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             raw = json.loads(Path(args.config).read_text("utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+        defaults = {f.name: f.default for f in fields(RunConfig)}
         for key, value in raw.items():
-            if not hasattr(cfg, key):
+            if key not in defaults:
                 raise ConfigError(f"unknown config key: {key!r}")
+            want = type(defaults[key])
+            if type(value) is not want and not (want is float and type(value) is int):
+                raise ConfigError(
+                    f"config key {key!r} must be {want.__name__}, got {type(value).__name__}"
+                )
             setattr(cfg, key, value)
     _apply_env(cfg)
     for attr in ("kg", "lexicon", "explanations", "model", "max_depth",

@@ -31,7 +31,7 @@ from .classify import (
     train_raw,
 )
 from .kg import KnowledgeGraph
-from .linking import detect_elements, mention_score
+from .linking import Lexicon, detect_elements, exact_match_relation, link_simple
 from .patterns import MetaPattern, SubgraphPattern, instantiate
 
 log = logging.getLogger(__name__)
@@ -132,26 +132,14 @@ def exact_match(predicted: Optional[SubgraphPattern], gold: SubgraphPattern) -> 
 
 def keyword_match(phrase: str, g: KnowledgeGraph) -> Optional[SubgraphPattern]:
     """Single edge for a predicate whose label tokens equal the phrase tokens."""
-    tokens = tuple(text.tokenize(phrase))
-    for iri, label in g.relation_labels().items():
-        if label.tokens == tokens:
-            return instantiate(MetaPattern.RP1, [iri])
-    return None
+    iri = exact_match_relation(phrase, g, Lexicon.empty())
+    return None if iri is None else instantiate(MetaPattern.RP1, [iri])
 
 
 def similarity_search(phrase: str, g: KnowledgeGraph) -> Optional[SubgraphPattern]:
     """Single edge for the argmax-similarity predicate (no threshold)."""
-    tokens = text.tokenize(phrase)
-    if not tokens:
-        return None
-    best_iri, best_score = None, -1.0
-    for iri, label in g.relation_labels().items():
-        s = mention_score(tokens, label)
-        if s > best_score:
-            best_iri, best_score = iri, s
-    if best_iri is None:
-        return None
-    return instantiate(MetaPattern.RP1, [best_iri])
+    hit = link_simple(phrase, g, Lexicon.empty(), 0.0)
+    return None if hit is None else instantiate(MetaPattern.RP1, [hit[0]])
 
 
 def data_driven(phrase: str, linker: Linker) -> Optional[SubgraphPattern]:

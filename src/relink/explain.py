@@ -9,8 +9,11 @@ Results are cached with per-phrase single-flight locking.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
+import os
+import tempfile
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -64,8 +67,9 @@ class FixtureProvider:
 class HttpProvider:
     """Generic GET provider: URL template plus a dotted path into the JSON reply.
 
-    Disabled unless explicitly constructed; replies are cached on disk so a
-    phrase is fetched at most once per cache directory.
+    Disabled unless explicitly constructed; replies are cached on disk, one
+    file per normalised phrase named by its SHA-256, so a phrase is fetched
+    at most once per cache directory.
     """
 
     def __init__(
@@ -87,8 +91,8 @@ class HttpProvider:
     def _cache_file(self, phrase: str) -> Optional[Path]:
         if self.cache_dir is None:
             return None
-        safe = "".join(c if c.isalnum() or c in "-_" else "_" for c in phrase)
-        return self.cache_dir / f"{safe}.json"
+        digest = hashlib.sha256(normalize_phrase(phrase).encode("utf-8")).hexdigest()
+        return self.cache_dir / f"{digest}.json"
 
     def _extract(self, payload) -> Optional[str]:
         node = payload
@@ -122,8 +126,12 @@ class HttpProvider:
             with urlopen(req, timeout=self.timeout) as resp:
                 payload = json.loads(resp.read().decode("utf-8"))
             if cache_file is not None:
+                # write-then-rename: a reader never sees a partial file
                 cache_file.parent.mkdir(parents=True, exist_ok=True)
-                cache_file.write_text(json.dumps(payload), "utf-8")
+                fd, tmp = tempfile.mkstemp(dir=cache_file.parent, suffix=".tmp")
+                with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                    fh.write(json.dumps(payload))
+                os.replace(tmp, cache_file)
         sentence = self._extract(payload)
         if not sentence:
             return None

@@ -136,23 +136,26 @@ def iter_triples(lines: Iterable[str]) -> Iterator[Triple]:
 class KnowledgeGraph:
     """Immutable indexed triple set.
 
-    Indexes cover every bound-position lookup the pipeline needs:
-    ``sp`` for (s, p, ?), ``po`` for (?, p, o), ``p`` for (?, p, ?) and
-    ``s`` for (s, ?, ?). ``type_index`` holds exactly the triples whose
-    predicate equals ``type_predicate``.
+    ``triples`` is sorted by ``Triple.sort_key``. Indexes cover every
+    bound-position lookup the pipeline needs: ``sp`` for (s, p, ?),
+    ``po`` for (?, p, o) and ``p`` for (?, p, ?). ``type_index`` holds
+    exactly the triples whose predicate equals ``type_predicate``. The
+    label and type dictionaries are built by ``load`` along with the
+    indexes.
     """
 
-    triples: frozenset[Triple]
+    triples: tuple[Triple, ...]
     type_predicate: str = RDF_TYPE
     _sp: dict = field(repr=False, default_factory=dict)
     _po: dict = field(repr=False, default_factory=dict)
     _p: dict = field(repr=False, default_factory=dict)
-    _s: dict = field(repr=False, default_factory=dict)
     type_index: dict = field(repr=False, default_factory=dict)
     predicate_set: frozenset[str] = frozenset()
     type_set: frozenset[str] = frozenset()
     entity_set: frozenset[str] = frozenset()
-    _label_cache: dict = field(repr=False, default_factory=dict)
+    _relation_labels: dict = field(repr=False, default_factory=dict)
+    _entity_labels: dict = field(repr=False, default_factory=dict)
+    _type_dict: dict = field(repr=False, default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.triples)
@@ -169,9 +172,6 @@ class KnowledgeGraph:
         """All (subject, object) pairs of a predicate, in deterministic order."""
         return self._p.get(predicate, ())
 
-    def by_subject(self, subject: str) -> tuple[Triple, ...]:
-        return self._s.get(subject, ())
-
     def has_triple(self, subject: str, predicate: str, obj: Node) -> bool:
         return obj in self.objects(subject, predicate)
 
@@ -185,27 +185,11 @@ class KnowledgeGraph:
 
     def relation_labels(self) -> dict[str, RelationLabel]:
         """Tokenized labels for every predicate except the type predicate."""
-        cached = self._label_cache.get("relations")
-        if cached is None:
-            cached = {
-                p: RelationLabel(p, tokenize_name(local_name(p)))
-                for p in sorted(self.predicate_set)
-                if p != self.type_predicate
-            }
-            self._label_cache["relations"] = cached
-        return cached
+        return self._relation_labels
 
     def entity_labels(self) -> dict[tuple[str, ...], str]:
         """Token-sequence index over entity local names (exact-match lookups)."""
-        cached = self._label_cache.get("entities")
-        if cached is None:
-            cached = {}
-            for entity in sorted(self.entity_set):
-                key = tokenize_name(local_name(entity))
-                if key and key not in cached:
-                    cached[key] = entity
-            self._label_cache["entities"] = cached
-        return cached
+        return self._entity_labels
 
 
 def load(
@@ -218,23 +202,22 @@ def load(
             triples = set(iter_triples(fh))
     else:
         triples = set(iter_triples(source))
+    ordered = tuple(sorted(triples, key=Triple.sort_key))
 
     sp: dict[tuple[str, str], set[Node]] = {}
     po: dict[tuple[str, Node], set[str]] = {}
     p_idx: dict[str, list[tuple[str, Node]]] = {}
-    s_idx: dict[str, list[Triple]] = {}
     type_index: dict[Node, set[str]] = {}
     predicates: set[str] = set()
     types: set[str] = set()
     entities: set[str] = set()
 
-    for t in sorted(triples, key=Triple.sort_key):
+    for t in ordered:
         predicates.add(t.predicate)
         entities.add(t.subject)
         sp.setdefault((t.subject, t.predicate), set()).add(t.object)
         po.setdefault((t.predicate, t.object), set()).add(t.subject)
         p_idx.setdefault(t.predicate, []).append((t.subject, t.object))
-        s_idx.setdefault(t.subject, []).append(t)
         if t.predicate == type_predicate:
             if isinstance(t.object, Literal):
                 continue
@@ -243,23 +226,26 @@ def load(
         elif not isinstance(t.object, Literal):
             entities.add(t.object)
 
+    # every derived table is built here: the graph is shared across
+    # threads after load, so no lazy population happens later
     g = KnowledgeGraph(
-        triples=frozenset(triples),
+        triples=ordered,
         type_predicate=type_predicate,
         _sp={k: frozenset(v) for k, v in sp.items()},
         _po={k: frozenset(v) for k, v in po.items()},
         _p={k: tuple(v) for k, v in p_idx.items()},
-        _s={k: tuple(v) for k, v in s_idx.items()},
         type_index={k: frozenset(v) for k, v in type_index.items()},
         predicate_set=frozenset(predicates),
         type_set=frozenset(types),
         entity_set=frozenset(entities),
+        _relation_labels={
+            p: RelationLabel(p, tokenize_name(local_name(p)))
+            for p in sorted(predicates)
+            if p != type_predicate
+        },
+        _entity_labels=_entity_labels(entities),
+        _type_dict=_type_dictionary(type_index, types),
     )
-    # pre-warm derived dictionaries: the graph is shared across threads
-    # after load, so no lazy population should happen later
-    g.relation_labels()
-    g.entity_labels()
-    type_dictionary(g)
     log.info(
         "loaded graph: %d triples, %d predicates, %d types, %d entities",
         len(g.triples), len(g.predicate_set), len(g.type_set), len(g.entity_set),
@@ -267,22 +253,31 @@ def load(
     return g
 
 
-def type_dictionary(g: KnowledgeGraph) -> dict[tuple[str, ...], str]:
+def _entity_labels(entities: Iterable[str]) -> dict[tuple[str, ...], str]:
+    """First entity in sorted order for each token key of a local name."""
+    out: dict[tuple[str, ...], str] = {}
+    for entity in sorted(entities):
+        key = tokenize_name(local_name(entity))
+        if key and key not in out:
+            out[key] = entity
+    return out
+
+
+def _type_dictionary(
+    type_index: Mapping[Node, Iterable[str]], types: Iterable[str]
+) -> dict[tuple[str, ...], str]:
     """Map tokenized type local names to type IRIs.
 
     When two type IRIs share a token key, the one with more instances in
     the graph wins and the loser is logged.
     """
-    cached = g._label_cache.get("type_dict")
-    if cached is not None:
-        return cached
     instance_counts: dict[str, int] = {}
-    for types in g.type_index.values():
-        for t in types:
+    for node_types in type_index.values():
+        for t in node_types:
             instance_counts[t] = instance_counts.get(t, 0) + 1
 
     out: dict[tuple[str, ...], str] = {}
-    for type_iri in sorted(g.type_set):
+    for type_iri in sorted(types):
         key = tokenize_name(local_name(type_iri))
         if not key:
             continue
@@ -297,8 +292,12 @@ def type_dictionary(g: KnowledgeGraph) -> dict[tuple[str, ...], str]:
                          type_iri, key, incumbent)
         else:
             out[key] = type_iri
-    g._label_cache["type_dict"] = out
     return out
+
+
+def type_dictionary(g: KnowledgeGraph) -> dict[tuple[str, ...], str]:
+    """Tokenized type local names -> type IRIs, as built by ``load``."""
+    return g._type_dict
 
 
 def load_prefixes(path: Union[str, Path]) -> dict[str, str]:

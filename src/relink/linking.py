@@ -14,7 +14,7 @@ import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Optional, Sequence, Union
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from . import text
 from .kg import KnowledgeGraph, RelationLabel, local_name, type_dictionary
@@ -183,6 +183,35 @@ def exact_match_relation(
     return None
 
 
+def ngram_spans(
+    tokens: Sequence[Token], max_len: int, blocked: Sequence[Span] = ()
+) -> Iterator[Span]:
+    """Windows of at most max_len tokens, longest first, then leftmost.
+
+    Windows holding a pseudo-relation or overlapping a blocked span are
+    skipped. ``blocked`` is read afresh for every window, so the caller
+    may extend it while iterating.
+    """
+    for length in range(min(max_len, len(tokens)), 0, -1):
+        for start in range(0, len(tokens) - length + 1):
+            span = Span(start, start + length)
+            if any(isinstance(t, PseudoRelation) for t in tokens[span.start : span.end]):
+                continue
+            if any(span.overlaps(b) for b in blocked):
+                continue
+            yield span
+
+
+def content_spans(
+    tokens: Sequence[Token], stopwords: frozenset[str], blocked: Sequence[Span] = ()
+) -> Iterator[Span]:
+    """Spans of at most MAX_MENTION_TOKENS whose endpoints are content words."""
+    for span in ngram_spans(tokens, MAX_MENTION_TOKENS, blocked):
+        first, last = str(tokens[span.start]), str(tokens[span.end - 1])
+        if first not in stopwords and last not in stopwords:
+            yield span
+
+
 def detect_types(
     tokens: Sequence[Token],
     g: KnowledgeGraph,
@@ -196,44 +225,13 @@ def detect_types(
     max_len = max(len(k) for k in type_dict)
     hits: list[TypeHit] = []
     taken: list[Span] = []
-    for length in range(min(max_len, len(tokens)), 0, -1):
-        for start in range(0, len(tokens) - length + 1):
-            span = Span(start, start + length)
-            if any(span.overlaps(t) for t in taken):
-                continue
-            window = tokens[span.start : span.end]
-            if any(isinstance(t, PseudoRelation) for t in window):
-                continue
-            key = tuple(str(t) for t in window)
-            iri = type_dict.get(key)
-            if iri is not None:
-                hits.append(TypeHit(span, iri))
-                taken.append(span)
+    for span in ngram_spans(tokens, max_len, taken):
+        iri = type_dict.get(tuple(str(t) for t in tokens[span.start : span.end]))
+        if iri is not None:
+            hits.append(TypeHit(span, iri))
+            taken.append(span)
     hits.sort(key=lambda h: h.span.start)
     return hits
-
-
-def _candidate_spans(
-    tokens: Sequence[Token], stopwords: frozenset[str], blocked: Sequence[Span]
-) -> list[Span]:
-    """N-gram spans (n <= 3) whose endpoints are content words."""
-    spans = []
-    for start in range(len(tokens)):
-        if isinstance(tokens[start], PseudoRelation):
-            continue
-        if str(tokens[start]) in stopwords:
-            continue
-        for end in range(start + 1, min(start + MAX_MENTION_TOKENS, len(tokens)) + 1):
-            span = Span(start, end)
-            window = tokens[start:end]
-            if any(isinstance(t, PseudoRelation) for t in window):
-                break
-            if str(tokens[end - 1]) in stopwords:
-                continue
-            if any(span.overlaps(b) for b in blocked):
-                continue
-            spans.append(span)
-    return spans
 
 
 def detect_relations(
@@ -258,7 +256,7 @@ def detect_relations(
         if isinstance(tok, PseudoRelation):
             scored.append(RelationHit(Span(i, i + 1), tok, 1.0))
 
-    for span in _candidate_spans(tokens, stopwords, list(type_spans)):
+    for span in content_spans(tokens, stopwords, type_spans):
         mention = " ".join(str(t) for t in tokens[span.start : span.end])
         hit = link_simple(mention, g, lex, theta_rel)
         if hit is None:

@@ -280,6 +280,14 @@ def test_link_config_validation():
         LinkConfig(validation="sloppy")
 
 
+def test_link_config_theta_range():
+    for bad in (-0.1, 1.5, 7):
+        with pytest.raises(ValueError, match="theta_rel"):
+            LinkConfig(theta_rel=bad)
+    LinkConfig(theta_rel=0.0)
+    LinkConfig(theta_rel=1.0)
+
+
 def test_empty_phrase_rejected(linker):
     with pytest.raises(ValueError):
         linker.link("  ")

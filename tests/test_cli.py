@@ -186,6 +186,25 @@ def test_config_unknown_key_usage_error(capsys, tmp_path):
     assert code == EXIT_USAGE
 
 
+def test_config_wrong_value_type_usage_error(capsys, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"max_depth": "3"}))
+    code, _, err = run(capsys, "--config", str(config), "link", "son")
+    assert code == EXIT_USAGE
+    assert "max_depth" in err
+    # an int is a valid value for a float field
+    config.write_text(json.dumps({"http_timeout": 5}))
+    assert run(capsys, "--config", str(config), "link", "son")[0] == EXIT_OK
+
+
+def test_config_theta_out_of_range_usage_error(capsys, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"theta_rel": 7}))
+    code, _, err = run(capsys, "--config", str(config), "link", "mother-in-law")
+    assert code == EXIT_USAGE
+    assert "theta_rel" in err
+
+
 def test_link_blank_phrase_usage_error(capsys):
     code, _, err = run(capsys, "link", "   ")
     assert code == EXIT_USAGE

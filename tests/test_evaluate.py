@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from relink import classify, evaluate as ev
+from relink import classify, evaluate as ev, kg
 from relink.classify import TrainConfig
 from relink.cli import data_path
 from relink.patterns import MetaPattern, SubgraphPattern
@@ -85,6 +85,12 @@ def test_keyword_match_compound_misses(family_graph):
 def test_keyword_match_simple_hits(family_graph):
     sp = ev.keyword_match("founder", family_graph)
     assert [(e.rel) for e in sp.edges] == [EX + "founder"]
+
+
+def test_keyword_match_wordless_phrase_misses():
+    # the predicate's local name "_" tokenizes to no words, like "?!"
+    g = kg.load(["<http://x.org/a> <http://x.org/_> <http://x.org/b> ."])
+    assert ev.keyword_match("?!", g) is None
 
 
 def test_similarity_search_always_answers(family_graph):

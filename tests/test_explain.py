@@ -105,17 +105,47 @@ def test_http_provider_reads_disk_cache_offline(tmp_path):
 
     cache = tmp_path / "http-cache"
     cache.mkdir()
-    (cache / "gizmo.json").write_text(
-        json.dumps({"results": [{"definition": "a small gadget"}]})
-    )
     provider = HttpProvider(
         "http://dictionary.invalid/define?q={phrase}",
         json_path="results.0.definition",
         cache_dir=cache,
     )
+    provider._cache_file("gizmo").write_text(
+        json.dumps({"results": [{"definition": "a small gadget"}]})
+    )
     exp = provider.lookup("gizmo")
     assert exp is not None
     assert exp.sentence == "a small gadget"
+
+
+def test_http_provider_cache_files_do_not_collide(tmp_path, monkeypatch):
+    import io
+    import urllib.request
+    from urllib.parse import unquote
+
+    from relink.explain import HttpProvider
+
+    def fake_urlopen(req, timeout):
+        phrase = unquote(req.full_url.split("?q=", 1)[1])
+        return io.BytesIO(json.dumps({"definition": f"meaning of {phrase}"}).encode())
+
+    def offline(req, timeout):
+        raise AssertionError("cached phrase fetched again")
+
+    cache = tmp_path / "http-cache"
+    phrases = ["mother in law", "mother_in_law", "mother/in/law"]
+    monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+    provider = HttpProvider(
+        "http://dictionary.invalid/define?q={phrase}", "definition", cache_dir=cache
+    )
+    for phrase in phrases:
+        provider.lookup(phrase)
+    assert len(list(cache.glob("*.json"))) == 3
+    assert list(cache.glob("*.tmp")) == []
+
+    monkeypatch.setattr(urllib.request, "urlopen", offline)
+    sentences = [provider.lookup(phrase).sentence for phrase in phrases]
+    assert sentences == [f"meaning of {phrase}" for phrase in phrases]
 
 
 def test_http_provider_extract_paths():

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
-from relink import kg
+from relink import evaluate, kg
+from relink.assemble import LinkConfig, Linker, link_data_driven
+from relink.cli import data_path
+from relink.linking import Lexicon, MetaElements, RelationHit, Span
 from relink.kg import (
     Literal,
     ParseError,
@@ -83,7 +88,6 @@ def test_index_round_trip(family_graph):
         assert t.object in family_graph.objects(t.subject, t.predicate)
         assert t.subject in family_graph.subjects(t.predicate, t.object)
         assert (t.subject, t.object) in family_graph.by_predicate(t.predicate)
-        assert t in family_graph.by_subject(t.subject)
     # and every index entry corresponds to a stored triple
     for (s, p), objs in family_graph._sp.items():
         for o in objs:
@@ -138,3 +142,31 @@ def test_load_prefixes_and_shorten(tmp_path):
     table = kg.load_prefixes(path)
     assert kg.shorten("http://example.org/ontology/mother", table) == "ex:mother"
     assert kg.shorten("http://other.org/x", table) == "http://other.org/x"
+
+
+def _field_snapshot(g):
+    return {
+        f.name: (id(value), len(value) if hasattr(value, "__len__") else None)
+        for f in fields(g)
+        for value in [getattr(g, f.name)]
+    }
+
+
+def test_graph_unchanged_after_load(explainer, classifier):
+    """Linking and every baseline only read the graph: no field is added,
+    replaced or grown after load, so sharing it across threads is safe."""
+    g = kg.load(data_path("family_geo.nt"))
+    before = _field_snapshot(g)
+    linker = Linker(g, explainer, Lexicon.load(data_path("lexicon.json"), g),
+                    classifier, LinkConfig())
+    gold = evaluate.load_gold(data_path("gold.jsonl"))
+    for entry in gold:
+        linker.link(entry.phrase)
+    ex = "http://example.org/ontology/"
+    hits = (RelationHit(Span(0, 1), ex + "spouse", 1.0),
+            RelationHit(Span(2, 3), ex + "mother", 1.0))
+    assert link_data_driven(MetaElements((), hits), g) is not None
+    for method in evaluate.METHODS:
+        for entry in gold:
+            evaluate.run_baseline(method, entry.phrase, linker)
+    assert _field_snapshot(g) == before
