@@ -107,6 +107,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             raw = json.loads(Path(args.config).read_text("utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigError(
+                f"config {args.config} must be a JSON object, got {type(raw).__name__}"
+            )
         defaults = {f.name: f.default for f in fields(RunConfig)}
         for key, value in raw.items():
             if key not in defaults:

@@ -184,19 +184,27 @@ def exact_match_relation(
 
 
 def ngram_spans(
-    tokens: Sequence[Token], max_len: int, blocked: Sequence[Span] = ()
+    tokens: Sequence[Token],
+    max_len: int,
+    blocked: Sequence[Span] = (),
+    stopwords: frozenset[str] = frozenset(),
 ) -> Iterator[Span]:
     """Windows of at most max_len tokens, longest first, then leftmost.
 
-    Windows holding a pseudo-relation or overlapping a blocked span are
-    skipped. ``blocked`` is read afresh for every window, so the caller
-    may extend it while iterating.
+    Windows that begin or end on a stopword are dropped first, by a
+    per-token lookup; windows holding a pseudo-relation or overlapping a
+    blocked span are skipped next. ``blocked`` is read afresh for every
+    window, so the caller may extend it while iterating.
     """
+    stop = [isinstance(t, str) and t in stopwords for t in tokens]
     for length in range(min(max_len, len(tokens)), 0, -1):
         for start in range(0, len(tokens) - length + 1):
-            span = Span(start, start + length)
-            if any(isinstance(t, PseudoRelation) for t in tokens[span.start : span.end]):
+            end = start + length
+            if stop[start] or stop[end - 1]:
                 continue
+            if any(isinstance(t, PseudoRelation) for t in tokens[start:end]):
+                continue
+            span = Span(start, end)
             if any(span.overlaps(b) for b in blocked):
                 continue
             yield span
@@ -206,10 +214,7 @@ def content_spans(
     tokens: Sequence[Token], stopwords: frozenset[str], blocked: Sequence[Span] = ()
 ) -> Iterator[Span]:
     """Spans of at most MAX_MENTION_TOKENS whose endpoints are content words."""
-    for span in ngram_spans(tokens, MAX_MENTION_TOKENS, blocked):
-        first, last = str(tokens[span.start]), str(tokens[span.end - 1])
-        if first not in stopwords and last not in stopwords:
-            yield span
+    return ngram_spans(tokens, MAX_MENTION_TOKENS, blocked, stopwords)
 
 
 def detect_types(

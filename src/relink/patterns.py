@@ -179,10 +179,45 @@ def _node_has_type(g: KnowledgeGraph, node: Node, type_iri: str) -> bool:
     return type_iri in g.types_of(node)
 
 
+def _join_order(g: KnowledgeGraph, sp: SubgraphPattern) -> list[int]:
+    """Edge indexes in search order: rarest seed, then connected edges.
+
+    An edge whose two ends are already bound comes first, since it is
+    only a membership test. Otherwise the rarest edge sharing a bound
+    variable follows. Ties go to the lower edge index. The pattern is
+    connected, so some remaining edge always touches a bound variable.
+    """
+    counts = [g.predicate_count(e.rel) for e in sp.edges]
+    bound: set[str] = set()
+    remaining = set(range(len(sp.edges)))
+    order: list[int] = []
+
+    def rank(i: int) -> tuple[int, int, int]:
+        e = sp.edges[i]
+        return (-((e.src in bound) + (e.dst in bound)), counts[i], i)
+
+    while remaining:
+        i = min(remaining, key=rank)
+        remaining.remove(i)
+        order.append(i)
+        bound.update((sp.edges[i].src, sp.edges[i].dst))
+    return order
+
+
 def _search(g: KnowledgeGraph, sp: SubgraphPattern):
-    """Yield every homomorphism binding, seeding on the rarest relation."""
+    """Yield every homomorphism binding, following ``_join_order``.
+
+    The seed edge is the one with the fewest triples. Every later edge
+    shares a bound variable, and edges with both ends bound are checked
+    before any edge that binds a new variable, so no level enumerates a
+    predicate's pairs independently of the bindings so far. Candidates
+    come straight from the index sets in their own order: the order of
+    yielded bindings is not part of the contract, because
+    ``has_instance`` returns only a bool and ``match_instances`` sorts
+    what it collects.
+    """
     types = sp.type_map()
-    order = sorted(range(len(sp.edges)), key=lambda i: g.predicate_count(sp.edges[i].rel))
+    order = _join_order(g, sp)
 
     def ok(var: str, node: Node) -> bool:
         t = types.get(var)
@@ -201,12 +236,12 @@ def _search(g: KnowledgeGraph, sp: SubgraphPattern):
         if bs is not None:
             if isinstance(bs, Literal):
                 return
-            candidates = [(bs, o) for o in g.objects(bs, edge.rel)]
+            candidates = ((bs, o) for o in g.objects(bs, edge.rel))
         elif bo is not None:
-            candidates = [(s, bo) for s in g.subjects(edge.rel, bo)]
+            candidates = ((s, bo) for s in g.subjects(edge.rel, bo))
         else:
-            candidates = list(g.by_predicate(edge.rel))
-        for s, o in sorted(candidates, key=lambda p: (node_key(p[0]), node_key(p[1]))):
+            candidates = g.by_predicate(edge.rel)
+        for s, o in candidates:
             if not ok(edge.src, s) or not ok(edge.dst, o):
                 continue
             binding[edge.src] = s
@@ -248,7 +283,15 @@ def match_instances(
 
 
 def has_instance(g: KnowledgeGraph, sp: SubgraphPattern) -> bool:
-    """True iff at least one homomorphism exists (early-exit search)."""
+    """True iff at least one homomorphism exists.
+
+    The search stops at the first binding. It seeds on the rarest edge,
+    then takes edges that share a bound variable, membership tests
+    (both ends bound) first, so a failing three-edge check costs about
+    one index lookup per seed pair rather than a cartesian product.
+    Which binding is found first does not matter, since only its
+    existence is returned.
+    """
     if any(rel not in g.predicate_set for rel in sp.relations()):
         return False
     return next(_search(g, sp), None) is not None

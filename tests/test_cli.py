@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from relink.cli import (
     EXIT_DATA,
     EXIT_NO_MATCH,
@@ -195,6 +197,15 @@ def test_config_wrong_value_type_usage_error(capsys, tmp_path):
     # an int is a valid value for a float field
     config.write_text(json.dumps({"http_timeout": 5}))
     assert run(capsys, "--config", str(config), "link", "son")[0] == EXIT_OK
+
+
+@pytest.mark.parametrize("payload", ["[1]", '"max_depth"', "3", "null"])
+def test_config_not_an_object_usage_error(capsys, tmp_path, payload):
+    config = tmp_path / "config.json"
+    config.write_text(payload)
+    code, _, err = run(capsys, "--config", str(config), "link", "son")
+    assert code == EXIT_USAGE
+    assert "JSON object" in err
 
 
 def test_config_theta_out_of_range_usage_error(capsys, tmp_path):

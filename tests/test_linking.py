@@ -1,12 +1,17 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relink import kg
 from relink.linking import (
+    MAX_MENTION_TOKENS,
     Lexicon,
     LexiconError,
+    PseudoRelation,
     Span,
+    content_spans,
     detect_elements,
     detect_relations,
     detect_types,
@@ -14,6 +19,7 @@ from relink.linking import (
     link_simple,
     mention_score,
 )
+from relink.patterns import SubgraphPattern
 from relink.text import edit_similarity, jaccard, levenshtein, tokenize
 
 EX = "http://example.org/ontology/"
@@ -197,3 +203,53 @@ def test_lexicon_hit_dominates_similarity(family_graph):
 def test_span_overlap_logic():
     assert Span(0, 2).overlaps(Span(1, 3))
     assert not Span(0, 2).overlaps(Span(2, 4))
+
+
+STOPWORDS = frozenset({"the", "of", "a", "in"})
+PSEUDO = PseudoRelation("mother in law", SubgraphPattern.make([("x", EX + "spouse", "y")]))
+
+
+def _reference_content_spans(tokens, stopwords, blocked, grow):
+    """The plain filter: every window, longest first, all three conditions.
+
+    A yielded span in ``grow`` is appended to ``blocked``, as the nested
+    scan's callers extend it while iterating.
+    """
+    out = []
+    for length in range(min(MAX_MENTION_TOKENS, len(tokens)), 0, -1):
+        for start in range(len(tokens) - length + 1):
+            window = tokens[start : start + length]
+            span = Span(start, start + length)
+            if any(isinstance(t, PseudoRelation) for t in window):
+                continue
+            if any(span.overlaps(b) for b in blocked):
+                continue
+            if str(window[0]) in stopwords or str(window[-1]) in stopwords:
+                continue
+            out.append(span)
+            if span in grow:
+                blocked.append(span)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    tokens=st.lists(
+        st.one_of(
+            st.sampled_from(["the", "of", "a", "in", "mother", "law", "son"]), st.just(PSEUDO)
+        ),
+        max_size=9,
+    ),
+    blocked=st.lists(st.tuples(st.integers(0, 9), st.integers(1, 3)), max_size=3),
+    grow=st.sets(st.tuples(st.integers(0, 9), st.integers(1, 3)), max_size=4),
+)
+def test_content_spans_matches_reference_filter(tokens, blocked, grow):
+    blocked = [Span(s, s + n) for s, n in blocked]
+    grow = {Span(s, s + n) for s, n in grow}
+    want = _reference_content_spans(tokens, STOPWORDS, list(blocked), grow)
+    got, live = [], list(blocked)
+    for span in content_spans(tokens, STOPWORDS, live):
+        got.append(span)
+        if span in grow:
+            live.append(span)
+    assert got == want

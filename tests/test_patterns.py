@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relink import kg
-from relink.kg import UnknownPredicateError
+from relink.kg import KnowledgeGraph, UnknownPredicateError
 from relink.patterns import (
     COMPLEX,
     MetaPattern,
@@ -216,6 +216,72 @@ def test_match_oracle_with_type_restrictions():
             {"z": types[0]}
         )
         assert match_instances(g, sp) == brute_force_instances(triples, sp)
+
+
+def test_has_instance_uncle_shape_reads_predicate_index_once(monkeypatch):
+    # relative < parent < gender by triple count, and the check fails:
+    # the only parent edges start at persons, never at the gender value
+    lines = [f"<{RES}p{i}> <{EX}relative> <{RES}p{i + 1}> ." for i in range(10)]
+    lines += [f"<{RES}p{i}> <{EX}parent> <{RES}p{i + 2}> ." for i in range(30)]
+    lines += [f"<{RES}p{i}> <{EX}gender> <{RES}male> ." for i in range(50)]
+    g = kg.load(lines)
+    sp = SubgraphPattern.make(
+        [("x", EX + "relative", "v1"), ("v1", EX + "gender", "z"), ("z", EX + "parent", "y")]
+    )
+    calls = []
+    by_predicate = KnowledgeGraph.by_predicate
+
+    def counting(self, predicate):
+        calls.append(predicate)
+        return by_predicate(self, predicate)
+
+    monkeypatch.setattr(KnowledgeGraph, "by_predicate", counting)
+    assert not has_instance(g, sp)
+    assert calls == [EX + "relative"]
+
+
+def _random_tree_pattern(rng: random.Random, preds: list[str], n_edges: int):
+    """A tree over fresh variables with random edge directions, edges shuffled."""
+    names = ["x", "y", "z", "w", "v"]
+    edges = []
+    for j in range(1, n_edges + 1):
+        old, new = names[rng.randrange(j)], names[j]
+        rel = rng.choice(preds)
+        edges.append((old, rel, new) if rng.random() < 0.5 else (new, rel, old))
+    rng.shuffle(edges)
+    return SubgraphPattern.make(edges)
+
+
+def _maybe_typed(rng: random.Random, sp: SubgraphPattern, types: list[str]):
+    if not types or rng.random() < 0.5:
+        return sp
+    return sp.with_types({rng.choice(sp.variables()): rng.choice(types)})
+
+
+def test_match_oracle_larger_patterns():
+    rng = random.Random(303)
+    checked = nonempty = 0
+    for _ in range(24):
+        triples = random_graph(
+            rng, n_entities=5, n_predicates=3, n_triples=22, n_types=1, literal_rate=0.2
+        )
+        g = graph_from_triples(triples)
+        preds = sorted({t.predicate for t in triples if t.predicate != g.type_predicate})
+        types = sorted(g.type_set)
+        tree = _random_tree_pattern(rng, preds, rng.choice([3, 4]))
+        # a triangle closes between two bound variables, plus a pendant edge
+        a, b, c, d = (rng.choice(preds) for _ in range(4))
+        cycle = SubgraphPattern.make([("x", a, "y"), ("w", d, "z"), ("y", b, "z"), ("z", c, "x")])
+        for sp in (tree, cycle):
+            sp = _maybe_typed(rng, sp, types)
+            want = brute_force_instances(triples, sp)
+            assert match_instances(g, sp) == want, sp
+            assert has_instance(g, sp) == bool(want), sp
+            checked += 1
+            nonempty += bool(want)
+    # the sample must exercise both outcomes
+    assert checked == 48
+    assert 0 < nonempty < checked
 
 
 def test_adjacent_instantiations_spouse_mother(family_graph, ns):
