@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import re
+from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, Union
@@ -37,7 +38,7 @@ class UnknownPredicateError(KeyError):
         return f"unknown predicate: {self.predicate}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Literal:
     """An opaque literal value; may appear only in object position."""
 
@@ -81,7 +82,7 @@ def valid_iri(iri: str) -> bool:
     return bool(iri) and not any(c.isspace() for c in iri) and bool(local_name(iri))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Triple:
     subject: str
     predicate: str
@@ -106,30 +107,44 @@ _LINE_RE = re.compile(
 )
 
 
-def parse_line(line: str, line_no: int) -> Triple:
+def parse_line(line: str, line_no: int, iris: dict[str, str] | None = None) -> Triple:
+    """Parse one triple line.
+
+    The line pattern already rules out empty IRIs and whitespace, so an
+    IRI needs only ``valid_iri``'s local-name check. ``iris`` is the
+    intern table of one load: an IRI is checked when first seen and
+    stored, and every later occurrence reuses the stored string.
+    """
     m = _LINE_RE.match(line)
     if not m:
         raise ParseError(line_no, f"not a valid triple: {line.strip()!r}")
+    if iris is None:
+        iris = {}
     subject, predicate, obj_iri, obj_lit = m.groups()
-    if not valid_iri(subject):
-        raise ParseError(line_no, f"invalid subject IRI: {subject!r}")
-    if not valid_iri(predicate):
-        raise ParseError(line_no, f"invalid predicate IRI: {predicate!r}")
-    obj: Node
-    if obj_iri is not None:
-        if not valid_iri(obj_iri):
-            raise ParseError(line_no, f"invalid object IRI: {obj_iri!r}")
-        obj = obj_iri
-    else:
-        obj = Literal(obj_lit)
-    return Triple(subject, predicate, obj)
+    subject = iris.get(subject) or _intern(iris, subject, "subject", line_no)
+    predicate = iris.get(predicate) or _intern(iris, predicate, "predicate", line_no)
+    if obj_iri is None:
+        return Triple(subject, predicate, Literal(obj_lit))
+    obj_iri = iris.get(obj_iri) or _intern(iris, obj_iri, "object", line_no)
+    return Triple(subject, predicate, obj_iri)
+
+
+def _intern(iris: dict[str, str], iri: str, role: str, line_no: int) -> str:
+    """Check an IRI not yet in ``iris`` and store it there."""
+    if not local_name(iri):
+        raise ParseError(line_no, f"invalid {role} IRI: {iri!r}")
+    iris[iri] = iri
+    return iri
 
 
 def iter_triples(lines: Iterable[str]) -> Iterator[Triple]:
+    """Triples of a line stream; equal IRIs come out as one string object."""
+    iris: dict[str, str] = {}
     for line_no, line in enumerate(lines, start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
+        head = line.lstrip()
+        if not head or head[0] == "#":
             continue
-        yield parse_line(line, line_no)
+        yield parse_line(line, line_no, iris)
 
 
 @dataclass(frozen=True)
@@ -196,35 +211,47 @@ def load(
     source: Union[str, Path, IO[str], Iterable[str]],
     type_predicate: str = RDF_TYPE,
 ) -> KnowledgeGraph:
-    """Parse and index a triple stream; duplicates are dropped silently."""
+    """Parse and index a triple stream; duplicates are dropped silently.
+
+    A file that is not UTF-8 raises ``ParseError`` for the line holding
+    its first undecodable byte.
+    """
     if isinstance(source, (str, Path)):
         with open(source, encoding="utf-8") as fh:
-            triples = set(iter_triples(fh))
+            try:
+                triples = set(iter_triples(fh))
+            except UnicodeDecodeError:
+                err = _decode_error(source)
+                if err is None:  # the file changed after it was read
+                    raise
+                raise err from None
     else:
         triples = set(iter_triples(source))
     ordered = tuple(sorted(triples, key=Triple.sort_key))
+    del triples  # frees the set's table before the indexes grow
 
-    sp: dict[tuple[str, str], set[Node]] = {}
-    po: dict[tuple[str, Node], set[str]] = {}
-    p_idx: dict[str, list[tuple[str, Node]]] = {}
-    type_index: dict[Node, set[str]] = {}
-    predicates: set[str] = set()
-    types: set[str] = set()
+    # the lists only collect: every (s, p, o) is unique, so no index
+    # value repeats, and each list becomes a frozenset or tuple below
+    sp: defaultdict[tuple[str, str], list[Node]] = defaultdict(list)
+    po: defaultdict[tuple[str, Node], list[str]] = defaultdict(list)
+    p_idx: defaultdict[str, list[tuple[str, Node]]] = defaultdict(list)
+    type_index: defaultdict[Node, list[str]] = defaultdict(list)
     entities: set[str] = set()
 
     for t in ordered:
-        predicates.add(t.predicate)
-        entities.add(t.subject)
-        sp.setdefault((t.subject, t.predicate), set()).add(t.object)
-        po.setdefault((t.predicate, t.object), set()).add(t.subject)
-        p_idx.setdefault(t.predicate, []).append((t.subject, t.object))
-        if t.predicate == type_predicate:
-            if isinstance(t.object, Literal):
-                continue
-            type_index.setdefault(t.subject, set()).add(t.object)
-            types.add(t.object)
-        elif not isinstance(t.object, Literal):
-            entities.add(t.object)
+        s, p, o = t.subject, t.predicate, t.object
+        entities.add(s)
+        sp[(s, p)].append(o)
+        po[(p, o)].append(s)
+        p_idx[p].append((s, o))
+        if isinstance(o, Literal):
+            continue
+        if p == type_predicate:
+            type_index[s].append(o)
+        else:
+            entities.add(o)
+    predicates = p_idx.keys()
+    types = {ty for node_types in type_index.values() for ty in node_types}
 
     # every derived table is built here: the graph is shared across
     # threads after load, so no lazy population happens later
@@ -251,6 +278,24 @@ def load(
         len(g.triples), len(g.predicate_set), len(g.type_set), len(g.entity_set),
     )
     return g
+
+
+def _decode_error(path: Union[str, Path]) -> ParseError | None:
+    """The error for a file that is not UTF-8, at the line of its first
+    undecodable byte; None if the file decodes.
+
+    Text-mode reading decodes in chunks, so its error gives no line;
+    decoding the whole file again gives the byte offset, and lines are
+    counted the way text mode splits them (at LF, CR LF and CR).
+    """
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start].decode("utf-8")
+        line_no = head.replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1
+        return ParseError(line_no, f"not valid UTF-8: {exc.reason}")
+    return None
 
 
 def _entity_labels(entities: Iterable[str]) -> dict[tuple[str, ...], str]:

@@ -10,7 +10,16 @@ from __future__ import annotations
 import itertools
 import random
 
-from relink.kg import RDF_TYPE, KnowledgeGraph, Literal, Triple, node_key
+from relink.kg import (
+    RDF_TYPE,
+    KnowledgeGraph,
+    Literal,
+    RelationLabel,
+    Triple,
+    local_name,
+    node_key,
+    tokenize_name,
+)
 from relink.patterns import MetaPattern, SubgraphPattern
 
 
@@ -94,11 +103,93 @@ def random_graph(
     return sorted(triples, key=Triple.sort_key)
 
 
+def ntriples_line(t: Triple) -> str:
+    obj = f'"{t.object.value}"' if isinstance(t.object, Literal) else f"<{t.object}>"
+    return f"<{t.subject}> <{t.predicate}> {obj} ."
+
+
 def graph_from_triples(triples: list[Triple]) -> KnowledgeGraph:
     from relink import kg
 
-    lines = []
-    for t in triples:
-        obj = f'"{t.object.value}"' if isinstance(t.object, Literal) else f"<{t.object}>"
-        lines.append(f"<{t.subject}> <{t.predicate}> {obj} .")
-    return kg.load(lines)
+    return kg.load([ntriples_line(t) for t in triples])
+
+
+def random_load_graph(rng: random.Random) -> set[Triple]:
+    """Triples for checking ``kg.load``: entity and type IRIs from two
+    namespaces whose local names tokenize alike, literal objects, and
+    literal objects of the type predicate."""
+    spaces = ["http://t.example/", "http://u.example/ns#"]
+    entities = [ns + f"e{i}" for ns in spaces for i in range(3)]
+    types = [ns + name for ns in spaces for name in ("Person", "person", "SoccerPlayer")]
+    predicates = [spaces[0] + "p0", spaces[0] + "hasPart", spaces[1] + "has_part", RDF_TYPE]
+    literals = [Literal("red"), Literal("Person"), Literal("")]
+    triples: set[Triple] = set()
+    for _ in range(rng.randrange(40)):
+        s = rng.choice(entities + types[:1])
+        p = rng.choice(predicates)
+        roll = rng.random()
+        if roll < 0.2:
+            o = rng.choice(literals)
+        elif roll < 0.5:
+            o = rng.choice(types)
+        else:
+            o = rng.choice(entities)
+        triples.add(Triple(s, p, o))
+    return triples
+
+
+def reference_load(triples: set[Triple], type_predicate: str) -> dict:
+    """Every table ``kg.load`` builds, computed directly from the triple set."""
+    ordered = tuple(sorted(triples, key=Triple.sort_key))
+    typing = {
+        (t.subject, t.object)
+        for t in triples
+        if t.predicate == type_predicate and not isinstance(t.object, Literal)
+    }
+    types = {o for _, o in typing}
+    entities = {t.subject for t in triples} | {
+        t.object
+        for t in triples
+        if t.predicate != type_predicate and not isinstance(t.object, Literal)
+    }
+    predicates = {t.predicate for t in triples}
+    instances = {ty: sum(1 for _, o in typing if o == ty) for ty in types}
+
+    def best_per_key(iris, rank):
+        """Token key -> the IRI of least ``rank`` among those with that
+        key; keys in the order of their least IRI."""
+        by_key: dict = {}
+        for iri in iris:
+            key = tokenize_name(local_name(iri))
+            if key:
+                by_key.setdefault(key, []).append(iri)
+        return {
+            key: min(group, key=rank)
+            for key, group in sorted(by_key.items(), key=lambda kv: min(kv[1]))
+        }
+
+    return {
+        "triples": ordered,
+        "objects": lambda s, p: frozenset(
+            t.object for t in triples if (t.subject, t.predicate) == (s, p)
+        ),
+        "subjects": lambda p, o: frozenset(
+            t.subject for t in triples if (t.predicate, t.object) == (p, o)
+        ),
+        "by_predicate": lambda p: tuple(
+            (t.subject, t.object) for t in ordered if t.predicate == p
+        ),
+        "types_of": lambda n: frozenset(o for s, o in typing if s == n),
+        "sp_keys": {(t.subject, t.predicate) for t in triples},
+        "po_keys": {(t.predicate, t.object) for t in triples},
+        "typed_nodes": {s for s, _ in typing},
+        "predicate_set": predicates,
+        "type_set": types,
+        "entity_set": entities,
+        "relation_labels": [
+            (p, RelationLabel(p, tokenize_name(local_name(p))))
+            for p in sorted(predicates - {type_predicate})
+        ],
+        "entity_labels": best_per_key(entities, lambda e: e),
+        "type_dictionary": best_per_key(types, lambda ty: (-instances[ty], ty)),
+    }

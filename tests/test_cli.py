@@ -48,6 +48,18 @@ def test_ingest_malformed_reports_line(capsys, tmp_path):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("command", [["ingest"], ["link", "son"]])
+def test_graph_not_utf8_data_error(capsys, tmp_path, command):
+    path = tmp_path / "latin1.nt"
+    path.write_bytes(
+        b"<http://x/a> <http://x/p> <http://x/b> .\n"
+        b"<http://x/a> <http://x/p> <http://x/\xff> .\n"
+    )
+    code, _, err = run(capsys, "--kg", str(path), *command)
+    assert code == EXIT_DATA
+    assert "line 2" in err and "UTF-8" in err
+
+
 def test_link_mother_in_law_json(capsys):
     code, out, _ = run(capsys, "link", "mother-in-law")
     assert code == EXIT_OK

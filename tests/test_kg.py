@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import random
+import re
+import sys
 from dataclasses import fields
 
 import pytest
@@ -9,6 +12,7 @@ from relink.assemble import LinkConfig, Linker, link_data_driven
 from relink.cli import data_path
 from relink.linking import Lexicon, MetaElements, RelationHit, Span
 from relink.kg import (
+    RDF_TYPE,
     Literal,
     ParseError,
     Triple,
@@ -16,6 +20,8 @@ from relink.kg import (
     tokenize_name,
     type_dictionary,
 )
+
+from .oracles import ntriples_line, random_load_graph, reference_load
 
 
 def test_three_line_file_with_type_triple():
@@ -134,6 +140,95 @@ def test_iri_validation():
     assert not kg.valid_iri("")
     assert not kg.valid_iri("http://x.org/a b")
     assert not kg.valid_iri("http://x.org/")  # empty local name
+
+
+def test_parse_line_rejects_every_whitespace_in_iri():
+    # parse_line relies on the line pattern alone to keep whitespace out
+    # of IRIs, so its \s must match exactly what valid_iri's isspace rejects
+    chars = [chr(c) for c in range(sys.maxunicode + 1)]
+    spaces = [c for c in chars if c.isspace()]
+    assert len(spaces) == 29
+    space_re = re.compile(r"\s")
+    assert [c for c in chars if space_re.match(c)] == spaces
+    for ch in spaces:
+        for position in range(3):
+            iris = ["http://x.org/a", "http://x.org/p", "http://x.org/b"]
+            iris[position] = f"http://x.org/a{ch}b"
+            assert not kg.valid_iri(iris[position])
+            line = " ".join(f"<{iri}>" for iri in iris) + " ."
+            with pytest.raises(ParseError) as err:
+                kg.parse_line(line, 7)
+            assert err.value.line_no == 7
+
+
+def test_equal_iris_are_one_object(family_graph):
+    g = family_graph
+    iris = [n for t in g.triples for n in (t.subject, t.predicate, t.object)
+            if isinstance(n, str)]
+    iris += [n for key in (*g._sp, *g._po) for n in key if isinstance(n, str)]
+    iris += [n for v in (*g._sp.values(), *g._po.values(), *g.type_index.values())
+             for n in v if isinstance(n, str)]
+    iris += [n for pairs in g._p.values() for pair in pairs for n in pair
+             if isinstance(n, str)]
+    iris += [*g._p, *g.type_index, *g.predicate_set, *g.type_set, *g.entity_set]
+    assert len({id(n) for n in iris}) == len(set(iris))
+
+
+def test_load_oracle_on_random_graphs():
+    rng = random.Random(7)
+    for round_ in range(60):
+        triples = random_load_graph(rng)
+        type_predicate = RDF_TYPE if round_ % 3 else "http://t.example/p0"
+        lines = [ntriples_line(t) for t in triples]
+        lines += [f"  {line}\t" for line in rng.sample(lines, len(lines) // 3)]
+        lines += ["", "# comment", "   "]
+        rng.shuffle(lines)
+        g = kg.load(lines, type_predicate=type_predicate)
+        ref = reference_load(triples, type_predicate)
+
+        assert g.triples == ref["triples"], round_
+        assert len(g) == len(triples)
+        nodes = {t.subject for t in triples} | {t.object for t in triples}
+        nodes |= {"http://t.example/absent", Literal("absent")}
+        predicates = ref["predicate_set"] | {"http://t.example/absent"}
+        for p in predicates:
+            assert g.by_predicate(p) == ref["by_predicate"](p)
+            assert g.predicate_count(p) == len(ref["by_predicate"](p))
+            for n in nodes:
+                if isinstance(n, str):
+                    assert g.objects(n, p) == ref["objects"](n, p)
+                    assert type(g.objects(n, p)) is frozenset
+                assert g.subjects(p, n) == ref["subjects"](p, n)
+                assert type(g.subjects(p, n)) is frozenset
+        for n in nodes:
+            assert g.types_of(n) == ref["types_of"](n)
+        assert set(g._sp) == ref["sp_keys"]
+        assert set(g._po) == ref["po_keys"]
+        assert set(g._p) == ref["predicate_set"]
+        assert set(g.type_index) == ref["typed_nodes"]
+        assert g.predicate_set == ref["predicate_set"]
+        assert g.type_set == ref["type_set"]
+        assert g.entity_set == ref["entity_set"]
+        assert list(g.relation_labels().items()) == ref["relation_labels"]
+        assert list(g.entity_labels().items()) == list(ref["entity_labels"].items())
+        assert (list(type_dictionary(g).items())
+                == list(ref["type_dictionary"].items())), round_
+
+
+def test_decode_error_line_counts_every_line_break(tmp_path):
+    # CR LF and a lone CR each end a line in text mode, as LF does
+    head = (b"<http://x/a> <http://x/p> <http://x/b> .\r\n"
+            b"<http://x/a> <http://x/p> <http://x/c> .\r"
+            b"<http://x/a> <http://x/p> <http://x/d> .\n")
+    path = tmp_path / "bad.nt"
+    path.write_bytes(head + b"<http://x/a> <http://x/p> <http://x/\xe9> .\n")
+    with pytest.raises(ParseError) as err:
+        kg.load(path)
+    assert err.value.line_no == 4
+    path.write_bytes(head + b"not a triple\n")
+    with pytest.raises(ParseError) as err:
+        kg.load(path)
+    assert err.value.line_no == 4
 
 
 def test_load_prefixes_and_shorten(tmp_path):
