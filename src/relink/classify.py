@@ -17,9 +17,7 @@ import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 from . import text
 from .explain import ExplanationService
@@ -40,6 +38,9 @@ from .patterns import (
     adjacent_instantiations,
     shape_of,
 )
+
+if TYPE_CHECKING:  # numpy is imported where the model trains, loads or predicts
+    import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -284,6 +285,8 @@ class PatternClassifier:
         return z
 
     def predict_features(self, feats: dict[str, float]) -> tuple[MetaPattern, float]:
+        import numpy as np
+
         z = self._scores(feats)
         z = z - z.max()
         probs = np.exp(z)
@@ -318,6 +321,8 @@ class PatternClassifier:
     def from_json(cls, data: dict) -> "PatternClassifier":
         if data.get("format") != MODEL_FORMAT:
             raise ValueError(f"unsupported model format: {data.get('format')!r}")
+        import numpy as np
+
         return cls(
             vocabulary={str(k): int(v) for k, v in data["vocabulary"].items()},
             weights=np.asarray(data["weights"], dtype=float),
@@ -337,6 +342,8 @@ def _fit(
     config: TrainConfig,
     classes: tuple[MetaPattern, ...] = CLASSES,
 ) -> tuple[PatternClassifier, TrainReport]:
+    import numpy as np
+
     present = set(labels)
     missing = [c.value for c in classes if c not in present]
     if missing:

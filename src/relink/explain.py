@@ -116,9 +116,14 @@ class HttpProvider:
 
         phrase = normalize_phrase(phrase)
         cache_file = self._cache_file(phrase)
-        if cache_file is not None and cache_file.exists():
-            payload = json.loads(cache_file.read_text("utf-8"))
-        else:
+        cached = cache_file is not None and cache_file.exists()
+        if cached:
+            try:
+                payload = json.loads(cache_file.read_text("utf-8"))
+            except ValueError as exc:  # truncated or corrupt: a miss, replaced below
+                log.warning("unreadable explanation cache file %s: %s", cache_file, exc)
+                cached = False
+        if not cached:
             url = self.url_template.format(phrase=quote(phrase))
             req = Request(url)
             if self.api_key_header:

@@ -138,13 +138,24 @@ def _intern(iris: dict[str, str], iri: str, role: str, line_no: int) -> str:
 
 
 def iter_triples(lines: Iterable[str]) -> Iterator[Triple]:
-    """Triples of a line stream; equal IRIs come out as one string object."""
+    """Triples of a line stream; equal IRIs come out as one string object.
+
+    A stream that fails to decode raises ``ParseError`` for the first
+    line not yet read. Text mode decodes in chunks, so the bad byte is
+    at or after that line.
+    """
     iris: dict[str, str] = {}
-    for line_no, line in enumerate(lines, start=1):
-        head = line.lstrip()
-        if not head or head[0] == "#":
-            continue
-        yield parse_line(line, line_no, iris)
+    line_no = 0
+    try:
+        for line_no, line in enumerate(lines, start=1):
+            head = line.lstrip()
+            if not head or head[0] == "#":
+                continue
+            yield parse_line(line, line_no, iris)
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            line_no + 1, f"not valid UTF-8 at or after this line: {exc.reason}"
+        ) from exc
 
 
 @dataclass(frozen=True)
@@ -214,17 +225,18 @@ def load(
     """Parse and index a triple stream; duplicates are dropped silently.
 
     A file that is not UTF-8 raises ``ParseError`` for the line holding
-    its first undecodable byte.
+    its first undecodable byte; an open text handle, which cannot be
+    read again, for the first line not yet read (see ``iter_triples``).
     """
     if isinstance(source, (str, Path)):
         with open(source, encoding="utf-8") as fh:
             try:
                 triples = set(iter_triples(fh))
-            except UnicodeDecodeError:
-                err = _decode_error(source)
-                if err is None:  # the file changed after it was read
+            except ParseError as exc:
+                if not isinstance(exc.__cause__, UnicodeDecodeError):
                     raise
-                raise err from None
+                # None if the file changed after it was read
+                raise (_decode_error(source) or exc) from None
     else:
         triples = set(iter_triples(source))
     ordered = tuple(sorted(triples, key=Triple.sort_key))
@@ -253,15 +265,24 @@ def load(
     predicates = p_idx.keys()
     types = {ty for node_types in type_index.values() for ty in node_types}
 
+    # equal value sets become one frozenset: many keys hold the same set
+    # (the instances of a type, the subjects of one edge to a hub). The
+    # table is local, so nothing is shared with later loads or threads.
+    shared: dict[frozenset, frozenset] = {}
+
+    def share(values: list) -> frozenset:
+        fs = frozenset(values)
+        return shared.setdefault(fs, fs)
+
     # every derived table is built here: the graph is shared across
     # threads after load, so no lazy population happens later
     g = KnowledgeGraph(
         triples=ordered,
         type_predicate=type_predicate,
-        _sp={k: frozenset(v) for k, v in sp.items()},
-        _po={k: frozenset(v) for k, v in po.items()},
+        _sp={k: share(v) for k, v in sp.items()},
+        _po={k: share(v) for k, v in po.items()},
         _p={k: tuple(v) for k, v in p_idx.items()},
-        type_index={k: frozenset(v) for k, v in type_index.items()},
+        type_index={k: share(v) for k, v in type_index.items()},
         predicate_set=frozenset(predicates),
         type_set=frozenset(types),
         entity_set=frozenset(entities),

@@ -254,6 +254,35 @@ def test_help_exits_zero():
     assert "ingest" in proc.stdout and "eval" in proc.stdout
 
 
+def test_numpy_loads_only_when_the_classifier_runs():
+    import os
+    import subprocess
+    import sys
+    import textwrap
+    from pathlib import Path
+
+    script = textwrap.dedent("""
+        import json, sys
+        import relink, relink.cli, relink.evaluate
+        assert relink.cli.main(["ingest"]) == 0
+        print(json.dumps("numpy" in sys.modules))
+        linker = relink.cli.build_linker(relink.cli.RunConfig())
+        pattern = linker.link("mother-in-law").pattern.to_json()
+        print(json.dumps(["numpy" in sys.modules, pattern]))
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    *_, after_ingest, after_link = proc.stdout.splitlines()
+    assert json.loads(after_ingest) is False
+    golden = Path(__file__).parent / "golden" / "link_patterns.json"
+    expected = json.loads(golden.read_text("utf-8"))["mother-in-law"]
+    assert json.loads(after_link) == [True, expected]
+
+
 def test_env_override(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("RELINK_OUTPUT", "text")
     code, out, _ = run(capsys, "link", "son")

@@ -148,6 +148,31 @@ def test_http_provider_cache_files_do_not_collide(tmp_path, monkeypatch):
     assert sentences == [f"meaning of {phrase}" for phrase in phrases]
 
 
+def test_http_provider_refetches_unreadable_cache_file(tmp_path, monkeypatch):
+    import io
+    import urllib.request
+
+    from relink.explain import HttpProvider
+
+    fetched = []
+
+    def fake_urlopen(req, timeout):
+        fetched.append(req.full_url)
+        return io.BytesIO(json.dumps({"definition": "a small gadget"}).encode())
+
+    monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+    provider = HttpProvider(
+        "http://dictionary.invalid/define?q={phrase}", "definition", cache_dir=tmp_path
+    )
+    cache_file = provider._cache_file("gizmo")
+    cache_file.write_text('{"definition": "a sm', "utf-8")
+    for _ in range(2):
+        assert provider.lookup("gizmo").sentence == "a small gadget"
+    assert len(fetched) == 1  # the second lookup reads the replaced file
+    assert json.loads(cache_file.read_text("utf-8")) == {"definition": "a small gadget"}
+    assert list(tmp_path.glob("*.tmp")) == []
+
+
 def test_http_provider_extract_paths():
     from relink.explain import HttpProvider
 

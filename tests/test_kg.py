@@ -174,6 +174,18 @@ def test_equal_iris_are_one_object(family_graph):
     assert len({id(n) for n in iris}) == len(set(iris))
 
 
+def test_equal_index_value_sets_are_one_object(family_graph):
+    rng = random.Random(11)
+    graphs = [family_graph]
+    for round_ in range(20):
+        lines = [ntriples_line(t) for t in random_load_graph(rng)]
+        type_predicate = RDF_TYPE if round_ % 3 else "http://t.example/p0"
+        graphs.append(kg.load(lines, type_predicate=type_predicate))
+    for g in graphs:
+        values = [*g._sp.values(), *g._po.values(), *g.type_index.values()]
+        assert len({id(v) for v in values}) == len(set(values))
+
+
 def test_load_oracle_on_random_graphs():
     rng = random.Random(7)
     for round_ in range(60):
@@ -229,6 +241,20 @@ def test_decode_error_line_counts_every_line_break(tmp_path):
     with pytest.raises(ParseError) as err:
         kg.load(path)
     assert err.value.line_no == 4
+
+
+def test_open_text_handle_not_utf8_is_parse_error(tmp_path):
+    # text mode decodes in chunks: the error names a line at or before the bad one
+    good = b"<http://x/a> <http://x/p> <http://x/b> .\n"
+    path = tmp_path / "bad.nt"
+    bad = b"<http://x/a> <http://x/p> <http://x/\xff> .\n"
+    for bad_line in (3, 1000):
+        path.write_bytes(good * (bad_line - 1) + bad)
+        with open(path, encoding="utf-8") as fh, pytest.raises(ParseError) as err:
+            kg.load(fh)
+        assert 1 <= err.value.line_no <= bad_line
+        assert "at or after" in str(err.value)
+    assert err.value.line_no > 1  # line 1000 lies past the first decoded chunk
 
 
 def test_load_prefixes_and_shorten(tmp_path):
