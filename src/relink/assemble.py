@@ -11,12 +11,13 @@ linked recursively and spliced back in as pseudo-relations.
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import text
-from .classify import PatternClassifier, mask
+from .classify import DEFAULT_TIE_BREAK, PatternClassifier, mask
 from .explain import ExplanationService, normalize_phrase
 from .kg import KnowledgeGraph
 from .linking import (
@@ -45,19 +46,16 @@ log = logging.getLogger(__name__)
 STRICT = "strict"
 PERMISSIVE = "permissive"
 
+# a type mention restricts a relation mention at most this many tokens away
+TYPE_WINDOW = 3
+
 
 @dataclass
 class LinkConfig:
     max_recursion_depth: int = 3
     theta_rel: float = DEFAULT_THETA_REL
-    tie_break: tuple[MetaPattern, ...] = (
-        MetaPattern.RP2,
-        MetaPattern.RP4,
-        MetaPattern.RP3,
-    )
     validation: str = STRICT
     data_driven_fallback: bool = True
-    type_window: int = 3
 
     def __post_init__(self):
         if self.max_recursion_depth < 1:
@@ -127,7 +125,6 @@ class Linker:
         self.lexicon = lexicon
         self.classifier = classifier
         self.config = config or LinkConfig()
-        self._stopwords = text.default_stopwords()
 
     # -- public entry -------------------------------------------------------
 
@@ -169,9 +166,7 @@ class Linker:
             return None
         state.max_depth = max(state.max_depth, depth)
 
-        elems = detect_elements(
-            tokens, self.g, self.lexicon, self.config.theta_rel, self._stopwords
-        )
+        elems = detect_elements(tokens, self.g, self.lexicon, self.config.theta_rel)
         state.trace.append(_elements_step(tokens, elems, depth))
 
         substituted = self._resolve_nested(tokens, elems, depth, state)
@@ -263,9 +258,7 @@ class Linker:
                 continue
             pseudo = PseudoRelation(gram, sub_pattern)
             tokens = tokens[: span.start] + [pseudo] + tokens[span.end :]
-            elems = detect_elements(
-                tokens, self.g, self.lexicon, self.config.theta_rel, self._stopwords
-            )
+            elems = detect_elements(tokens, self.g, self.lexicon, self.config.theta_rel)
             state.trace.append(_elements_step(tokens, elems, depth, resubstituted=True))
             changed = True
         return (tokens, elems) if changed else None
@@ -275,7 +268,7 @@ class Linker:
     ):
         """Longest leftmost unlinked content n-gram the explainer can define."""
         blocked = [t.span for t in elems.types] + [r.span for r in elems.relations]
-        for span in content_spans(tokens, self._stopwords, blocked):
+        for span in content_spans(tokens, text.default_stopwords(), blocked):
             gram = " ".join(str(t) for t in tokens[span.start : span.end])
             key = normalize_phrase(gram)
             if key in state.active or key in state.failed_nested:
@@ -300,7 +293,7 @@ class Linker:
         if mp is MetaPattern.RP2:
             plans.append((MetaPattern.RP2, swapped))
         if self.config.data_driven_fallback:
-            for kind in self.config.tie_break:
+            for kind in DEFAULT_TIE_BREAK:
                 if kind is mp:
                     continue
                 plans.append((kind, ordered))
@@ -382,7 +375,7 @@ class Linker:
         edges: list[PatternEdge] = []
         merged_types: dict[str, str] = {}
         endpoints: list[tuple[str, str]] = []
-        fresh = _FreshVars()
+        fresh = itertools.count(1)
 
         for template_edge, hit in zip(template.edges, pair):
             ref = hit.relation
@@ -401,7 +394,7 @@ class Linker:
         return self._attach_types(pattern, list(zip(pair, endpoints)), types)
 
     def _splice(
-        self, slot: PatternEdge, pseudo: PseudoRelation, fresh: "_FreshVars"
+        self, slot: PatternEdge, pseudo: PseudoRelation, fresh: Iterator[int]
     ) -> Optional[tuple[list[PatternEdge], dict[str, str]]]:
         ends = _source_sink(pseudo.pattern)
         if ends is None:
@@ -410,7 +403,7 @@ class Linker:
         mapping = {source: slot.src, sink: slot.dst}
         for var in pseudo.pattern.variables():
             if var not in mapping:
-                mapping[var] = fresh.next()
+                mapping[var] = f"v{next(fresh)}"
         renamed = pseudo.pattern.rename(mapping)
         return list(renamed.edges), renamed.type_map()
 
@@ -421,13 +414,13 @@ class Linker:
         types: Sequence[TypeHit],
     ) -> SubgraphPattern:
         """A type mention restricts the object variable of each relation
-        mention within the configured token window."""
+        mention within TYPE_WINDOW tokens."""
         merged = pattern.type_map()
         best_gap: dict[str, int] = {}
         for type_hit in types:
             for rel_hit, (_, obj_var) in hit_endpoints:
                 gap = _span_gap(type_hit.span, rel_hit.span)
-                if gap > self.config.type_window:
+                if gap > TYPE_WINDOW:
                     continue
                 if obj_var not in merged or gap < best_gap.get(obj_var, 10**9):
                     merged[obj_var] = type_hit.type_iri
@@ -455,15 +448,6 @@ class _LinkState:
     active: set[str]
     failed_nested: set[str] = field(default_factory=set)
     max_depth: int = 0
-
-
-class _FreshVars:
-    def __init__(self):
-        self._n = 0
-
-    def next(self) -> str:
-        self._n += 1
-        return f"v{self._n}"
 
 
 def _hit_name(hit: RelationHit) -> str:

@@ -47,6 +47,8 @@ log = logging.getLogger(__name__)
 MODEL_FORMAT = "relink-linear/1"
 CLASSES = (MetaPattern.RP2, MetaPattern.RP3, MetaPattern.RP4)
 DEFAULT_TIE_BREAK = (MetaPattern.RP2, MetaPattern.RP4, MetaPattern.RP3)
+LEARNING_RATE = 0.1
+L2 = 1e-4
 
 MASK_PREFIX = "*"
 GENERIC_MASK = "*REL"
@@ -246,11 +248,8 @@ def merge_review(
 
 @dataclass
 class TrainConfig:
-    learning_rate: float = 0.1
     epochs: int = 200
-    l2: float = 1e-4
     seed: int = 42
-    tie_break: tuple[MetaPattern, ...] = DEFAULT_TIE_BREAK
 
 
 @dataclass
@@ -319,17 +318,21 @@ class PatternClassifier:
 
     @classmethod
     def from_json(cls, data: dict) -> "PatternClassifier":
-        if data.get("format") != MODEL_FORMAT:
-            raise ValueError(f"unsupported model format: {data.get('format')!r}")
+        fmt = data.get("format") if isinstance(data, dict) else None
+        if fmt != MODEL_FORMAT:
+            raise ValueError(f"unsupported model format: {fmt!r}")
         import numpy as np
 
-        return cls(
-            vocabulary={str(k): int(v) for k, v in data["vocabulary"].items()},
-            weights=np.asarray(data["weights"], dtype=float),
-            bias=np.asarray(data["bias"], dtype=float),
-            classes=tuple(MetaPattern(c) for c in data["classes"]),
-            tie_break=tuple(MetaPattern(c) for c in data["tie_break"]),
-        )
+        try:
+            return cls(
+                vocabulary={str(k): int(v) for k, v in data["vocabulary"].items()},
+                weights=np.asarray(data["weights"], dtype=float),
+                bias=np.asarray(data["bias"], dtype=float),
+                classes=tuple(MetaPattern(c) for c in data["classes"]),
+                tie_break=tuple(MetaPattern(c) for c in data["tie_break"]),
+            )
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ValueError(f"malformed model: {exc!r}") from exc
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "PatternClassifier":
@@ -375,10 +378,10 @@ def _fit(
         p = np.exp(z)
         p /= p.sum(axis=1, keepdims=True)
         grad = (p - y) / n
-        w -= config.learning_rate * (grad.T @ x + config.l2 * w)
-        b -= config.learning_rate * grad.sum(axis=0)
+        w -= LEARNING_RATE * (grad.T @ x + L2 * w)
+        b -= LEARNING_RATE * grad.sum(axis=0)
 
-    clf = PatternClassifier(vocab, w, b, classes, config.tie_break)
+    clf = PatternClassifier(vocab, w, b, classes)
     z = x @ w.T + b
     accuracy = float((z.argmax(axis=1) == y.argmax(axis=1)).mean())
     counts = {cls.value: labels.count(cls) for cls in classes}

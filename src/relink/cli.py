@@ -32,6 +32,7 @@ EXIT_NO_MATCH = 3
 EXIT_DATA = 4
 
 ENV_PREFIX = "RELINK_"
+OUTPUTS = ("json", "text")
 
 
 def data_path(name: str) -> Path:
@@ -75,29 +76,15 @@ class RunConfig:
 
 
 def _apply_env(cfg: RunConfig) -> None:
-    mapping = {
-        "KG": ("kg", str),
-        "LEXICON": ("lexicon", str),
-        "EXPLANATIONS": ("explanations", str),
-        "MODEL": ("model", str),
-        "TRAINING": ("training", str),
-        "GOLD": ("gold", str),
-        "PREFIXES": ("prefixes", str),
-        "MAX_DEPTH": ("max_depth", int),
-        "VALIDATION": ("validation", str),
-        "THETA_REL": ("theta_rel", float),
-        "SEED": ("seed", int),
-        "OUTPUT": ("output", str),
-        "HTTP_URL": ("http_url", str),
-        "HTTP_JSON_PATH": ("http_json_path", str),
-        "HTTP_API_KEY_HEADER": ("http_api_key_header", str),
-        "HTTP_TIMEOUT": ("http_timeout", float),
-        "HTTP_CACHE_DIR": ("http_cache_dir", str),
-    }
-    for env_key, (attr, cast) in mapping.items():
-        raw = os.environ.get(ENV_PREFIX + env_key)
+    """RELINK_<NAME> sets field ``name``, cast to the type of its default."""
+    for f in fields(RunConfig):
+        env_key = ENV_PREFIX + f.name.upper()
+        raw = os.environ.get(env_key)
         if raw:
-            setattr(cfg, attr, cast(raw))
+            try:
+                setattr(cfg, f.name, type(f.default)(raw))
+            except ValueError as exc:
+                raise ConfigError(f"{env_key}: {exc}") from exc
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
@@ -127,6 +114,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, attr, None)
         if value is not None:
             setattr(cfg, attr, value)
+    if cfg.output not in OUTPUTS:
+        raise ConfigError(f"output must be one of {', '.join(OUTPUTS)}, got {cfg.output!r}")
     return cfg
 
 
@@ -258,7 +247,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = build_config(args)
     try:
         examples = classify.load_examples(args.training or cfg.training)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     if args.review:
@@ -266,6 +255,9 @@ def cmd_train(args: argparse.Namespace) -> int:
             review = json.loads(Path(args.review).read_text("utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             print(f"error: {exc}", file=sys.stderr)
+            return EXIT_DATA
+        if not isinstance(review, dict):
+            print(f"error: review file {args.review} must be a JSON object", file=sys.stderr)
             return EXIT_DATA
         examples = classify.merge_review(examples, review)
     try:
@@ -294,7 +286,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     gold_path = args.gold or cfg.gold
     try:
         gold = evaluate.load_gold(gold_path)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         print(f"error: cannot load gold file {gold_path}: {exc}", file=sys.stderr)
         return EXIT_DATA
     methods = args.methods.split(",") if args.methods else list(evaluate.METHODS)
@@ -330,7 +322,7 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--validation", choices=["strict", "permissive"])
     parser.add_argument("--theta-rel", dest="theta_rel", type=float)
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--output", choices=["json", "text"])
+    parser.add_argument("--output", choices=OUTPUTS)
     parser.add_argument("-v", "--verbose", action="store_true")
 
     sub = parser.add_subparsers(dest="command", required=True)

@@ -265,7 +265,7 @@ def evaluate(
 
     The explanation cache is pre-warmed before any timing run so measured
     time excludes provider latency; the mean and variance are over
-    ``timing_reps`` full passes.
+    ``timing_reps`` full passes of each method.
     """
     if not gold:
         raise ValueError("gold set must be non-empty")
@@ -299,26 +299,33 @@ def evaluate(
             exact_rate=sum(1 for s in per_phrase if s.exact) / n,
             per_phrase=per_phrase,
         )
-        if timing:
-            report.mean_time, report.time_variance = _measure(
-                method, gold, linker, timing_reps
-            )
         reports.append(report)
+    if timing:
+        for report, times in zip(reports, _measure(methods, gold, linker, timing_reps)):
+            report.mean_time, report.time_variance = times
     return EvalReport(reports)
 
 
 def _measure(
-    method: str, gold: Sequence[GoldEntry], linker: Linker, reps: int
-) -> tuple[float, float]:
-    for entry in gold:  # one untimed warm-up pass
-        run_baseline(method, entry.phrase, linker)
-    rep_means = []
-    for _ in range(max(reps, 2)):
-        start = time.perf_counter()
+    methods: Sequence[str], gold: Sequence[GoldEntry], linker: Linker, reps: int
+) -> list[tuple[float, float]]:
+    """Per method, the mean and variance of its per-phrase time over passes.
+
+    After one untimed warm-up pass of each method, every round times one
+    pass of each method in turn, so a slow spell of the host falls on all
+    methods alike instead of on whichever one it happens to overlap.
+    """
+    for method in methods:
         for entry in gold:
             run_baseline(method, entry.phrase, linker)
-        rep_means.append((time.perf_counter() - start) / len(gold))
-    return statistics.mean(rep_means), statistics.variance(rep_means)
+    rep_means: list[list[float]] = [[] for _ in methods]
+    for _ in range(max(reps, 2)):
+        for method, means in zip(methods, rep_means):
+            start = time.perf_counter()
+            for entry in gold:
+                run_baseline(method, entry.phrase, linker)
+            means.append((time.perf_counter() - start) / len(gold))
+    return [(statistics.mean(m), statistics.variance(m)) for m in rep_means]
 
 
 # -- masking ablation ----------------------------------------------------------

@@ -48,6 +48,10 @@ class FixtureProvider:
         if isinstance(source, (str, Path)):
             with open(source, encoding="utf-8") as fh:
                 raw = json.load(fh)
+            if not isinstance(raw, dict):
+                raise ValueError(
+                    f"explanation fixture must be a JSON object, got {type(raw).__name__}"
+                )
         else:
             raw = dict(source)
         self._entries = {

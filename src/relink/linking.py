@@ -217,14 +217,9 @@ def content_spans(
     return ngram_spans(tokens, MAX_MENTION_TOKENS, blocked, stopwords)
 
 
-def detect_types(
-    tokens: Sequence[Token],
-    g: KnowledgeGraph,
-    type_dict: Optional[Mapping[tuple[str, ...], str]] = None,
-) -> list[TypeHit]:
+def detect_types(tokens: Sequence[Token], g: KnowledgeGraph) -> list[TypeHit]:
     """Greedy longest-span-first matching against the type dictionary."""
-    if type_dict is None:
-        type_dict = type_dictionary(g)
+    type_dict = type_dictionary(g)
     if not type_dict:
         return []
     max_len = max(len(k) for k in type_dict)
@@ -244,7 +239,6 @@ def detect_relations(
     g: KnowledgeGraph,
     lex: Lexicon,
     theta_rel: float = DEFAULT_THETA_REL,
-    stopwords: Optional[frozenset[str]] = None,
     type_spans: Sequence[Span] = (),
 ) -> list[RelationHit]:
     """Relation mentions in sentence order, non-overlapping.
@@ -253,15 +247,12 @@ def detect_relations(
     higher score, then longer span, then earlier position. The type
     predicate itself is never produced.
     """
-    if stopwords is None:
-        stopwords = text.default_stopwords()
-
     scored: list[RelationHit] = []
     for i, tok in enumerate(tokens):
         if isinstance(tok, PseudoRelation):
             scored.append(RelationHit(Span(i, i + 1), tok, 1.0))
 
-    for span in content_spans(tokens, stopwords, type_spans):
+    for span in content_spans(tokens, text.default_stopwords(), type_spans):
         mention = " ".join(str(t) for t in tokens[span.start : span.end])
         hit = link_simple(mention, g, lex, theta_rel)
         if hit is None:
@@ -286,14 +277,10 @@ def detect_elements(
     g: KnowledgeGraph,
     lex: Lexicon,
     theta_rel: float = DEFAULT_THETA_REL,
-    stopwords: Optional[frozenset[str]] = None,
-    type_dict: Optional[Mapping[tuple[str, ...], str]] = None,
 ) -> MetaElements:
     """Run type detection, then relation detection outside the type spans."""
-    types = detect_types(tokens, g, type_dict)
-    relations = detect_relations(
-        tokens, g, lex, theta_rel, stopwords, [t.span for t in types]
-    )
+    types = detect_types(tokens, g)
+    relations = detect_relations(tokens, g, lex, theta_rel, [t.span for t in types])
     return MetaElements(tuple(types), tuple(relations))
 
 
@@ -303,12 +290,7 @@ class DirectHit:
     iri: str
 
 
-def direct_match(
-    phrase: str,
-    g: KnowledgeGraph,
-    lex: Lexicon,
-    type_dict: Optional[Mapping[tuple[str, ...], str]] = None,
-) -> Optional[DirectHit]:
+def direct_match(phrase: str, g: KnowledgeGraph, lex: Lexicon) -> Optional[DirectHit]:
     """Does the phrase name a relation, type, or entity of the graph outright?
 
     Only the exact tier applies for relations (no similarity fallback):
@@ -321,8 +303,7 @@ def direct_match(
     key = tuple(text.tokenize(phrase))
     if not key:
         return None
-    if type_dict is None:
-        type_dict = type_dictionary(g)
+    type_dict = type_dictionary(g)
     if key in type_dict:
         return DirectHit("type", type_dict[key])
     entity = g.entity_labels().get(key)

@@ -175,10 +175,6 @@ def shape_of(sp: SubgraphPattern) -> MetaPattern | str:
     return COMPLEX
 
 
-def _node_has_type(g: KnowledgeGraph, node: Node, type_iri: str) -> bool:
-    return type_iri in g.types_of(node)
-
-
 def _join_order(g: KnowledgeGraph, sp: SubgraphPattern) -> list[int]:
     """Edge indexes in search order: rarest seed, then connected edges.
 
@@ -221,7 +217,7 @@ def _search(g: KnowledgeGraph, sp: SubgraphPattern):
 
     def ok(var: str, node: Node) -> bool:
         t = types.get(var)
-        return t is None or _node_has_type(g, node, t)
+        return t is None or t in g.types_of(node)
 
     def extend(pos: int, binding: dict[str, Node]):
         if pos == len(order):
@@ -268,9 +264,6 @@ def match_instances(
     """
     if limit is not None and limit <= 0:
         return []
-    for rel in sp.relations():
-        if rel not in g.predicate_set:
-            return []
 
     variables = sorted(sp.variables())
     unique = {tuple(r[v] for v in variables): r for r in _search(g, sp)}
@@ -290,10 +283,9 @@ def has_instance(g: KnowledgeGraph, sp: SubgraphPattern) -> bool:
     (both ends bound) first, so a failing three-edge check costs about
     one index lookup per seed pair rather than a cartesian product.
     Which binding is found first does not matter, since only its
-    existence is returned.
+    existence is returned. An unknown relation has no triples, so the
+    search seeds on it and finds nothing.
     """
-    if any(rel not in g.predicate_set for rel in sp.relations()):
-        return False
     return next(_search(g, sp), None) is not None
 
 

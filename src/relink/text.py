@@ -5,8 +5,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from importlib import resources
-from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Iterable
 
 _TOKEN_RE = re.compile(r"[^\W_]+(?:'[^\W_]+)?")  # unicode word, optional 's
 _POSSESSIVE_RE = re.compile(r"'s?$")
@@ -26,13 +25,6 @@ def tokenize(text: str) -> list[str]:
 def default_stopwords() -> frozenset[str]:
     data = resources.files("relink.data").joinpath("stopwords.txt").read_text("utf-8")
     return frozenset(w.strip() for w in data.splitlines() if w.strip())
-
-
-def load_stopwords(path: Optional[Union[str, Path]] = None) -> frozenset[str]:
-    if path is None:
-        return default_stopwords()
-    with open(path, encoding="utf-8") as fh:
-        return frozenset(w.strip() for w in fh if w.strip())
 
 
 def levenshtein(a: str, b: str) -> int:

@@ -273,6 +273,37 @@ def test_link_outputs_match_golden_file(linker):
         assert got == expected, phrase
 
 
+def test_link_traces_match_golden_file(linker):
+    """Every gold and phrases.txt phrase: the whole result, trace included.
+
+    Only the classifier confidence is compared within a tolerance, since
+    it comes out of numpy training.
+    """
+    import json
+    from pathlib import Path
+
+    from relink.cli import data_path
+    from relink.evaluate import load_gold
+
+    def split_confidence(result: dict) -> tuple[dict, list]:
+        steps = [dict(step) for step in result["trace"]]
+        confidences = [step.pop("confidence") for step in steps if "confidence" in step]
+        return {**result, "trace": steps}, confidences
+
+    golden_path = Path(__file__).parent / "golden" / "link_traces.json"
+    golden = json.loads(golden_path.read_text("utf-8"))
+    phrases = {e.phrase for e in load_gold(data_path("gold.jsonl"))}
+    phrases.update(
+        p.strip() for p in data_path("phrases.txt").read_text("utf-8").splitlines()
+    )
+    assert set(golden) == phrases - {""}
+    for phrase, expected in golden.items():
+        got, got_conf = split_confidence(linker.link(phrase).to_json())
+        want, want_conf = split_confidence(expected)
+        assert got == want, phrase
+        assert got_conf == pytest.approx(want_conf, abs=1e-6), phrase
+
+
 def test_link_config_validation():
     with pytest.raises(ValueError):
         LinkConfig(max_recursion_depth=0)

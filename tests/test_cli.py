@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -9,8 +10,11 @@ from relink.cli import (
     EXIT_NO_MATCH,
     EXIT_OK,
     EXIT_USAGE,
+    RunConfig,
+    build_config,
     data_path,
     main,
+    make_parser,
 )
 
 EX = "http://example.org/ontology/"
@@ -314,3 +318,91 @@ def test_saved_model_is_used(capsys, tmp_path):
         EX + "spouse",
         EX + "mother",
     ]
+
+
+def test_train_review_not_an_object_data_error(capsys, tmp_path):
+    review = tmp_path / "review.json"
+    review.write_text("[1]")
+    code, _, err = run(
+        capsys, "train", "--review", str(review), "--model-out", str(tmp_path / "m.json")
+    )
+    assert code == EXIT_DATA
+    assert "JSON object" in err
+
+
+def test_train_example_not_an_object_data_error(capsys, tmp_path):
+    training = tmp_path / "training.jsonl"
+    training.write_text("[1]\n")
+    code, _, err = run(
+        capsys, "train", str(training), "--model-out", str(tmp_path / "m.json")
+    )
+    assert code == EXIT_DATA
+
+
+@pytest.mark.parametrize("line", ["[1]", '"son"', "3"])
+def test_eval_gold_line_not_an_object_data_error(capsys, tmp_path, line):
+    gold = tmp_path / "gold.jsonl"
+    gold.write_text(data_path("gold.jsonl").read_text("utf-8") + line + "\n")
+    code, _, err = run(capsys, "eval", "--methods", "keyword_match", str(gold))
+    assert code == EXIT_DATA
+    assert "cannot load gold file" in err
+
+
+def test_explanations_not_an_object_usage_error(capsys, tmp_path):
+    explanations = tmp_path / "explanations.json"
+    explanations.write_text('["son"]')
+    code, _, err = run(capsys, "--explanations", str(explanations), "link", "son")
+    assert code == EXIT_USAGE
+    assert "explanation fixture must be a JSON object" in err
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [{"format": "relink-linear/1"}, ["relink-linear/1"],
+     {"format": "relink-linear/1", "classes": ["RP2"], "tie_break": [],
+      "vocabulary": [], "weights": [], "bias": []}],
+)
+def test_model_file_malformed_usage_error(capsys, tmp_path, payload):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(payload))
+    code, _, err = run(capsys, "--model", str(model), "link", "son")
+    assert code == EXIT_USAGE
+    assert "model" in err
+
+
+@pytest.mark.parametrize("route", ["env", "config"])
+@pytest.mark.parametrize("command", [["ingest"], ["link", "son"]])
+def test_output_value_checked(capsys, tmp_path, monkeypatch, route, command):
+    if route == "env":
+        monkeypatch.setenv("RELINK_OUTPUT", "xml")
+        argv = command
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"output": "xml"}))
+        argv = ["--config", str(config), *command]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "output" in err and "xml" in err
+
+
+ENV_VALUES = {str: "some-value", int: "7", float: "0.25"}
+VALID_ENV_VALUES = {"output": "text"}  # fields whose value build_config checks
+
+
+@pytest.mark.parametrize("field", fields(RunConfig), ids=lambda f: f.name)
+def test_env_sets_every_field(monkeypatch, field):
+    want_type = type(field.default)
+    raw = VALID_ENV_VALUES.get(field.name, ENV_VALUES[want_type])
+    monkeypatch.setenv("RELINK_" + field.name.upper(), raw)
+    cfg = build_config(make_parser().parse_args(["ingest"]))
+    value = getattr(cfg, field.name)
+    assert type(value) is want_type
+    assert value == want_type(raw)
+
+
+def test_env_value_of_wrong_type_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("RELINK_MAX_DEPTH", "abc")
+    code, _, err = run(capsys, "link", "son")
+    assert code == EXIT_USAGE
+    assert "RELINK_MAX_DEPTH" in err

@@ -222,3 +222,27 @@ def test_gold_file_round_trip(tmp_path, gold_set):
     path = tmp_path / "gold.jsonl"
     ev.save_gold(gold_set, path)
     assert ev.load_gold(path) == gold_set
+
+
+def test_timing_interleaves_methods(linker, monkeypatch):
+    """One warm-up pass per method, then rounds that each run one pass of
+    every method in the requested order, so a slow spell hits all alike."""
+    gold = ev.load_gold(data_path("gold.jsonl"))[:2]
+    methods = ["our_approach", "keyword_match", "data_driven"]
+    calls = []
+
+    def recording(method, phrase, linker):
+        calls.append((method, phrase))
+        return None
+
+    monkeypatch.setattr(ev, "run_baseline", recording)
+    report = ev.evaluate(gold, methods, linker, timing=True, timing_reps=3)
+
+    def one_pass_each():
+        return [(m, e.phrase) for m in methods for e in gold]
+
+    scoring, warm_up, rounds = one_pass_each(), one_pass_each(), one_pass_each() * 3
+    assert calls == scoring + warm_up + rounds
+    for m in report.methods:
+        assert m.mean_time is not None and m.mean_time >= 0
+        assert m.time_variance is not None and m.time_variance >= 0
