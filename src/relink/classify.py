@@ -324,7 +324,7 @@ class PatternClassifier:
         import numpy as np
 
         try:
-            return cls(
+            model = cls(
                 vocabulary={str(k): int(v) for k, v in data["vocabulary"].items()},
                 weights=np.asarray(data["weights"], dtype=float),
                 bias=np.asarray(data["bias"], dtype=float),
@@ -333,6 +333,15 @@ class PatternClassifier:
             )
         except (AttributeError, KeyError, TypeError) as exc:
             raise ValueError(f"malformed model: {exc!r}") from exc
+        shape = (len(model.classes), len(model.vocabulary))
+        if model.weights.shape != shape or model.bias.shape != shape[:1]:
+            raise ValueError(
+                f"malformed model: weights {model.weights.shape} and bias"
+                f" {model.bias.shape} do not fit {shape[0]} classes, {shape[1]} features"
+            )
+        if any(not 0 <= i < shape[1] for i in model.vocabulary.values()):
+            raise ValueError("malformed model: vocabulary index out of range")
+        return model
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "PatternClassifier":

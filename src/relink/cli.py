@@ -145,9 +145,9 @@ def _providers(cfg: RunConfig):
 
 
 def build_linker(cfg: RunConfig) -> Linker:
-    for path_name in ("kg", "lexicon", "explanations"):
+    for path_name in ("kg", "lexicon", "explanations", "model" if cfg.model else "training"):
         path = getattr(cfg, path_name)
-        if not Path(path).exists():
+        if not Path(path).is_file():
             raise ConfigError(f"{path_name} file not found: {path}")
     graph = kg.load(cfg.kg)
     try:
@@ -156,8 +156,6 @@ def build_linker(cfg: RunConfig) -> Linker:
         raise ConfigError(f"cannot load lexicon {cfg.lexicon}: {exc}") from exc
     explainer = ExplanationService(_providers(cfg))
     if cfg.model:
-        if not Path(cfg.model).exists():
-            raise ConfigError(f"model file not found: {cfg.model}")
         classifier = PatternClassifier.load(cfg.model)
     else:
         examples = classify.load_examples(cfg.training)
@@ -178,9 +176,6 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     try:
         graph = kg.load(args.kg_path or cfg.kg)
     except kg.ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     summary = {
@@ -227,11 +222,7 @@ def cmd_link(args: argparse.Namespace) -> int:
 def cmd_collect(args: argparse.Namespace) -> int:
     cfg = build_config(args)
     linker = build_linker(cfg)
-    try:
-        phrases = Path(args.phrases).read_text("utf-8").splitlines()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    phrases = Path(args.phrases).read_text("utf-8").splitlines()
     result = classify.harvest(
         phrases, linker.g, linker.explainer, linker.lexicon,
         kappa=args.kappa, theta_rel=cfg.theta_rel,
@@ -253,13 +244,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     if args.review:
         try:
             review = json.loads(Path(args.review).read_text("utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+            if not isinstance(review, dict):
+                raise ValueError(f"review file {args.review} must be a JSON object")
+            examples = classify.merge_review(examples, review)
+        except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_DATA
-        if not isinstance(review, dict):
-            print(f"error: review file {args.review} must be a JSON object", file=sys.stderr)
-            return EXIT_DATA
-        examples = classify.merge_review(examples, review)
     try:
         classifier, report = classify.train(examples, TrainConfig(seed=cfg.seed))
     except classify.TrainingDataError as exc:
@@ -373,6 +363,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE
     except kg.ParseError as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except OSError as exc:  # a file the command reads or writes
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,7 +4,7 @@ A phrase like "mother-in-law" is resolved to a short defining sentence.
 Providers are consulted in priority order and the first answer wins.
 The default provider reads a JSON fixture file so everything works
 offline; an HTTP provider can be configured for live dictionary APIs.
-Results are cached with per-phrase single-flight locking.
+Answers and misses are cached, with single-flight lookups per phrase.
 """
 
 from __future__ import annotations
@@ -20,6 +20,9 @@ from pathlib import Path
 from typing import Mapping, Optional, Protocol, Sequence, Union
 
 log = logging.getLogger(__name__)
+
+# cached phrases (answers and misses); past this the oldest entry goes
+MAX_CACHED = 4096
 
 
 def normalize_phrase(phrase: str) -> str:
@@ -157,56 +160,60 @@ class CacheStats:
 class ExplanationService:
     """Front door for explanations: provider chain plus an in-memory cache.
 
-    Lookups for the same phrase never run concurrently (single-flight);
-    distinct phrases may. Provider failures are logged and skipped.
+    Answers and misses (every provider answered ``None``) are cached; past
+    ``MAX_CACHED`` phrases the oldest entry goes. A lookup in which a
+    provider failed is not cached, so the next call asks again. Lookups
+    for the same phrase never run concurrently (single-flight); distinct
+    phrases may. Provider failures are logged and skipped.
     """
 
     def __init__(self, providers: Sequence[ExplanationProvider]):
         self.providers = list(providers)
-        self._cache: dict[str, Explanation] = {}
+        self._lock = threading.Lock()
+        self._cache: dict[str, Optional[Explanation]] = {}
+        self._pending: dict[str, threading.Event] = {}  # lookups in flight
         self._hits = 0
         self._misses = 0
-        self._stats_lock = threading.Lock()
-        self._key_locks: dict[str, threading.Lock] = {}
-        self._key_locks_guard = threading.Lock()
-
-    def _lock_for(self, key: str) -> threading.Lock:
-        with self._key_locks_guard:
-            lock = self._key_locks.get(key)
-            if lock is None:
-                lock = threading.Lock()
-                self._key_locks[key] = lock
-            return lock
 
     def explain(self, phrase: str) -> Optional[Explanation]:
         if not phrase or not phrase.strip():
             raise ValueError("phrase must be non-empty")
         key = normalize_phrase(phrase)
-        cached = self._cache.get(key)
-        if cached is not None:
-            with self._stats_lock:
-                self._hits += 1
-            return cached
-        with self._lock_for(key):
-            cached = self._cache.get(key)
-            if cached is not None:
-                with self._stats_lock:
+        while True:
+            with self._lock:
+                if key in self._cache:
                     self._hits += 1
-                return cached
-            with self._stats_lock:
-                self._misses += 1
+                    return self._cache[key]
+                done = self._pending.get(key)
+                if done is None:
+                    done = self._pending[key] = threading.Event()
+                    self._misses += 1
+                    break
+            done.wait()  # then read the cache, or take over if that lookup failed
+        result, cacheable = None, False
+        try:
+            failed = False
             for provider in self.providers:
                 try:
                     result = provider.lookup(key)
                 except Exception as exc:  # noqa: BLE001 - provider I/O must not abort linking
                     log.warning("explanation provider %s failed for %r: %s",
                                 getattr(provider, "id", "?"), key, exc)
+                    failed = True
                     continue
                 if result is not None:
+                    break
+            cacheable = not failed
+        finally:
+            with self._lock:
+                if cacheable:
                     self._cache[key] = result
-                    return result
-            return None
+                    if len(self._cache) > MAX_CACHED:
+                        del self._cache[next(iter(self._cache))]
+                del self._pending[key]
+            done.set()
+        return result
 
     def cache_stats(self) -> CacheStats:
-        with self._stats_lock:
+        with self._lock:
             return CacheStats(self._hits, self._misses, len(self._cache))

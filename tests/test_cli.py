@@ -406,3 +406,64 @@ def test_env_value_of_wrong_type_usage_error(capsys, monkeypatch):
     code, _, err = run(capsys, "link", "son")
     assert code == EXIT_USAGE
     assert "RELINK_MAX_DEPTH" in err
+
+
+@pytest.mark.parametrize("verdict", [5, {"relabel": "RP9"}])
+def test_train_bad_review_verdict_data_error(capsys, tmp_path, verdict):
+    review = tmp_path / "review.json"
+    review.write_text(json.dumps({"mother-in-law": verdict}))
+    code, _, err = run(
+        capsys, "train", "--review", str(review), "--model-out", str(tmp_path / "m.json")
+    )
+    assert code == EXIT_DATA
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--explanations", "{d}", "link", "son"], ["--model", "{d}", "link", "son"],
+     ["--kg", "{d}", "link", "son"], ["--lexicon", "{d}", "link", "son"]],
+)
+def test_directory_for_input_file_usage_error(capsys, tmp_path, argv):
+    code, _, err = run(capsys, *[a.format(d=tmp_path) for a in argv])
+    assert code == EXIT_USAGE
+    assert "file not found" in err
+
+
+def test_missing_training_file_usage_error(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("RELINK_TRAINING", str(tmp_path / "missing.jsonl"))
+    code, _, err = run(capsys, "link", "son")
+    assert code == EXIT_USAGE
+    assert "training file not found" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["collect-training", "{phrases}", "--out", "{out}"],
+     ["train", "--model-out", "{out}"],
+     ["eval", "--methods", "keyword_match", "--report-json", "{out}"]],
+)
+def test_unwritable_output_data_error(capsys, tmp_path, argv):
+    phrases = tmp_path / "phrases.txt"
+    phrases.write_text("son\n")
+    out = tmp_path / "missing-dir" / "out.json"
+    code, _, err = run(capsys, *[a.format(phrases=phrases, out=out) for a in argv])
+    assert code == EXIT_DATA
+    assert err.startswith("error: ") and "missing-dir" in err
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [lambda m: m.update(weights=[[0.0]] * 3),
+     lambda m: m.update(bias=m["bias"][:-1]),
+     lambda m: m["vocabulary"].update({next(iter(m["vocabulary"])): len(m["vocabulary"])})],
+)
+def test_model_shape_checked_at_load(capsys, tmp_path, corrupt):
+    model = tmp_path / "model.json"
+    assert run(capsys, "train", "--model-out", str(model))[0] == EXIT_OK
+    payload = json.loads(model.read_text())
+    corrupt(payload)
+    model.write_text(json.dumps(payload))
+    code, _, err = run(capsys, "--model", str(model), "link", "mother-in-law")
+    assert code == EXIT_USAGE
+    assert "malformed model" in err

@@ -201,3 +201,146 @@ def test_concurrent_lookups_single_result():
     # single-flight: the provider ran once despite 8 concurrent callers
     assert calls == ["x"]
     assert svc.cache_stats().entries == 1
+
+
+class CountingProvider:
+    """Wraps a provider; counts lookups per phrase and can be told to fail."""
+
+    id = "counting"
+
+    def __init__(self, inner=None, fail=(), delay=0.0):
+        self.inner = inner
+        self.fail = list(fail)  # exceptions raised by the next lookups, in order
+        self.delay = delay
+        self.calls: dict[str, int] = {}
+        self._lock = threading.Lock()
+
+    def lookup(self, phrase):
+        import time
+
+        with self._lock:
+            self.calls[phrase] = self.calls.get(phrase, 0) + 1
+            exc = self.fail.pop(0) if self.fail else None
+        time.sleep(self.delay)
+        if exc is not None:
+            raise exc
+        return self.inner.lookup(phrase) if self.inner else None
+
+
+def _linked_phrases() -> list[str]:
+    from relink.cli import data_path
+    from relink.evaluate import load_gold
+
+    phrases = {e.phrase for e in load_gold(data_path("gold.jsonl"))}
+    phrases.update(
+        p.strip() for p in data_path("phrases.txt").read_text("utf-8").splitlines()
+    )
+    return sorted(phrases - {""})
+
+
+def test_all_none_answer_is_cached_as_miss():
+    provider = CountingProvider()
+    svc = ExplanationService([provider])
+    assert svc.explain("zzzz-unknown") is None
+    assert svc.explain("ZZZZ-unknown") is None
+    assert provider.calls == {"zzzz-unknown": 1}
+    assert svc.cache_stats() == CacheStats(hits=1, misses=1, entries=1)
+
+
+def test_failed_lookup_is_asked_again_then_cached():
+    provider = CountingProvider(
+        FixtureProvider({"w": "a sentence"}), fail=[OSError("timed out")]
+    )
+    svc = ExplanationService([provider])
+    assert svc.explain("w") is None  # the only provider failed
+    assert svc.explain("w").sentence == "a sentence"
+    assert svc.explain("w").sentence == "a sentence"
+    assert provider.calls == {"w": 2}
+    assert svc.cache_stats() == CacheStats(hits=1, misses=2, entries=1)
+
+
+def test_interrupted_lookup_leaves_no_entry():
+    class Interrupted(BaseException):
+        pass
+
+    provider = CountingProvider(FixtureProvider({"w": "a sentence"}), fail=[Interrupted()])
+    svc = ExplanationService([provider])
+    with pytest.raises(Interrupted):
+        svc.explain("w")
+    assert svc._cache == {}
+    assert svc._pending == {}
+    assert svc.explain("w").sentence == "a sentence"
+    assert provider.calls == {"w": 2}
+
+
+def test_cache_stays_bounded_over_distinct_misses():
+    from relink.explain import MAX_CACHED
+
+    svc = ExplanationService([FixtureProvider({})])
+    for i in range(10_000):
+        assert svc.explain(f"phrase {i}") is None
+    assert len(svc._cache) <= MAX_CACHED
+    assert svc.cache_stats().entries == len(svc._cache)
+    assert svc._pending == {}
+    assert "phrase 9999" in svc._cache and "phrase 0" not in svc._cache  # oldest went
+
+
+def test_threads_sharing_one_linker_match_sequential(linker, family_graph, lexicon, classifier):
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    from relink.assemble import LinkConfig, Linker
+    from relink.cli import data_path
+
+    phrases = _linked_phrases()
+    sequential = [linker.link(p).to_json() for p in phrases]
+
+    provider = CountingProvider(FixtureProvider(data_path("explanations.json")), delay=0.001)
+    shared = Linker(
+        family_graph, ExplanationService([provider]), lexicon, classifier, LinkConfig()
+    )
+
+    def one_pass(offset: int) -> list[dict]:
+        order = phrases[offset:] + phrases[:offset]  # threads start apart
+        results = {p: shared.link(p).to_json() for p in order}
+        return [results[p] for p in phrases]
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            offsets = [i * 4 % len(phrases) for i in range(16)]
+            passes = list(pool.map(one_pass, offsets, timeout=120))
+    finally:
+        sys.setswitchinterval(previous)
+    for results in passes:
+        assert results == sequential
+    assert provider.calls and max(provider.calls.values()) == 1
+
+
+@pytest.mark.parametrize("cap", [1, 3])
+def test_tiny_cache_does_not_change_link_results(family_graph, lexicon, classifier,
+                                                 monkeypatch, cap):
+    from pathlib import Path
+
+    from relink import explain
+    from relink.assemble import LinkConfig, Linker
+    from relink.cli import data_path
+
+    def split_confidence(result: dict) -> tuple[dict, list]:
+        steps = [dict(step) for step in result["trace"]]
+        confidences = [step.pop("confidence") for step in steps if "confidence" in step]
+        return {**result, "trace": steps}, confidences
+
+    monkeypatch.setattr(explain, "MAX_CACHED", cap)
+    golden_path = Path(__file__).parent / "golden" / "link_traces.json"
+    golden = json.loads(golden_path.read_text("utf-8"))
+    svc = ExplanationService([FixtureProvider(data_path("explanations.json"))])
+    linker = Linker(family_graph, svc, lexicon, classifier, LinkConfig())
+    for _ in range(2):  # the second pass mixes evicted and cached phrases
+        for phrase, expected in golden.items():
+            got, got_conf = split_confidence(linker.link(phrase).to_json())
+            want, want_conf = split_confidence(expected)
+            assert got == want, phrase
+            assert got_conf == pytest.approx(want_conf, abs=1e-6), phrase
+        assert len(svc._cache) <= cap
