@@ -60,7 +60,7 @@ class FeaturizeError(ValueError):
 
 
 class TrainingDataError(ValueError):
-    pass
+    """Training data that cannot be used: a malformed line or too few examples."""
 
 
 @dataclass(frozen=True)
@@ -208,11 +208,22 @@ def save_examples(examples: Iterable[TrainingExample], path: Union[str, Path]) -
 
 
 def load_examples(path: Union[str, Path]) -> list[TrainingExample]:
+    """Examples of a JSONL file, decoded line by line; a bad line raises
+    ``TrainingDataError`` naming the file and the line."""
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                out.append(TrainingExample.from_json(json.loads(line)))
+    with open(path, "rb") as fh:
+        try:
+            for line_no, raw in enumerate(fh, start=1):
+                line = raw.decode("utf-8")
+                if line.strip():
+                    data = json.loads(line)
+                    if not isinstance(data, dict):
+                        raise TypeError("not a JSON object")
+                    out.append(TrainingExample.from_json(data))
+        except KeyError as exc:
+            raise TrainingDataError(f"{path} line {line_no}: missing key {exc}") from exc
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise TrainingDataError(f"{path} line {line_no}: {exc}") from exc
     return out
 
 

@@ -236,11 +236,7 @@ def cmd_collect(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = build_config(args)
-    try:
-        examples = classify.load_examples(args.training or cfg.training)
-    except (OSError, TypeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    examples = classify.load_examples(args.training or cfg.training)
     if args.review:
         try:
             review = json.loads(Path(args.review).read_text("utf-8"))
@@ -250,11 +246,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_DATA
-    try:
-        classifier, report = classify.train(examples, TrainConfig(seed=cfg.seed))
-    except classify.TrainingDataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    classifier, report = classify.train(examples, TrainConfig(seed=cfg.seed))
     classifier.save(args.model_out)
     print(
         json.dumps(
@@ -361,7 +353,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except kg.ParseError as exc:
+    except (kg.ParseError, classify.TrainingDataError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except OSError as exc:  # a file the command reads or writes

@@ -2,7 +2,7 @@
 
 The store ingests line-oriented triples (an N-Triples subset: IRIs in
 angle brackets, plain literals in double quotes, terminating dot) and
-builds subject/predicate/object indexes plus a type index keyed by a
+builds subject/predicate/object indexes; types are the objects of a
 configurable type predicate. Graphs are immutable once loaded and safe
 to share across threads.
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import re
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, Union
@@ -164,8 +164,9 @@ class KnowledgeGraph:
 
     ``triples`` is sorted by ``Triple.sort_key``. Indexes cover every
     bound-position lookup the pipeline needs: ``sp`` for (s, p, ?),
-    ``po`` for (?, p, o) and ``p`` for (?, p, ?). ``type_index`` holds
-    exactly the triples whose predicate equals ``type_predicate``. The
+    ``po`` for (?, p, o) and ``p`` for (?, p, ?). The ``p`` index holds
+    the stored ``Triple`` objects themselves, so each triple is kept
+    once. A node's types are its IRI objects of ``type_predicate``. The
     label and type dictionaries are built by ``load`` along with the
     indexes.
     """
@@ -175,7 +176,6 @@ class KnowledgeGraph:
     _sp: dict = field(repr=False, default_factory=dict)
     _po: dict = field(repr=False, default_factory=dict)
     _p: dict = field(repr=False, default_factory=dict)
-    type_index: dict = field(repr=False, default_factory=dict)
     predicate_set: frozenset[str] = frozenset()
     type_set: frozenset[str] = frozenset()
     entity_set: frozenset[str] = frozenset()
@@ -194,15 +194,16 @@ class KnowledgeGraph:
     def subjects(self, predicate: str, obj: Node) -> frozenset[str]:
         return self._po.get((predicate, obj), frozenset())
 
-    def by_predicate(self, predicate: str) -> tuple[tuple[str, Node], ...]:
-        """All (subject, object) pairs of a predicate, in deterministic order."""
+    def by_predicate(self, predicate: str) -> tuple[Triple, ...]:
+        """The stored triples of a predicate, in ``triples`` order."""
         return self._p.get(predicate, ())
 
     def has_triple(self, subject: str, predicate: str, obj: Node) -> bool:
         return obj in self.objects(subject, predicate)
 
     def types_of(self, node: Node) -> frozenset[str]:
-        return self.type_index.get(node, frozenset())
+        types = self.objects(node, self.type_predicate)
+        return frozenset(o for o in types if not isinstance(o, Literal))
 
     def predicate_count(self, predicate: str) -> int:
         return len(self._p.get(predicate, ()))
@@ -246,8 +247,7 @@ def load(
     # value repeats, and each list becomes a frozenset or tuple below
     sp: defaultdict[tuple[str, str], list[Node]] = defaultdict(list)
     po: defaultdict[tuple[str, Node], list[str]] = defaultdict(list)
-    p_idx: defaultdict[str, list[tuple[str, Node]]] = defaultdict(list)
-    type_index: defaultdict[Node, list[str]] = defaultdict(list)
+    p_idx: defaultdict[str, list[Triple]] = defaultdict(list)
     entities: set[str] = set()
 
     for t in ordered:
@@ -255,15 +255,13 @@ def load(
         entities.add(s)
         sp[(s, p)].append(o)
         po[(p, o)].append(s)
-        p_idx[p].append((s, o))
-        if isinstance(o, Literal):
-            continue
-        if p == type_predicate:
-            type_index[s].append(o)
-        else:
+        p_idx[p].append(t)
+        if p != type_predicate and not isinstance(o, Literal):
             entities.add(o)
     predicates = p_idx.keys()
-    types = {ty for node_types in type_index.values() for ty in node_types}
+    # type IRI -> number of nodes typed with it (each triple is unique)
+    type_objects = (t.object for t in p_idx.get(type_predicate, ()))
+    instances = Counter(o for o in type_objects if not isinstance(o, Literal))
 
     # equal value sets become one frozenset: many keys hold the same set
     # (the instances of a type, the subjects of one edge to a hub). The
@@ -282,9 +280,8 @@ def load(
         _sp={k: share(v) for k, v in sp.items()},
         _po={k: share(v) for k, v in po.items()},
         _p={k: tuple(v) for k, v in p_idx.items()},
-        type_index={k: share(v) for k, v in type_index.items()},
         predicate_set=frozenset(predicates),
-        type_set=frozenset(types),
+        type_set=frozenset(instances),
         entity_set=frozenset(entities),
         _relation_labels={
             p: RelationLabel(p, tokenize_name(local_name(p)))
@@ -292,7 +289,7 @@ def load(
             if p != type_predicate
         },
         _entity_labels=_entity_labels(entities),
-        _type_dict=_type_dictionary(type_index, types),
+        _type_dict=_type_dictionary(instances),
     )
     log.info(
         "loaded graph: %d triples, %d predicates, %d types, %d entities",
@@ -329,27 +326,21 @@ def _entity_labels(entities: Iterable[str]) -> dict[tuple[str, ...], str]:
     return out
 
 
-def _type_dictionary(
-    type_index: Mapping[Node, Iterable[str]], types: Iterable[str]
-) -> dict[tuple[str, ...], str]:
+def _type_dictionary(instance_counts: Mapping[str, int]) -> dict[tuple[str, ...], str]:
     """Map tokenized type local names to type IRIs.
 
+    ``instance_counts`` maps each type IRI to its number of instances.
     When two type IRIs share a token key, the one with more instances in
     the graph wins and the loser is logged.
     """
-    instance_counts: dict[str, int] = {}
-    for node_types in type_index.values():
-        for t in node_types:
-            instance_counts[t] = instance_counts.get(t, 0) + 1
-
     out: dict[tuple[str, ...], str] = {}
-    for type_iri in sorted(types):
+    for type_iri in sorted(instance_counts):
         key = tokenize_name(local_name(type_iri))
         if not key:
             continue
         if key in out:
             incumbent = out[key]
-            if instance_counts.get(type_iri, 0) > instance_counts.get(incumbent, 0):
+            if instance_counts[type_iri] > instance_counts[incumbent]:
                 log.info("type dictionary: %s displaces %s for key %s",
                          type_iri, incumbent, key)
                 out[key] = type_iri

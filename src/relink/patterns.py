@@ -10,6 +10,7 @@ bind to the same node.
 from __future__ import annotations
 
 import enum
+import heapq
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -203,21 +204,21 @@ def _join_order(g: KnowledgeGraph, sp: SubgraphPattern) -> list[int]:
 def _search(g: KnowledgeGraph, sp: SubgraphPattern):
     """Yield every homomorphism binding, following ``_join_order``.
 
-    The seed edge is the one with the fewest triples. Every later edge
-    shares a bound variable, and edges with both ends bound are checked
-    before any edge that binds a new variable, so no level enumerates a
-    predicate's pairs independently of the bindings so far. Candidates
-    come straight from the index sets in their own order: the order of
-    yielded bindings is not part of the contract, because
-    ``has_instance`` returns only a bool and ``match_instances`` sorts
-    what it collects.
+    The seed edge is the one with the fewest triples, and its stored
+    triples are the first candidates. Every later edge shares a bound
+    variable, and edges with both ends bound are checked before any edge
+    that binds a new variable, so no level enumerates a predicate's
+    triples independently of the bindings so far. Each binding is
+    yielded once, in the order of the stored triples and index sets;
+    that order is not part of the contract, because ``has_instance``
+    returns only a bool and ``match_instances`` sorts the bindings.
     """
     types = sp.type_map()
     order = _join_order(g, sp)
 
     def ok(var: str, node: Node) -> bool:
         t = types.get(var)
-        return t is None or t in g.types_of(node)
+        return t is None or g.has_triple(node, g.type_predicate, t)
 
     def extend(pos: int, binding: dict[str, Node]):
         if pos == len(order):
@@ -233,10 +234,8 @@ def _search(g: KnowledgeGraph, sp: SubgraphPattern):
             if isinstance(bs, Literal):
                 return
             candidates = ((bs, o) for o in g.objects(bs, edge.rel))
-        elif bo is not None:
-            candidates = ((s, bo) for s in g.subjects(edge.rel, bo))
         else:
-            candidates = g.by_predicate(edge.rel)
+            candidates = ((s, bo) for s in g.subjects(edge.rel, bo))
         for s, o in candidates:
             if not ok(edge.src, s) or not ok(edge.dst, o):
                 continue
@@ -248,7 +247,12 @@ def _search(g: KnowledgeGraph, sp: SubgraphPattern):
             if bo is None:
                 binding.pop(edge.dst, None)
 
-    yield from extend(0, {})
+    seed = sp.edges[order[0]]
+    binding: dict[str, Node] = {}
+    for t in g.by_predicate(seed.rel):
+        if ok(seed.src, t.subject) and ok(seed.dst, t.object):
+            binding[seed.src], binding[seed.dst] = t.subject, t.object
+            yield from extend(1, binding)
 
 
 def match_instances(
@@ -259,20 +263,21 @@ def match_instances(
     """Up to ``limit`` homomorphisms from pattern variables to graph nodes.
 
     Results are sorted lexicographically by the assigned nodes (variables
-    in sorted order), so the returned prefix is reproducible. Unknown
-    relations yield no matches.
+    in sorted order), so the returned prefix is reproducible. With a
+    limit, only the ``limit`` smallest bindings are kept as the search
+    runs. Unknown relations yield no matches.
     """
     if limit is not None and limit <= 0:
         return []
 
     variables = sorted(sp.variables())
-    unique = {tuple(r[v] for v in variables): r for r in _search(g, sp)}
-    ordered = [
-        unique[k] for k in sorted(unique, key=lambda t: tuple(node_key(n) for n in t))
-    ]
-    if limit is not None:
-        ordered = ordered[:limit]
-    return ordered
+
+    def key(binding: dict[str, Node]) -> tuple:
+        return tuple(node_key(binding[v]) for v in variables)
+
+    if limit is None:
+        return sorted(_search(g, sp), key=key)
+    return heapq.nsmallest(limit, _search(g, sp), key=key)
 
 
 def has_instance(g: KnowledgeGraph, sp: SubgraphPattern) -> bool:

@@ -176,9 +176,7 @@ def reference_load(triples: set[Triple], type_predicate: str) -> dict:
         "subjects": lambda p, o: frozenset(
             t.subject for t in triples if (t.predicate, t.object) == (p, o)
         ),
-        "by_predicate": lambda p: tuple(
-            (t.subject, t.object) for t in ordered if t.predicate == p
-        ),
+        "by_predicate": lambda p: tuple(t for t in ordered if t.predicate == p),
         "types_of": lambda n: frozenset(o for s, o in typing if s == n),
         "sp_keys": {(t.subject, t.predicate) for t in triples},
         "po_keys": {(t.predicate, t.object) for t in triples},

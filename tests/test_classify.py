@@ -253,6 +253,33 @@ def test_example_jsonl_round_trip(training_examples, tmp_path):
     assert loaded == training_examples[:5]
 
 
+_GOOD_LINE = json.dumps({
+    "phrase": "p", "sentence": ["a"], "masked": ["*mother"], "label": "RP2",
+    "pattern": {"edges": [{"src": "x", "rel": EX + "mother", "dst": "z"},
+                          {"src": "z", "rel": EX + "spouse", "dst": "y"}]},
+})
+
+
+@pytest.mark.parametrize(
+    "line, reason",
+    [(b"{not json", "Expecting"),
+     (b"[1]", "not a JSON object"),
+     (b'{"phrase": "x"}', "missing key 'sentence'"),
+     (_GOOD_LINE.replace('"RP2"', '"RP9"').encode(), "RP9"),
+     (_GOOD_LINE.replace('"RP2"', '"RP3"').encode(), "does not match label"),
+     (_GOOD_LINE.replace('["*mother"]', "[1]").encode(), "startswith"),
+     (b"\xff", "'utf-8' codec")],
+    ids=["not-json", "not-object", "missing-key", "unknown-label", "wrong-shape",
+         "token-not-string", "not-utf8"],
+)
+def test_load_examples_names_file_and_line(tmp_path, line, reason):
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(_GOOD_LINE.encode() + b"\n\n" + line + b"\n")
+    with pytest.raises(TrainingDataError, match=reason) as err:
+        classify.load_examples(path)
+    assert str(err.value).startswith(f"{path} line 3: ")
+
+
 def test_merge_review_accept_reject_relabel(training_examples):
     examples = training_examples[:3]
     review = {

@@ -339,6 +339,31 @@ def test_train_example_not_an_object_data_error(capsys, tmp_path):
     assert code == EXIT_DATA
 
 
+@pytest.mark.parametrize(
+    "line", [b'{"phrase": "x"}', b"[1]", b"{not json", b"\xff"],
+    ids=["missing-key", "not-object", "not-json", "not-utf8"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [["train", "{training}", "--model-out", "{out}"],
+     ["link", "aunt"],
+     ["eval", "--methods", "keyword_match"],
+     ["collect-training", "{phrases}", "--out", "{out}"]],
+    ids=["train", "link", "eval", "collect-training"],
+)
+def test_malformed_training_line_data_error(capsys, tmp_path, monkeypatch, argv, line):
+    training = tmp_path / "training.jsonl"
+    first = data_path("training.jsonl").read_text("utf-8").splitlines()[0]
+    training.write_bytes(f"{first}\n".encode() + line)
+    monkeypatch.setenv("RELINK_TRAINING", str(training))
+    argv = [a.format(training=training, out=tmp_path / "out", phrases=data_path("phrases.txt"))
+            for a in argv]
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_DATA
+    assert err.startswith("data error: ") and str(training) in err
+    assert "line 2" in err
+
+
 @pytest.mark.parametrize("line", ["[1]", '"son"', "3"])
 def test_eval_gold_line_not_an_object_data_error(capsys, tmp_path, line):
     gold = tmp_path / "gold.jsonl"

@@ -93,7 +93,7 @@ def test_index_round_trip(family_graph):
     for t in family_graph.triples:
         assert t.object in family_graph.objects(t.subject, t.predicate)
         assert t.subject in family_graph.subjects(t.predicate, t.object)
-        assert (t.subject, t.object) in family_graph.by_predicate(t.predicate)
+        assert t in family_graph.by_predicate(t.predicate)
     # and every index entry corresponds to a stored triple
     for (s, p), objs in family_graph._sp.items():
         for o in objs:
@@ -166,12 +166,13 @@ def test_equal_iris_are_one_object(family_graph):
     iris = [n for t in g.triples for n in (t.subject, t.predicate, t.object)
             if isinstance(n, str)]
     iris += [n for key in (*g._sp, *g._po) for n in key if isinstance(n, str)]
-    iris += [n for v in (*g._sp.values(), *g._po.values(), *g.type_index.values())
+    iris += [n for v in (*g._sp.values(), *g._po.values())
              for n in v if isinstance(n, str)]
-    iris += [n for pairs in g._p.values() for pair in pairs for n in pair
-             if isinstance(n, str)]
-    iris += [*g._p, *g.type_index, *g.predicate_set, *g.type_set, *g.entity_set]
+    iris += [*g._p, *g.predicate_set, *g.type_set, *g.entity_set]
     assert len({id(n) for n in iris}) == len(set(iris))
+    # the predicate index holds the stored triples, not copies
+    stored = {id(t) for t in g.triples}
+    assert all(id(t) in stored for p in g.predicate_set for t in g.by_predicate(p))
 
 
 def test_equal_index_value_sets_are_one_object(family_graph):
@@ -182,7 +183,7 @@ def test_equal_index_value_sets_are_one_object(family_graph):
         type_predicate = RDF_TYPE if round_ % 3 else "http://t.example/p0"
         graphs.append(kg.load(lines, type_predicate=type_predicate))
     for g in graphs:
-        values = [*g._sp.values(), *g._po.values(), *g.type_index.values()]
+        values = [*g._sp.values(), *g._po.values()]
         assert len({id(v) for v in values}) == len(set(values))
 
 
@@ -217,7 +218,7 @@ def test_load_oracle_on_random_graphs():
         assert set(g._sp) == ref["sp_keys"]
         assert set(g._po) == ref["po_keys"]
         assert set(g._p) == ref["predicate_set"]
-        assert set(g.type_index) == ref["typed_nodes"]
+        assert {n for n in nodes if g.types_of(n)} == ref["typed_nodes"]
         assert g.predicate_set == ref["predicate_set"]
         assert g.type_set == ref["type_set"]
         assert g.entity_set == ref["entity_set"]

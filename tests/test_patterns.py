@@ -184,9 +184,13 @@ def test_match_oracle_on_random_graphs():
             for r2 in preds:
                 for mp in (MetaPattern.RP2, MetaPattern.RP3, MetaPattern.RP4):
                     sp = instantiate(mp, [r1, r2])
-                    assert match_instances(g, sp) == brute_force_instances(
-                        triples, sp
-                    ), f"round {round_}: {mp} over ({r1}, {r2})"
+                    want = brute_force_instances(triples, sp)
+                    assert match_instances(g, sp) == want, (
+                        f"round {round_}: {mp} over ({r1}, {r2})"
+                    )
+                    # a limit keeps the sorted prefix, also past the end
+                    for k in (1, 2, 3, len(want), len(want) + 1):
+                        assert match_instances(g, sp, limit=k) == want[:k], (round_, mp, k)
 
 
 def test_match_oracle_three_edge_patterns():
