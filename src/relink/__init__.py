@@ -1,71 +1,43 @@
-"""relink: link natural-language relation phrases to knowledge-graph patterns."""
+"""relink: link natural-language relation phrases to knowledge-graph patterns.
 
-from .assemble import LinkConfig, Linker, LinkResult
-from .classify import (
-    MaskedSentence,
-    PatternClassifier,
-    TrainConfig,
-    TrainingExample,
-    harvest,
-    mask,
-    train,
-)
-from .explain import Explanation, ExplanationService, FixtureProvider
-from .kg import KnowledgeGraph, Literal, Triple, load, type_dictionary
-from .linking import (
-    Lexicon,
-    MetaElements,
-    detect_elements,
-    detect_relations,
-    detect_types,
-    direct_match,
-    link_simple,
-)
-from .patterns import (
-    MetaPattern,
-    PatternEdge,
-    SubgraphPattern,
-    adjacent_instantiations,
-    has_instance,
-    instantiate,
-    match_instances,
-    shape_of,
-)
+Each public name is imported from its submodule on first access (PEP
+562), so ``import relink`` loads none of the pipeline and a command
+loads only the modules it runs.
+"""
 
-__all__ = [
-    "Explanation",
-    "ExplanationService",
-    "FixtureProvider",
-    "KnowledgeGraph",
-    "Lexicon",
-    "LinkConfig",
-    "LinkResult",
-    "Linker",
-    "Literal",
-    "MaskedSentence",
-    "MetaElements",
-    "MetaPattern",
-    "PatternClassifier",
-    "PatternEdge",
-    "SubgraphPattern",
-    "TrainConfig",
-    "TrainingExample",
-    "Triple",
-    "adjacent_instantiations",
-    "detect_elements",
-    "detect_relations",
-    "detect_types",
-    "direct_match",
-    "harvest",
-    "has_instance",
-    "instantiate",
-    "link_simple",
-    "load",
-    "mask",
-    "match_instances",
-    "shape_of",
-    "train",
-    "type_dictionary",
-]
+import importlib
+
+# public name -> the submodule that defines it
+_EXPORTS = {
+    "LinkConfig": "assemble", "LinkResult": "assemble", "Linker": "assemble",
+    "MaskedSentence": "classify", "PatternClassifier": "classify",
+    "TrainConfig": "classify", "TrainingExample": "classify",
+    "harvest": "classify", "mask": "classify", "train": "classify",
+    "Explanation": "explain", "ExplanationService": "explain",
+    "FixtureProvider": "explain",
+    "KnowledgeGraph": "kg", "Literal": "kg", "Triple": "kg", "load": "kg",
+    "type_dictionary": "kg",
+    "Lexicon": "linking", "MetaElements": "linking", "detect_elements": "linking",
+    "detect_relations": "linking", "detect_types": "linking",
+    "direct_match": "linking", "link_simple": "linking",
+    "MetaPattern": "patterns", "PatternEdge": "patterns",
+    "SubgraphPattern": "patterns", "adjacent_instantiations": "patterns",
+    "has_instance": "patterns", "instantiate": "patterns",
+    "match_instances": "patterns", "shape_of": "patterns",
+}
+
+__all__ = sorted(_EXPORTS)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 from . import text
 from .explain import ExplanationService
-from .kg import KnowledgeGraph
+from .kg import DataError, KnowledgeGraph
 from .linking import (
     DEFAULT_THETA_REL,
     Lexicon,
@@ -59,7 +59,7 @@ class FeaturizeError(ValueError):
     pass
 
 
-class TrainingDataError(ValueError):
+class TrainingDataError(DataError):
     """Training data that cannot be used: a malformed line or too few examples."""
 
 

@@ -14,15 +14,15 @@ import logging
 import os
 import sys
 from dataclasses import dataclass, fields
-from importlib import resources
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import classify, evaluate, kg
-from .assemble import LinkConfig, Linker
-from .classify import PatternClassifier, TrainConfig
-from .explain import ExplanationService, FixtureProvider
-from .linking import Lexicon
+# the pipeline modules are imported by the commands that run them, so
+# `relink ingest` loads only the graph store
+from . import kg
+
+if TYPE_CHECKING:
+    from .assemble import Linker
 
 log = logging.getLogger(__name__)
 
@@ -37,7 +37,7 @@ OUTPUTS = ("json", "text")
 
 def data_path(name: str) -> Path:
     """Path of a bundled data file."""
-    return Path(str(resources.files("relink.data").joinpath(name)))
+    return Path(__file__).parent / "data" / name
 
 
 @dataclass
@@ -123,17 +123,23 @@ class ConfigError(ValueError):
     pass
 
 
-def _providers(cfg: RunConfig):
-    providers = [FixtureProvider(cfg.explanations)]
-    if cfg.http_url:
-        from .explain import HttpProvider
+def _existing_file(name: str, path: str) -> str:
+    if not Path(path).is_file():
+        raise ConfigError(f"{name} file not found: {path}")
+    return path
 
+
+def _providers(cfg: RunConfig):
+    from . import explain
+
+    providers = [explain.FixtureProvider(cfg.explanations)]
+    if cfg.http_url:
         header = None
         if cfg.http_api_key_header:
             name, _, value = cfg.http_api_key_header.partition(":")
             header = (name.strip(), value.strip())
         providers.append(
-            HttpProvider(
+            explain.HttpProvider(
                 cfg.http_url,
                 cfg.http_json_path or "definition",
                 api_key_header=header,
@@ -145,27 +151,27 @@ def _providers(cfg: RunConfig):
 
 
 def build_linker(cfg: RunConfig) -> Linker:
+    from . import assemble, classify, explain, linking
+
     for path_name in ("kg", "lexicon", "explanations", "model" if cfg.model else "training"):
-        path = getattr(cfg, path_name)
-        if not Path(path).is_file():
-            raise ConfigError(f"{path_name} file not found: {path}")
+        _existing_file(path_name, getattr(cfg, path_name))
     graph = kg.load(cfg.kg)
     try:
-        lexicon = Lexicon.load(cfg.lexicon, graph)
+        lexicon = linking.Lexicon.load(cfg.lexicon, graph)
     except Exception as exc:
         raise ConfigError(f"cannot load lexicon {cfg.lexicon}: {exc}") from exc
-    explainer = ExplanationService(_providers(cfg))
+    explainer = explain.ExplanationService(_providers(cfg))
     if cfg.model:
-        classifier = PatternClassifier.load(cfg.model)
+        classifier = classify.PatternClassifier.load(cfg.model)
     else:
         examples = classify.load_examples(cfg.training)
-        classifier, _ = classify.train(examples, TrainConfig(seed=cfg.seed))
-    link_config = LinkConfig(
+        classifier, _ = classify.train(examples, classify.TrainConfig(seed=cfg.seed))
+    link_config = assemble.LinkConfig(
         max_recursion_depth=cfg.max_depth,
         theta_rel=cfg.theta_rel,
         validation=cfg.validation,
     )
-    return Linker(graph, explainer, lexicon, classifier, link_config)
+    return assemble.Linker(graph, explainer, lexicon, classifier, link_config)
 
 
 # -- commands ------------------------------------------------------------------
@@ -174,7 +180,7 @@ def build_linker(cfg: RunConfig) -> Linker:
 def cmd_ingest(args: argparse.Namespace) -> int:
     cfg = build_config(args)
     try:
-        graph = kg.load(args.kg_path or cfg.kg)
+        graph = kg.load(_existing_file("kg", args.kg_path or cfg.kg))
     except kg.ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
@@ -219,10 +225,23 @@ def cmd_link(args: argparse.Namespace) -> int:
     return EXIT_OK if result.matched else EXIT_NO_MATCH
 
 
+def _read_lines(path: str) -> list[str]:
+    """The lines of a UTF-8 file; a byte that does not decode is a data
+    error naming the file and its line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        line_no = len((data[: exc.start].decode("utf-8") + "?").splitlines())
+        raise kg.DataError(f"{path} line {line_no}: {exc}") from exc
+
+
 def cmd_collect(args: argparse.Namespace) -> int:
+    from . import classify
+
     cfg = build_config(args)
     linker = build_linker(cfg)
-    phrases = Path(args.phrases).read_text("utf-8").splitlines()
+    phrases = _read_lines(args.phrases)
     result = classify.harvest(
         phrases, linker.g, linker.explainer, linker.lexicon,
         kappa=args.kappa, theta_rel=cfg.theta_rel,
@@ -235,6 +254,8 @@ def cmd_collect(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    from . import classify
+
     cfg = build_config(args)
     examples = classify.load_examples(args.training or cfg.training)
     if args.review:
@@ -246,7 +267,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_DATA
-    classifier, report = classify.train(examples, TrainConfig(seed=cfg.seed))
+    classifier, report = classify.train(examples, classify.TrainConfig(seed=cfg.seed))
     classifier.save(args.model_out)
     print(
         json.dumps(
@@ -263,6 +284,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from . import evaluate
+
     cfg = build_config(args)
     linker = build_linker(cfg)
     gold_path = args.gold or cfg.gold
@@ -332,7 +355,9 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="run the benchmark harness")
     p.add_argument("gold", nargs="?", help="gold JSONL (defaults to bundled)")
-    p.add_argument("--methods", help="comma-separated subset of: " + ",".join(evaluate.METHODS))
+    # evaluate.METHODS, written out so that building the parser does not import it
+    p.add_argument("--methods", help="comma-separated subset of: "
+                   "keyword_match,similarity_search,data_driven,our_approach")
     p.add_argument("--timing", action="store_true", help="measure per-phrase latency")
     p.add_argument("--timing-reps", type=int, default=20)
     p.add_argument("--report-json", help="write the machine-readable report here")
@@ -353,7 +378,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (kg.ParseError, classify.TrainingDataError) as exc:
+    except kg.DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except OSError as exc:  # a file the command reads or writes

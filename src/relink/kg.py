@@ -21,7 +21,11 @@ log = logging.getLogger(__name__)
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 
 
-class ParseError(ValueError):
+class DataError(ValueError):
+    """Input whose content cannot be used; the CLI exits 4 on it."""
+
+
+class ParseError(DataError):
     """Raised for a malformed triple line; carries the 1-based line number."""
 
     def __init__(self, line_no: int, message: str):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import string
 
 from relink.kg import (
     RDF_TYPE,
@@ -21,6 +22,8 @@ from relink.kg import (
     tokenize_name,
 )
 from relink.patterns import MetaPattern, SubgraphPattern
+
+LETTERS = string.ascii_lowercase
 
 
 def brute_force_instances(
@@ -101,6 +104,61 @@ def random_graph(
         if rng.random() < 0.5:
             triples.add(Triple(e, RDF_TYPE, rng.choice(types)))
     return sorted(triples, key=Triple.sort_key)
+
+
+def near_miss(word: str, rng: random.Random) -> str:
+    """``word`` with one letter inserted, deleted or replaced, or two
+    neighbouring letters swapped (``mothers``, ``parnet``)."""
+    i = rng.randrange(len(word))
+    edit = rng.randrange(4)
+    if edit == 0:
+        return word[:i] + rng.choice(LETTERS) + word[i:]
+    if edit == 1:
+        return word[:i] + word[i + 1 :]
+    if edit == 2:
+        return word[:i] + rng.choice(LETTERS) + word[i + 1 :]
+    i = min(i, len(word) - 2)
+    return word[:i] + word[i + 1] + word[i] + word[i + 2 :]
+
+
+def disjoint_triples(
+    rng: random.Random,
+    vocabulary: set[str],
+    nodes: list[str],
+    n_predicates: int,
+    n_triples: int,
+) -> list[Triple]:
+    """Triples on fresh predicates whose label tokens all lie outside
+    ``vocabulary``, between ``nodes`` and fresh nodes named the same way.
+
+    Half the label words are near misses of vocabulary words, so their
+    edit similarity to a mention is high while no token is shared; the
+    rest are random letter strings. Names are camelCase, which
+    ``tokenize_name`` splits back into the words.
+    """
+    namespace = "http://disjoint.example/"
+    stems = sorted(w for w in vocabulary if len(w) >= 3 and w.isascii() and w.isalpha())
+
+    def word() -> str:
+        while True:
+            if rng.random() < 0.5:
+                w = near_miss(rng.choice(stems), rng)
+            else:
+                w = "".join(rng.choice(LETTERS) for _ in range(rng.randint(3, 8)))
+            if w not in vocabulary:
+                return w
+
+    def iri() -> str:
+        words = [word() for _ in range(rng.randint(1, 3))]
+        return namespace + words[0] + "".join(w.capitalize() for w in words[1:])
+
+    predicates = sorted({iri() for _ in range(n_predicates)})
+    fresh = [iri() for _ in range(len(predicates))]
+    ends = list(nodes) + fresh
+    return [
+        Triple(rng.choice(ends), predicates[i % len(predicates)], rng.choice(ends))
+        for i in range(n_triples)
+    ]
 
 
 def ntriples_line(t: Triple) -> str:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import pytest
+
 import relink
 
 
@@ -10,3 +12,9 @@ def test_public_api_exports_resolve():
 
 def test_version_present():
     assert relink.__version__
+
+
+def test_unknown_name_raises_attribute_error():
+    # hasattr() and ``from relink import <submodule>`` rely on this type
+    with pytest.raises(AttributeError, match="no_such_name"):
+        relink.no_such_name

@@ -259,6 +259,9 @@ def test_help_exits_zero():
 
 
 def test_numpy_loads_only_when_the_classifier_runs():
+    """In a fresh interpreter, ``relink ingest`` loads only the graph
+    store; every pipeline module imports without numpy; the classifier
+    loads it."""
     import os
     import subprocess
     import sys
@@ -267,9 +270,12 @@ def test_numpy_loads_only_when_the_classifier_runs():
 
     script = textwrap.dedent("""
         import json, sys
-        import relink, relink.cli, relink.evaluate
+        import relink.cli
         assert relink.cli.main(["ingest"]) == 0
-        print(json.dumps("numpy" in sys.modules))
+        print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "relink")))
+        from relink import *
+        import relink.evaluate
+        print(json.dumps(["numpy" in sys.modules, sorted(set(relink.__all__) - set(dir(relink)))]))
         linker = relink.cli.build_linker(relink.cli.RunConfig())
         pattern = linker.link("mother-in-law").pattern.to_json()
         print(json.dumps(["numpy" in sys.modules, pattern]))
@@ -280,11 +286,48 @@ def test_numpy_loads_only_when_the_classifier_runs():
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    *_, after_ingest, after_link = proc.stdout.splitlines()
-    assert json.loads(after_ingest) is False
+    *_, after_ingest, after_imports, after_link = proc.stdout.splitlines()
+    assert json.loads(after_ingest) == ["relink", "relink.cli", "relink.kg"]
+    assert json.loads(after_imports) == [False, []]
     golden = Path(__file__).parent / "golden" / "link_patterns.json"
     expected = json.loads(golden.read_text("utf-8"))["mother-in-law"]
     assert json.loads(after_link) == [True, expected]
+
+
+def test_eval_help_lists_every_method(capsys, monkeypatch):
+    from relink.evaluate import METHODS
+
+    monkeypatch.setenv("COLUMNS", "200")  # no wrapping inside the list
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--help"])
+    assert exc.value.code == 0
+    assert f"comma-separated subset of: {','.join(METHODS)}\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_ingest_graph_not_a_file_usage_error(capsys, tmp_path, kind):
+    path = tmp_path / "missing.nt" if kind == "missing" else tmp_path
+    code, out, err = run(capsys, "ingest", str(path))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"config error: kg file not found: {path}\n"
+
+
+@pytest.mark.parametrize("content, line_no", [
+    (b"son\n\xff\n", 2),
+    (b"\xffson\n", 1),
+    (b"son\r\nuncle\raunt \xff\n", 3),
+])
+def test_collect_phrases_not_utf8_data_error(capsys, tmp_path, content, line_no):
+    phrases = tmp_path / "bad.txt"
+    phrases.write_bytes(content)
+    out_file = tmp_path / "o.jsonl"
+    code, out, err = run(capsys, "collect-training", str(phrases), "--out", str(out_file))
+    assert code == EXIT_DATA
+    assert err.startswith(
+        f"data error: {phrases} line {line_no}: 'utf-8' codec can't decode byte 0xff"
+    )
+    assert out == "" and not out_file.exists()
 
 
 def test_env_override(capsys, tmp_path, monkeypatch):
