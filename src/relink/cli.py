@@ -179,11 +179,7 @@ def build_linker(cfg: RunConfig) -> Linker:
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     cfg = build_config(args)
-    try:
-        graph = kg.load(_existing_file("kg", args.kg_path or cfg.kg))
-    except kg.ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    graph = kg.load(_existing_file("kg", args.kg_path or cfg.kg))
     summary = {
         "triples": len(graph),
         "predicates": len(graph.predicate_set),
@@ -357,7 +353,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("gold", nargs="?", help="gold JSONL (defaults to bundled)")
     # evaluate.METHODS, written out so that building the parser does not import it
     p.add_argument("--methods", help="comma-separated subset of: "
-                   "keyword_match,similarity_search,data_driven,our_approach")
+                   "keyword_match, similarity_search, data_driven, our_approach")
     p.add_argument("--timing", action="store_true", help="measure per-phrase latency")
     p.add_argument("--timing-reps", type=int, default=20)
     p.add_argument("--report-json", help="write the machine-readable report here")

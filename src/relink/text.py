@@ -28,20 +28,44 @@ def default_stopwords() -> frozenset[str]:
 
 
 def levenshtein(a: str, b: str) -> int:
-    """Classic edit distance, O(len(a) * len(b))."""
-    if a == b:
-        return 0
+    """Edit distance (unit-cost insert, delete, substitute) of ``a`` and ``b``.
+
+    Bit-parallel: bit ``i`` of ``pv``/``mv`` holds whether the DP table's
+    vertical delta at the row of ``a[i]`` is +1/-1 in the current
+    column, so one column of the table costs a fixed handful of
+    int operations, whatever ``len(a)``. A column step is Myers' recurrence
+    (G. Myers, "A fast bit-vector algorithm for approximate string matching
+    based on dynamic programming", JACM 46(3), 1999) in Hyyrö's form for
+    global distance (H. Hyyrö, "Explaining and extending the bit-parallel
+    approximate string matching algorithm of Myers", 2001): the horizontal
+    delta shifted in at row 0 is +1, not Myers' 0 for search. Cost is
+    O(len(a) + len(b) * ceil(len(a) / w)) for machine word size ``w``;
+    Python ints are unbounded, so any length works.
+    """
     if not a:
         return len(b)
-    if not b:
-        return len(a)
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        cur = [i]
-        for j, cb in enumerate(b, start=1):
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
-        prev = cur
-    return prev[-1]
+    peq: dict[str, int] = {}  # character -> bitmask of its positions in a
+    bit = 1
+    for c in a:
+        peq[c] = peq.get(c, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    last = bit >> 1  # row len(a): the cell that holds the distance
+    pv, mv, dist = mask, 0, len(a)
+    for c in b:
+        eq = peq.get(c, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            dist += 1
+        elif mh & last:
+            dist -= 1
+        ph = (ph << 1) | 1
+        pv = ((mh << 1) | ~(xv | ph)) & mask
+        mv = ph & xv
+    return dist
 
 
 def edit_similarity(a: str, b: str) -> float:

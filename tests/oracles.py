@@ -106,6 +106,23 @@ def random_graph(
     return sorted(triples, key=Triple.sort_key)
 
 
+def reference_levenshtein(a: str, b: str) -> int:
+    """Edit distance by the full O(len(a) * len(b)) dynamic-programming table."""
+    if a == b:
+        return 0
+    if not a:
+        return len(b)
+    if not b:
+        return len(a)
+    prev = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        cur = [i]
+        for j, cb in enumerate(b, start=1):
+            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
+        prev = cur
+    return prev[-1]
+
+
 def near_miss(word: str, rng: random.Random) -> str:
     """``word`` with one letter inserted, deleted or replaced, or two
     neighbouring letters swapped (``mothers``, ``parnet``)."""

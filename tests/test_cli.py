@@ -49,7 +49,9 @@ def test_ingest_malformed_reports_line(capsys, tmp_path):
     path.write_text("<http://x/a> <http://x/p> <http://x/b> .\nnot a triple\n")
     code, _, err = run(capsys, "ingest", str(path))
     assert code == EXIT_DATA
-    assert "line 2" in err
+    assert err.startswith("data error: line 2")
+    # the same message as any other command that loads the graph
+    assert run(capsys, "--kg", str(path), "link", "son") == (EXIT_DATA, "", err)
 
 
 @pytest.mark.parametrize("command", [["ingest"], ["link", "son"]])
@@ -301,7 +303,18 @@ def test_eval_help_lists_every_method(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["eval", "--help"])
     assert exc.value.code == 0
-    assert f"comma-separated subset of: {','.join(METHODS)}\n" in capsys.readouterr().out
+    assert f"comma-separated subset of: {', '.join(METHODS)}\n" in capsys.readouterr().out
+
+
+def test_eval_help_wraps_between_method_names(capsys, monkeypatch):
+    from relink.evaluate import METHODS
+
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--help"])
+    assert exc.value.code == 0
+    words = set(capsys.readouterr().out.replace(",", " ").split())
+    assert set(METHODS) <= words
 
 
 @pytest.mark.parametrize("kind", ["missing", "directory"])

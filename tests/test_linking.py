@@ -22,6 +22,8 @@ from relink.linking import (
 from relink.patterns import SubgraphPattern
 from relink.text import edit_similarity, jaccard, levenshtein, tokenize
 
+from .oracles import reference_levenshtein
+
 EX = "http://example.org/ontology/"
 RES = "http://example.org/resource/"
 
@@ -44,6 +46,25 @@ def test_levenshtein_basics():
     assert levenshtein("abc", "") == 3
     assert levenshtein("latitude", "attitude") == 2
     assert levenshtein("kitten", "sitting") == 3
+
+
+# lengths drawn uniformly from 0-200 put the row masks past 64 and 128 bits;
+# a small alphabet, with an astral character, makes shared characters common
+_EDIT_CHAR = st.one_of(st.sampled_from("ab \U0001F600"), st.characters())
+_EDIT_TEXT = st.one_of(
+    st.integers(0, 200).flatmap(lambda n: st.text(_EDIT_CHAR, min_size=n, max_size=n)),
+    st.builds(lambda c, n: c * n, _EDIT_CHAR, st.integers(0, 200)),  # a run of one character
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=_EDIT_TEXT, b=_EDIT_TEXT)
+def test_levenshtein_matches_reference(a, b):
+    d = levenshtein(a, b)
+    assert d == reference_levenshtein(a, b)
+    assert d == levenshtein(b, a)
+    assert (d == 0) == (a == b)
+    assert d <= max(len(a), len(b))
 
 
 def test_link_simple_exact_match_scores_one(family_graph, lexicon):
