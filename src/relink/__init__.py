@@ -11,8 +11,8 @@ import importlib
 _EXPORTS = {
     "LinkConfig": "assemble", "LinkResult": "assemble", "Linker": "assemble",
     "MaskedSentence": "classify", "PatternClassifier": "classify",
-    "TrainConfig": "classify", "TrainingExample": "classify",
-    "harvest": "classify", "mask": "classify", "train": "classify",
+    "TrainingExample": "classify", "harvest": "classify", "mask": "classify",
+    "train": "classify",
     "Explanation": "explain", "ExplanationService": "explain",
     "FixtureProvider": "explain",
     "KnowledgeGraph": "kg", "Literal": "kg", "Triple": "kg", "load": "kg",

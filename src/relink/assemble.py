@@ -55,7 +55,6 @@ class LinkConfig:
     max_recursion_depth: int = 3
     theta_rel: float = DEFAULT_THETA_REL
     validation: str = STRICT
-    data_driven_fallback: bool = True
 
     def __post_init__(self):
         if self.max_recursion_depth < 1:
@@ -285,13 +284,12 @@ class Linker:
         plans = [(mp, ordered)]
         if mp is MetaPattern.RP2:
             plans.append((MetaPattern.RP2, swapped))
-        if self.config.data_driven_fallback:
-            for kind in DEFAULT_TIE_BREAK:
-                if kind is mp:
-                    continue
-                plans.append((kind, ordered))
-                if kind is MetaPattern.RP2:
-                    plans.append((MetaPattern.RP2, swapped))
+        for kind in DEFAULT_TIE_BREAK:
+            if kind is mp:
+                continue
+            plans.append((kind, ordered))
+            if kind is MetaPattern.RP2:
+                plans.append((MetaPattern.RP2, swapped))
         return plans
 
     def _assemble_pair(

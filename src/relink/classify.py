@@ -17,7 +17,7 @@ import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 from . import text
 from .explain import ExplanationService
@@ -47,6 +47,7 @@ log = logging.getLogger(__name__)
 MODEL_FORMAT = "relink-linear/1"
 CLASSES = (MetaPattern.RP2, MetaPattern.RP3, MetaPattern.RP4)
 DEFAULT_TIE_BREAK = (MetaPattern.RP2, MetaPattern.RP4, MetaPattern.RP3)
+EPOCHS = 200
 LEARNING_RATE = 0.1
 L2 = 1e-4
 
@@ -258,12 +259,6 @@ def merge_review(
 
 
 @dataclass
-class TrainConfig:
-    epochs: int = 200
-    seed: int = 42
-
-
-@dataclass
 class TrainReport:
     class_counts: dict[str, int]
     train_accuracy: float
@@ -278,13 +273,11 @@ class PatternClassifier:
         weights: np.ndarray,
         bias: np.ndarray,
         classes: tuple[MetaPattern, ...] = CLASSES,
-        tie_break: tuple[MetaPattern, ...] = DEFAULT_TIE_BREAK,
     ):
         self.vocabulary = vocabulary
         self.weights = weights  # shape (n_classes, n_features)
         self.bias = bias
         self.classes = classes
-        self.tie_break = tie_break
 
     def _scores(self, feats: dict[str, float]) -> np.ndarray:
         z = self.bias.copy()
@@ -302,9 +295,9 @@ class PatternClassifier:
         probs = np.exp(z)
         probs /= probs.sum()
         best = probs.max()
-        # exact ties resolve through the configured class order
+        # exact ties resolve through the fixed class order
         tied = [c for c, p in zip(self.classes, probs) if p == best]
-        for preferred in self.tie_break:
+        for preferred in DEFAULT_TIE_BREAK:
             if preferred in tied:
                 return preferred, float(best)
         return tied[0], float(best)
@@ -318,7 +311,7 @@ class PatternClassifier:
         return {
             "format": MODEL_FORMAT,
             "classes": [c.value for c in self.classes],
-            "tie_break": [c.value for c in self.tie_break],
+            "tie_break": [c.value for c in DEFAULT_TIE_BREAK],
             "vocabulary": self.vocabulary,
             "weights": [list(map(float, row)) for row in self.weights],
             "bias": [float(b) for b in self.bias],
@@ -340,10 +333,15 @@ class PatternClassifier:
                 weights=np.asarray(data["weights"], dtype=float),
                 bias=np.asarray(data["bias"], dtype=float),
                 classes=tuple(MetaPattern(c) for c in data["classes"]),
-                tie_break=tuple(MetaPattern(c) for c in data["tie_break"]),
             )
+            tie_break = data["tie_break"]
         except (AttributeError, KeyError, TypeError) as exc:
             raise ValueError(f"malformed model: {exc!r}") from exc
+        if tie_break != [c.value for c in DEFAULT_TIE_BREAK]:
+            raise ValueError(
+                f"malformed model: tie_break {tie_break!r} is not the fixed"
+                " order RP2, RP4, RP3"
+            )
         shape = (len(model.classes), len(model.vocabulary))
         if model.weights.shape != shape or model.bias.shape != shape[:1]:
             raise ValueError(
@@ -359,16 +357,17 @@ class PatternClassifier:
         return cls.from_json(json.loads(Path(path).read_text("utf-8")))
 
 
-def _fit(
+def fit(
     features: list[dict[str, float]],
     labels: list[MetaPattern],
-    config: TrainConfig,
-    classes: tuple[MetaPattern, ...] = CLASSES,
+    seed: int,
 ) -> tuple[PatternClassifier, TrainReport]:
+    """Fit the linear model on sparse features, ``EPOCHS`` full-batch
+    gradient steps from weights drawn with ``seed``."""
     import numpy as np
 
     present = set(labels)
-    missing = [c.value for c in classes if c not in present]
+    missing = [c.value for c in CLASSES if c not in present]
     if missing:
         raise TrainingDataError(f"missing training classes: {', '.join(missing)}")
 
@@ -379,20 +378,20 @@ def _fit(
                 vocab[name] = len(vocab)
     vocab = {name: i for i, name in enumerate(sorted(vocab))}
 
-    n, f, c = len(features), len(vocab), len(classes)
+    n, f, c = len(features), len(vocab), len(CLASSES)
     x = np.zeros((n, f))
     for row, feats in enumerate(features):
         for name, value in feats.items():
             x[row, vocab[name]] = value
-    class_index = {cls: i for i, cls in enumerate(classes)}
+    class_index = {cls: i for i, cls in enumerate(CLASSES)}
     y = np.zeros((n, c))
     for row, label in enumerate(labels):
         y[row, class_index[label]] = 1.0
 
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     w = rng.normal(0.0, 1e-3, size=(c, f))
     b = np.zeros(c)
-    for _ in range(config.epochs):
+    for _ in range(EPOCHS):
         z = x @ w.T + b
         z -= z.max(axis=1, keepdims=True)
         p = np.exp(z)
@@ -401,39 +400,24 @@ def _fit(
         w -= LEARNING_RATE * (grad.T @ x + L2 * w)
         b -= LEARNING_RATE * grad.sum(axis=0)
 
-    clf = PatternClassifier(vocab, w, b, classes)
+    clf = PatternClassifier(vocab, w, b)
     z = x @ w.T + b
     accuracy = float((z.argmax(axis=1) == y.argmax(axis=1)).mean())
-    counts = {cls.value: labels.count(cls) for cls in classes}
+    counts = {cls.value: labels.count(cls) for cls in CLASSES}
     report = TrainReport(counts, accuracy)
     log.info("trained on %d examples, accuracy %.3f, counts %s", n, accuracy, counts)
     return clf, report
 
 
 def train(
-    examples: Sequence[TrainingExample],
-    config: Optional[TrainConfig] = None,
+    examples: Sequence[TrainingExample], seed: int = 42
 ) -> tuple[PatternClassifier, TrainReport]:
     """Fit the linear model on masked-sentence features."""
     if not examples:
         raise TrainingDataError("no training examples")
-    config = config or TrainConfig()
     features = [featurize(ex.masked) for ex in examples]
     labels = [ex.label for ex in examples]
-    return _fit(features, labels, config)
-
-
-def train_raw(
-    examples: Sequence[TrainingExample],
-    config: Optional[TrainConfig] = None,
-) -> tuple[PatternClassifier, TrainReport]:
-    """Ablation arm: fit on raw (unmasked) sentence tokens."""
-    if not examples:
-        raise TrainingDataError("no training examples")
-    config = config or TrainConfig()
-    features = [featurize_raw(ex.sentence) for ex in examples]
-    labels = [ex.label for ex in examples]
-    return _fit(features, labels, config)
+    return fit(features, labels, seed)
 
 
 @dataclass(frozen=True)

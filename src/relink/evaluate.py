@@ -21,15 +21,7 @@ from typing import Optional, Sequence, Union
 
 from . import text
 from .assemble import Linker, link_data_driven
-from .classify import (
-    PatternClassifier,
-    TrainConfig,
-    TrainingExample,
-    featurize,
-    featurize_raw,
-    train,
-    train_raw,
-)
+from .classify import TrainingExample, featurize, featurize_raw, fit, train
 from .kg import KnowledgeGraph
 from .linking import Lexicon, detect_elements, exact_match_relation, link_simple
 from .patterns import MetaPattern, SubgraphPattern, instantiate
@@ -265,10 +257,13 @@ def evaluate(
 
     The explanation cache is pre-warmed before any timing run so measured
     time excludes provider latency; the mean and variance are over
-    ``timing_reps`` full passes of each method.
+    ``timing_reps`` full passes of each method, at least two so the
+    variance is defined.
     """
     if not gold:
         raise ValueError("gold set must be non-empty")
+    if timing and timing_reps < 2:
+        raise ValueError(f"timing_reps must be at least 2, got {timing_reps}")
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method: {method!r}")
@@ -319,7 +314,7 @@ def _measure(
         for entry in gold:
             run_baseline(method, entry.phrase, linker)
     rep_means: list[list[float]] = [[] for _ in methods]
-    for _ in range(max(reps, 2)):
+    for _ in range(reps):
         for method, means in zip(methods, rep_means):
             start = time.perf_counter()
             for entry in gold:
@@ -399,18 +394,21 @@ class AblationReport:
 def ablate_masking(
     train_examples: Sequence[TrainingExample],
     test_examples: Sequence[TrainingExample],
-    config: Optional[TrainConfig] = None,
+    seed: int = 42,
 ) -> AblationReport:
     """Train and evaluate twice: masked-sentence features vs raw tokens."""
-    config = config or TrainConfig()
     gold = [ex.label for ex in test_examples]
 
-    masked_clf, _ = train(train_examples, config)
+    masked_clf, _ = train(train_examples, seed)
     masked_pred = [
         masked_clf.predict_features(featurize(ex.masked))[0] for ex in test_examples
     ]
 
-    raw_clf, _ = train_raw(train_examples, config)
+    raw_clf, _ = fit(
+        [featurize_raw(ex.sentence) for ex in train_examples],
+        [ex.label for ex in train_examples],
+        seed,
+    )
     raw_pred = [
         raw_clf.predict_features(featurize_raw(ex.sentence))[0] for ex in test_examples
     ]

@@ -166,26 +166,79 @@ def iter_triples(lines: Iterable[str]) -> Iterator[Triple]:
 class KnowledgeGraph:
     """Immutable indexed triple set.
 
-    ``triples`` is sorted by ``Triple.sort_key``. Indexes cover every
-    bound-position lookup the pipeline needs: ``sp`` for (s, p, ?),
-    ``po`` for (?, p, o) and ``p`` for (?, p, ?). The ``p`` index holds
-    the stored ``Triple`` objects themselves, so each triple is kept
-    once. A node's types are its IRI objects of ``type_predicate``. The
-    label and type dictionaries are built by ``load`` along with the
-    indexes.
+    The constructor takes any iterable of triples, drops duplicates and
+    stores them sorted by ``Triple.sort_key`` in ``triples``. Indexes
+    cover every bound-position lookup the pipeline needs: ``sp`` for
+    (s, p, ?), ``po`` for (?, p, o) and ``p`` for (?, p, ?). The ``p``
+    index holds the stored ``Triple`` objects themselves, so each triple
+    is kept once. A node's types are its IRI objects of
+    ``type_predicate``. The constructor builds the indexes and the label
+    and type dictionaries; the graph is shared across threads, so no
+    lazy population happens later.
     """
 
     triples: tuple[Triple, ...]
     type_predicate: str = RDF_TYPE
-    _sp: dict = field(repr=False, default_factory=dict)
-    _po: dict = field(repr=False, default_factory=dict)
-    _p: dict = field(repr=False, default_factory=dict)
-    predicate_set: frozenset[str] = frozenset()
-    type_set: frozenset[str] = frozenset()
-    entity_set: frozenset[str] = frozenset()
-    _relation_labels: dict = field(repr=False, default_factory=dict)
-    _entity_labels: dict = field(repr=False, default_factory=dict)
-    _type_dict: dict = field(repr=False, default_factory=dict)
+    _sp: dict = field(init=False, repr=False)
+    _po: dict = field(init=False, repr=False)
+    _p: dict = field(init=False, repr=False)
+    predicate_set: frozenset[str] = field(init=False)
+    type_set: frozenset[str] = field(init=False)
+    entity_set: frozenset[str] = field(init=False)
+    _relation_labels: dict = field(init=False, repr=False)
+    _entity_labels: dict = field(init=False, repr=False)
+    _type_dict: dict = field(init=False, repr=False)
+
+    def __post_init__(self):
+        type_predicate = self.type_predicate
+        triples = set(self.triples)
+        ordered = tuple(sorted(triples, key=Triple.sort_key))
+        del triples  # frees the set's table before the indexes grow
+
+        # the lists only collect: every (s, p, o) is unique, so no index
+        # value repeats, and each list becomes a frozenset or tuple below
+        sp: defaultdict[tuple[str, str], list[Node]] = defaultdict(list)
+        po: defaultdict[tuple[str, Node], list[str]] = defaultdict(list)
+        p_idx: defaultdict[str, list[Triple]] = defaultdict(list)
+        entities: set[str] = set()
+
+        for t in ordered:
+            s, p, o = t.subject, t.predicate, t.object
+            entities.add(s)
+            sp[(s, p)].append(o)
+            po[(p, o)].append(s)
+            p_idx[p].append(t)
+            if p != type_predicate and not isinstance(o, Literal):
+                entities.add(o)
+        predicates = p_idx.keys()
+        # type IRI -> number of nodes typed with it (each triple is unique)
+        type_objects = (t.object for t in p_idx.get(type_predicate, ()))
+        instances = Counter(o for o in type_objects if not isinstance(o, Literal))
+
+        # equal value sets become one frozenset: many keys hold the same set
+        # (the instances of a type, the subjects of one edge to a hub). The
+        # table is local, so nothing is shared with other graphs or threads.
+        shared: dict[frozenset, frozenset] = {}
+
+        def share(values: list) -> frozenset:
+            fs = frozenset(values)
+            return shared.setdefault(fs, fs)
+
+        put = object.__setattr__  # the dataclass is frozen
+        put(self, "triples", ordered)
+        put(self, "_sp", {k: share(v) for k, v in sp.items()})
+        put(self, "_po", {k: share(v) for k, v in po.items()})
+        put(self, "_p", {k: tuple(v) for k, v in p_idx.items()})
+        put(self, "predicate_set", frozenset(predicates))
+        put(self, "type_set", frozenset(instances))
+        put(self, "entity_set", frozenset(entities))
+        put(self, "_relation_labels", {
+            p: RelationLabel(p, tokenize_name(local_name(p)))
+            for p in sorted(predicates)
+            if p != type_predicate
+        })
+        put(self, "_entity_labels", _entity_labels(entities))
+        put(self, "_type_dict", _type_dictionary(instances))
 
     def __len__(self) -> int:
         return len(self.triples)
@@ -236,65 +289,14 @@ def load(
     if isinstance(source, (str, Path)):
         with open(source, encoding="utf-8") as fh:
             try:
-                triples = set(iter_triples(fh))
+                g = KnowledgeGraph(iter_triples(fh), type_predicate)
             except ParseError as exc:
                 if not isinstance(exc.__cause__, UnicodeDecodeError):
                     raise
                 # None if the file changed after it was read
                 raise (_decode_error(source) or exc) from None
     else:
-        triples = set(iter_triples(source))
-    ordered = tuple(sorted(triples, key=Triple.sort_key))
-    del triples  # frees the set's table before the indexes grow
-
-    # the lists only collect: every (s, p, o) is unique, so no index
-    # value repeats, and each list becomes a frozenset or tuple below
-    sp: defaultdict[tuple[str, str], list[Node]] = defaultdict(list)
-    po: defaultdict[tuple[str, Node], list[str]] = defaultdict(list)
-    p_idx: defaultdict[str, list[Triple]] = defaultdict(list)
-    entities: set[str] = set()
-
-    for t in ordered:
-        s, p, o = t.subject, t.predicate, t.object
-        entities.add(s)
-        sp[(s, p)].append(o)
-        po[(p, o)].append(s)
-        p_idx[p].append(t)
-        if p != type_predicate and not isinstance(o, Literal):
-            entities.add(o)
-    predicates = p_idx.keys()
-    # type IRI -> number of nodes typed with it (each triple is unique)
-    type_objects = (t.object for t in p_idx.get(type_predicate, ()))
-    instances = Counter(o for o in type_objects if not isinstance(o, Literal))
-
-    # equal value sets become one frozenset: many keys hold the same set
-    # (the instances of a type, the subjects of one edge to a hub). The
-    # table is local, so nothing is shared with later loads or threads.
-    shared: dict[frozenset, frozenset] = {}
-
-    def share(values: list) -> frozenset:
-        fs = frozenset(values)
-        return shared.setdefault(fs, fs)
-
-    # every derived table is built here: the graph is shared across
-    # threads after load, so no lazy population happens later
-    g = KnowledgeGraph(
-        triples=ordered,
-        type_predicate=type_predicate,
-        _sp={k: share(v) for k, v in sp.items()},
-        _po={k: share(v) for k, v in po.items()},
-        _p={k: tuple(v) for k, v in p_idx.items()},
-        predicate_set=frozenset(predicates),
-        type_set=frozenset(instances),
-        entity_set=frozenset(entities),
-        _relation_labels={
-            p: RelationLabel(p, tokenize_name(local_name(p)))
-            for p in sorted(predicates)
-            if p != type_predicate
-        },
-        _entity_labels=_entity_labels(entities),
-        _type_dict=_type_dictionary(instances),
-    )
+        g = KnowledgeGraph(iter_triples(source), type_predicate)
     log.info(
         "loaded graph: %d triples, %d predicates, %d types, %d entities",
         len(g.triples), len(g.predicate_set), len(g.type_set), len(g.entity_set),
@@ -357,7 +359,7 @@ def _type_dictionary(instance_counts: Mapping[str, int]) -> dict[tuple[str, ...]
 
 
 def type_dictionary(g: KnowledgeGraph) -> dict[tuple[str, ...], str]:
-    """Tokenized type local names -> type IRIs, as built by ``load``."""
+    """Tokenized type local names -> type IRIs, as built with the graph."""
     return g._type_dict
 
 

@@ -98,13 +98,18 @@ class Lexicon:
 
     @classmethod
     def from_mapping(
-        cls, raw: Mapping[str, Sequence[str]], g: Optional[KnowledgeGraph] = None
+        cls, raw: Mapping[str, list[str]], g: Optional[KnowledgeGraph] = None
     ) -> "Lexicon":
         entries: dict[tuple[str, ...], frozenset[str]] = {}
         for surface, iris in raw.items():
             key = tuple(text.tokenize(surface))
             if not key:
                 raise LexiconError(f"unusable lexicon surface: {surface!r}")
+            if not isinstance(iris, list) or not all(isinstance(i, str) for i in iris):
+                raise LexiconError(
+                    f"lexicon entry {surface!r} must be a list of predicate IRIs,"
+                    f" got {iris!r}"
+                )
             if g is not None:
                 unknown = [i for i in iris if i not in g.predicate_set]
                 if unknown:

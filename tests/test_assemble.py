@@ -198,28 +198,25 @@ def test_permissive_mode_waives_validation(family_graph, lexicon, classifier):
 
 def test_fallback_rescues_misclassification(family_graph, lexicon, classifier):
     # a classifier stuck on RP2 still links countrywoman through the
-    # shape fallback; with the fallback disabled the phrase is lost
+    # shape fallback
     class StubRP2:
         def predict(self, ms):
             return MetaPattern.RP2, 1.0
 
-    def make(fallback: bool):
-        explainer = ExplanationService(
-            [FixtureProvider("src/relink/data/explanations.json")]
-        )
-        return Linker(
-            family_graph, explainer, lexicon, StubRP2(),
-            LinkConfig(data_driven_fallback=fallback),
-        )
-
-    rescued = make(True).link("countrywoman")
+    explainer = ExplanationService(
+        [FixtureProvider("src/relink/data/explanations.json")]
+    )
+    linker = Linker(family_graph, explainer, lexicon, StubRP2(), LinkConfig())
+    rescued = linker.link("countrywoman")
     assert rescued.matched
     assert set(edges_of(rescued.pattern)) == {
         ("z", FOAF + "gender", "x"),
         ("z", EX + "country", "y"),
     }
-    lost = make(False).link("countrywoman")
-    assert not lost.matched
+    # both RP2 orders fail in the graph before the fallback's RP4 holds
+    tried = [(s["meta_pattern"], s["accepted"])
+             for s in rescued.trace if s["step"] == "candidate"]
+    assert tried == [("RP2", False), ("RP2", False), ("RP4", True)]
 
 
 def test_concurrent_links_match_sequential(linker, family_graph, lexicon, classifier):

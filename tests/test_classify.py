@@ -8,7 +8,6 @@ from relink import classify
 from relink.classify import (
     FeaturizeError,
     MaskedSentence,
-    TrainConfig,
     TrainingDataError,
     TrainingExample,
     featurize,
@@ -144,7 +143,7 @@ def _tiny_examples():
 
 def test_train_memorizes_single_example_per_class():
     examples = _tiny_examples()
-    clf, report = train(examples, TrainConfig(epochs=300))
+    clf, report = train(examples)
     for ex in examples:
         predicted, confidence = clf.predict(ex.masked)
         assert predicted is ex.label
@@ -174,8 +173,8 @@ def test_train_thirty_examples_accuracy(training_examples):
 
 
 def test_train_reproducible(training_examples):
-    a, _ = train(training_examples, TrainConfig(seed=42))
-    b, _ = train(training_examples, TrainConfig(seed=42))
+    a, _ = train(training_examples, seed=42)
+    b, _ = train(training_examples, seed=42)
     assert a.to_json() == b.to_json()
 
 
@@ -200,16 +199,12 @@ def test_predict_countrywoman_regression(classifier):
 def test_predict_tie_break_order():
     import numpy as np
 
-    # zero weights: every class ties, the configured order decides
+    # zero weights: every class ties, the fixed order decides
     vocab = {"uni=a": 0}
-    zeros = classify.PatternClassifier(
-        vocab, np.zeros((3, 1)), np.zeros(3),
-        classes=classify.CLASSES,
-        tie_break=(MetaPattern.RP4, MetaPattern.RP2, MetaPattern.RP3),
-    )
+    zeros = classify.PatternClassifier(vocab, np.zeros((3, 1)), np.zeros(3))
     ms = MaskedSentence.from_tokens(["a", "*x", "*y"])
     predicted, confidence = zeros.predict(ms)
-    assert predicted is MetaPattern.RP4
+    assert predicted is MetaPattern.RP2
     assert confidence == pytest.approx(1 / 3)
 
 

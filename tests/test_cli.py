@@ -180,6 +180,16 @@ def test_eval_unknown_method_usage_error(capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("reps", ["0", "1", "-3"])
+def test_eval_timing_reps_below_two_usage_error(capsys, reps):
+    # the variance of fewer than two passes is undefined
+    code, out, err = run(capsys, "eval", "--methods", "keyword_match",
+                         "--timing", "--timing-reps", reps)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "timing_reps" in err
+
+
 def test_eval_report_json_deterministic(capsys, tmp_path):
     r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
     assert run(capsys, "--seed", "42", "eval", "--report-json", str(r1))[0] == EXIT_OK
@@ -441,7 +451,11 @@ def test_explanations_not_an_object_usage_error(capsys, tmp_path):
     "payload",
     [{"format": "relink-linear/1"}, ["relink-linear/1"],
      {"format": "relink-linear/1", "classes": ["RP2"], "tie_break": [],
-      "vocabulary": [], "weights": [], "bias": []}],
+      "vocabulary": [], "weights": [], "bias": []},
+     # well shaped, but exact ties resolve only in the fixed order
+     {"format": "relink-linear/1", "classes": ["RP2", "RP3", "RP4"],
+      "tie_break": ["RP4", "RP2", "RP3"], "vocabulary": {"uni=a": 0},
+      "weights": [[0.0], [0.0], [0.0]], "bias": [0.0, 0.0, 0.0]}],
 )
 def test_model_file_malformed_usage_error(capsys, tmp_path, payload):
     model = tmp_path / "model.json"

@@ -6,7 +6,6 @@ import random
 import pytest
 
 from relink import classify, evaluate as ev, kg
-from relink.classify import TrainConfig
 from relink.cli import data_path
 from relink.patterns import MetaPattern, SubgraphPattern
 
@@ -213,8 +212,8 @@ def test_ablation_masked_not_worse(training_examples):
 
 def test_ablation_deterministic(training_examples):
     train_set, test_set = _ablation_split(training_examples)
-    a = ev.ablate_masking(train_set, test_set, TrainConfig(seed=42))
-    b = ev.ablate_masking(train_set, test_set, TrainConfig(seed=42))
+    a = ev.ablate_masking(train_set, test_set, seed=42)
+    b = ev.ablate_masking(train_set, test_set, seed=42)
     assert a.to_json() == b.to_json()
 
 

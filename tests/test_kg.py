@@ -188,6 +188,7 @@ def test_equal_index_value_sets_are_one_object(family_graph):
 
 
 def test_load_oracle_on_random_graphs():
+    # the constructor builds the same graph from the triples themselves
     rng = random.Random(7)
     for round_ in range(60):
         triples = random_load_graph(rng)
@@ -196,36 +197,53 @@ def test_load_oracle_on_random_graphs():
         lines += [f"  {line}\t" for line in rng.sample(lines, len(lines) // 3)]
         lines += ["", "# comment", "   "]
         rng.shuffle(lines)
-        g = kg.load(lines, type_predicate=type_predicate)
         ref = reference_load(triples, type_predicate)
+        loaded = kg.load(lines, type_predicate=type_predicate)
+        built = kg.KnowledgeGraph(list(triples) * 2, type_predicate)  # duplicates drop
+        for g in (loaded, built):
+            _check_against_reference(g, triples, ref, round_)
 
-        assert g.triples == ref["triples"], round_
-        assert len(g) == len(triples)
-        nodes = {t.subject for t in triples} | {t.object for t in triples}
-        nodes |= {"http://t.example/absent", Literal("absent")}
-        predicates = ref["predicate_set"] | {"http://t.example/absent"}
-        for p in predicates:
-            assert g.by_predicate(p) == ref["by_predicate"](p)
-            assert g.predicate_count(p) == len(ref["by_predicate"](p))
-            for n in nodes:
-                if isinstance(n, str):
-                    assert g.objects(n, p) == ref["objects"](n, p)
-                    assert type(g.objects(n, p)) is frozenset
-                assert g.subjects(p, n) == ref["subjects"](p, n)
-                assert type(g.subjects(p, n)) is frozenset
+
+def _check_against_reference(g, triples, ref, round_):
+    assert g.triples == ref["triples"], round_
+    assert len(g) == len(triples)
+    nodes = {t.subject for t in triples} | {t.object for t in triples}
+    nodes |= {"http://t.example/absent", Literal("absent")}
+    predicates = ref["predicate_set"] | {"http://t.example/absent"}
+    for p in predicates:
+        assert g.by_predicate(p) == ref["by_predicate"](p)
+        assert g.predicate_count(p) == len(ref["by_predicate"](p))
         for n in nodes:
-            assert g.types_of(n) == ref["types_of"](n)
-        assert set(g._sp) == ref["sp_keys"]
-        assert set(g._po) == ref["po_keys"]
-        assert set(g._p) == ref["predicate_set"]
-        assert {n for n in nodes if g.types_of(n)} == ref["typed_nodes"]
-        assert g.predicate_set == ref["predicate_set"]
-        assert g.type_set == ref["type_set"]
-        assert g.entity_set == ref["entity_set"]
-        assert list(g.relation_labels().items()) == ref["relation_labels"]
-        assert list(g.entity_labels().items()) == list(ref["entity_labels"].items())
-        assert (list(type_dictionary(g).items())
-                == list(ref["type_dictionary"].items())), round_
+            if isinstance(n, str):
+                assert g.objects(n, p) == ref["objects"](n, p)
+                assert type(g.objects(n, p)) is frozenset
+            assert g.subjects(p, n) == ref["subjects"](p, n)
+            assert type(g.subjects(p, n)) is frozenset
+    for n in nodes:
+        assert g.types_of(n) == ref["types_of"](n)
+    assert set(g._sp) == ref["sp_keys"]
+    assert set(g._po) == ref["po_keys"]
+    assert set(g._p) == ref["predicate_set"]
+    assert {n for n in nodes if g.types_of(n)} == ref["typed_nodes"]
+    assert g.predicate_set == ref["predicate_set"]
+    assert g.type_set == ref["type_set"]
+    assert g.entity_set == ref["entity_set"]
+    assert list(g.relation_labels().items()) == ref["relation_labels"]
+    assert list(g.entity_labels().items()) == list(ref["entity_labels"].items())
+    assert (list(type_dictionary(g).items())
+            == list(ref["type_dictionary"].items())), round_
+
+
+def test_constructed_graph_validates_as_loaded():
+    from relink.patterns import has_instance, match_instances
+
+    loaded = kg.load(data_path("family_geo.nt"))
+    built = kg.KnowledgeGraph(reversed(loaded.triples))
+    assert built == loaded
+    for entry in evaluate.load_gold(data_path("gold.jsonl")):
+        pattern = entry.gold_pattern
+        assert has_instance(built, pattern) == has_instance(loaded, pattern)
+        assert match_instances(built, pattern) == match_instances(loaded, pattern)
 
 
 def test_decode_error_line_counts_every_line_break(tmp_path):

@@ -214,6 +214,15 @@ def test_lexicon_validates_targets(family_graph):
         Lexicon.from_mapping({"ghost": [EX + "no-such"]}, family_graph)
 
 
+@pytest.mark.parametrize("graph", [False, True])
+@pytest.mark.parametrize("value", [EX + "spouse", [EX + "spouse", 7], None])
+def test_lexicon_value_must_be_list_of_iris(family_graph, graph, value):
+    # a bare string is not a list of IRIs, nor is a list holding a number
+    with pytest.raises(LexiconError) as err:
+        Lexicon.from_mapping({"wed": value}, family_graph if graph else None)
+    assert "'wed'" in str(err.value)
+
+
 def test_lexicon_hit_dominates_similarity(family_graph):
     # "mothers" scores below 1.0 on similarity; a lexicon entry pins it to spouse
     lex = Lexicon.from_mapping({"mothers": [EX + "spouse"]}, family_graph)
