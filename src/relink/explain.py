@@ -9,6 +9,7 @@ Answers and misses are cached, with single-flight lookups per phrase.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import logging
@@ -141,9 +142,15 @@ class HttpProvider:
                 # write-then-rename: a reader never sees a partial file
                 cache_file.parent.mkdir(parents=True, exist_ok=True)
                 fd, tmp = tempfile.mkstemp(dir=cache_file.parent, suffix=".tmp")
-                with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    fh.write(json.dumps(payload))
-                os.replace(tmp, cache_file)
+                try:
+                    with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                        fh.write(json.dumps(payload))
+                    os.replace(tmp, cache_file)
+                except BaseException:
+                    # the caller logs the failure; the half-written file goes
+                    with contextlib.suppress(OSError):
+                        os.unlink(tmp)
+                    raise
         sentence = self._extract(payload)
         if not sentence:
             return None

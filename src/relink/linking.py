@@ -138,11 +138,17 @@ def _label_text(label: RelationLabel) -> str:
     return " ".join(label.tokens)
 
 
+def _blend(jac: float, edit: float) -> float:
+    """The similarity score below the lexicon tier, from a token-set
+    Jaccard and an edit similarity."""
+    return JACCARD_WEIGHT * jac + EDIT_WEIGHT * edit
+
+
 def mention_score(mention_tokens: Sequence[str], label: RelationLabel) -> float:
     """Similarity blend used below the lexicon tier."""
     jac = text.jaccard(mention_tokens, label.tokens)
     edit = text.edit_similarity(" ".join(mention_tokens), _label_text(label))
-    return JACCARD_WEIGHT * jac + EDIT_WEIGHT * edit
+    return _blend(jac, edit)
 
 
 def link_simple(
@@ -155,18 +161,37 @@ def link_simple(
 
     A lexicon hit scores a flat 1.0 and dominates the similarity blend.
     Ties break on the lexically smallest IRI for reproducibility.
+
+    Every other label's score is ``mention_score``, but its edit distance
+    is computed only when it could matter. The distance is at least the
+    length difference, so the blend with the edit similarity that
+    difference allows bounds the score from above; every float operation
+    in the blend is monotone, so the bound holds after rounding too. A
+    label whose bound is below ``theta_rel``, or no better than the best
+    score so far, cannot be chosen and is skipped.
     """
     tokens = text.tokenize(phrase)
     if not tokens:
         return None
-    labels = g.relation_labels()
+    mention = " ".join(tokens)
+    token_set = set(tokens)
+    lex_targets = lex.get(tokens)
 
     best: Optional[tuple[str, float]] = None
-    lex_targets = lex.get(tokens)
-    for iri, label in labels.items():
-        score = mention_score(tokens, label)
+    for iri, label in g.relation_labels().items():
         if iri in lex_targets:
             score = 1.0
+        else:
+            # text.jaccard with the mention's token set built once
+            jac = len(token_set.intersection(label.tokens)) / len(
+                token_set.union(label.tokens)
+            )
+            label_text = _label_text(label)
+            longest = max(len(mention), len(label_text))
+            bound = _blend(jac, 1.0 - abs(len(mention) - len(label_text)) / longest)
+            if bound < theta_rel or (best is not None and bound <= best[1]):
+                continue
+            score = _blend(jac, text.edit_similarity(mention, label_text))
         if score >= theta_rel and (best is None or score > best[1]):
             best = (iri, score)
     return best
@@ -250,7 +275,8 @@ def detect_relations(
 
     Pseudo-relation tokens are unconditional hits. Overlaps resolve by
     higher score, then longer span, then earlier position. The type
-    predicate itself is never produced.
+    predicate itself is never produced: ``link_simple`` scores only
+    ``relation_labels``, which leave it out even when the lexicon names it.
     """
     scored: list[RelationHit] = []
     for i, tok in enumerate(tokens):
@@ -262,10 +288,7 @@ def detect_relations(
         hit = link_simple(mention, g, lex, theta_rel)
         if hit is None:
             continue
-        iri, score = hit
-        if iri == g.type_predicate:
-            continue
-        scored.append(RelationHit(span, iri, score))
+        scored.append(RelationHit(span, *hit))
 
     scored.sort(key=lambda h: (-h.score, -len(h.span), h.span.start))
     chosen: list[RelationHit] = []

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 import string
+from typing import Optional
 
 from relink.kg import (
     RDF_TYPE,
@@ -21,7 +22,9 @@ from relink.kg import (
     node_key,
     tokenize_name,
 )
+from relink.linking import Lexicon, mention_score
 from relink.patterns import MetaPattern, SubgraphPattern
+from relink.text import tokenize
 
 LETTERS = string.ascii_lowercase
 
@@ -121,6 +124,25 @@ def reference_levenshtein(a: str, b: str) -> int:
             cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
         prev = cur
     return prev[-1]
+
+
+def reference_link_simple(
+    phrase: str, g: KnowledgeGraph, lex: Lexicon, theta_rel: float
+) -> Optional[tuple[str, float]]:
+    """Best predicate for a mention by scoring every label in full with
+    ``mention_score``, with no pruning."""
+    tokens = tokenize(phrase)
+    if not tokens:
+        return None
+    best = None
+    lex_targets = lex.get(tokens)
+    for iri, label in g.relation_labels().items():
+        score = mention_score(tokens, label)
+        if iri in lex_targets:
+            score = 1.0
+        if score >= theta_rel and (best is None or score > best[1]):
+            best = (iri, score)
+    return best
 
 
 def near_miss(word: str, rng: random.Random) -> str:

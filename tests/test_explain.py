@@ -173,6 +173,36 @@ def test_http_provider_refetches_unreadable_cache_file(tmp_path, monkeypatch):
     assert list(tmp_path.glob("*.tmp")) == []
 
 
+def test_http_provider_failed_cache_write_leaves_no_temp_file(tmp_path, monkeypatch):
+    import errno
+    import io
+    import os
+    import urllib.request
+
+    from relink.explain import HttpProvider
+
+    def fake_urlopen(req, timeout):
+        return io.BytesIO(json.dumps({"definition": "a small gadget"}).encode())
+
+    def disk_full(src, dst):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+    monkeypatch.setattr(os, "replace", disk_full)
+    provider = HttpProvider(
+        "http://dictionary.invalid/define?q={phrase}", "definition", cache_dir=tmp_path
+    )
+    for _ in range(3):
+        with pytest.raises(OSError):
+            provider.lookup("gizmo")
+    assert list(tmp_path.iterdir()) == []
+
+    service = ExplanationService([provider])
+    assert service.explain("gizmo") is None  # logged and skipped
+    assert service.cache_stats().entries == 0  # a failed lookup is not cached
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_http_provider_extract_paths():
     from relink.explain import HttpProvider
 

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relink import kg
+from relink import kg, text
 from relink.linking import (
+    DEFAULT_THETA_REL,
+    EDIT_WEIGHT,
     MAX_MENTION_TOKENS,
     Lexicon,
     LexiconError,
@@ -22,7 +24,7 @@ from relink.linking import (
 from relink.patterns import SubgraphPattern
 from relink.text import edit_similarity, jaccard, levenshtein, tokenize
 
-from .oracles import reference_levenshtein
+from .oracles import LETTERS, near_miss, reference_levenshtein, reference_link_simple
 
 EX = "http://example.org/ontology/"
 RES = "http://example.org/resource/"
@@ -104,6 +106,83 @@ def test_link_simple_deterministic(family_graph, lexicon):
     assert len(runs) == 1
 
 
+# label and mention words: real ones, one-edit spellings of them, random strings
+_LABEL_WORDS = ("mother", "father", "spouse", "child", "birth", "place", "in", "law")
+_WORD = st.one_of(
+    st.sampled_from(_LABEL_WORDS),
+    st.builds(near_miss, st.sampled_from(_LABEL_WORDS), st.randoms(use_true_random=False)),
+    st.text(LETTERS, min_size=1, max_size=8),
+)
+
+
+def _camel_iri(namespace: str, words: list[str]) -> str:
+    return namespace + words[0] + "".join(w.capitalize() for w in words[1:])
+
+
+@st.composite
+def _scoring_cases(draw):
+    """A graph of drawn labels, a mention, a lexicon and a threshold.
+
+    The first label is also given under a second namespace, so two IRIs
+    score the same. The threshold is a fixed value or a score that some
+    label really gets, so a bound equal to it occurs.
+    """
+    labels = draw(st.lists(st.lists(_WORD, min_size=1, max_size=3), min_size=1, max_size=8))
+    predicates = {_camel_iri(EX, words) for words in labels}
+    predicates.add(_camel_iri("http://example.org/other/", labels[0]))
+    g = kg.KnowledgeGraph(kg.Triple(RES + "a", p, RES + "b") for p in predicates)
+    seen = sorted({w for words in labels for w in words})
+    mention = draw(st.lists(st.one_of(st.sampled_from(seen), _WORD), min_size=1, max_size=3))
+    tokens = tokenize(" ".join(mention))
+    targets = draw(st.sets(st.sampled_from(sorted(predicates) + [kg.RDF_TYPE]), max_size=2))
+    lex = Lexicon({tuple(tokens): frozenset(targets)})
+    scores = sorted({mention_score(tokens, label) for label in g.relation_labels().values()})
+    theta = draw(
+        st.one_of(
+            st.sampled_from([0.0, EDIT_WEIGHT, DEFAULT_THETA_REL, 1.0]),
+            st.sampled_from(scores),
+        )
+    )
+    return " ".join(mention), g, lex, theta
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_scoring_cases())
+def test_link_simple_matches_full_scan(case):
+    phrase, g, lex, theta = case
+    # tuple equality: the same IRI and the same float, bit for bit
+    assert link_simple(phrase, g, lex, theta) == reference_link_simple(phrase, g, lex, theta)
+
+
+def test_warm_pass_edit_distance_count(linker, monkeypatch):
+    """The edit distances one warm pass over the gold and phrases.txt
+    phrases computes: 1,530 when every label is scored in full, 36 when
+    labels whose bound cannot win are skipped."""
+    from relink.cli import data_path
+    from relink.evaluate import load_gold
+
+    phrases = {e.phrase for e in load_gold(data_path("gold.jsonl"))}
+    phrases.update(
+        p.strip() for p in data_path("phrases.txt").read_text("utf-8").splitlines()
+    )
+    phrases = sorted(phrases - {""})
+    for phrase in phrases:
+        linker.link(phrase)
+
+    calls = []
+    real = text.levenshtein
+
+    def counted(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(text, "levenshtein", counted)
+    for phrase in phrases:
+        linker.link(phrase)
+    assert len(phrases) == 31
+    assert len(calls) == 36
+
+
 def test_detect_types_person_span(family_graph):
     tokens = tokenize("the mother of a person's spouse")
     hits = detect_types(tokens, family_graph)
@@ -164,6 +243,11 @@ def test_detect_relations_longer_span_wins_tie(family_graph, lexicon):
 def test_detect_relations_never_returns_type_predicate(family_graph, lexicon):
     hits = detect_relations(tokenize("the type of a thing"), family_graph, lexicon)
     assert all(h.relation != family_graph.type_predicate for h in hits)
+    # nor when the lexicon names it: the type predicate has no label to score
+    naming = Lexicon.from_mapping({"kind": [kg.RDF_TYPE]}, family_graph)
+    assert link_simple("kind", family_graph, naming, theta_rel=0.0)[0] != kg.RDF_TYPE
+    hits = detect_relations(tokenize("the kind of her mother"), family_graph, naming)
+    assert [h.relation for h in hits] == [EX + "mother"]
 
 
 def test_elements_spans_do_not_overlap(family_graph, lexicon):
