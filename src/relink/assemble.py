@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
 from . import text
-from .classify import DEFAULT_TIE_BREAK, PatternClassifier, mask
+from .classify import PatternClassifier, mask
 from .explain import ExplanationService, normalize_phrase
 from .kg import KnowledgeGraph
 from .linking import (
@@ -34,11 +34,15 @@ from .linking import (
     direct_match,
 )
 from .patterns import (
+    CLASSES,
+    DEFAULT_TIE_BREAK,
+    TEMPLATES,
     MetaPattern,
     PatternEdge,
     SubgraphPattern,
     has_instance,
     instantiate,
+    plans,
 )
 
 log = logging.getLogger(__name__)
@@ -272,26 +276,6 @@ class Linker:
 
     # -- assembly -------------------------------------------------------------
 
-    def _candidate_plans(
-        self, mp: MetaPattern, first: RelationHit, second: RelationHit
-    ) -> list[tuple[MetaPattern, tuple[RelationHit, RelationHit]]]:
-        """Primary candidate, order swap for RP2, then remaining shapes.
-
-        At most four plans: the RP2 orders count separately, RP3/RP4 are
-        order-insensitive up to renaming.
-        """
-        ordered, swapped = (first, second), (second, first)
-        plans = [(mp, ordered)]
-        if mp is MetaPattern.RP2:
-            plans.append((MetaPattern.RP2, swapped))
-        for kind in DEFAULT_TIE_BREAK:
-            if kind is mp:
-                continue
-            plans.append((kind, ordered))
-            if kind is MetaPattern.RP2:
-                plans.append((MetaPattern.RP2, swapped))
-        return plans
-
     def _assemble_pair(
         self,
         first: RelationHit,
@@ -300,32 +284,27 @@ class Linker:
         mp: MetaPattern,
         state: "_LinkState",
     ) -> Optional[SubgraphPattern]:
-        for kind, (a, b) in self._candidate_plans(mp, first, second):
-            built = self._build_pattern(kind, (a, b), types)
-            if built is None:
-                state.trace.append(
-                    {
-                        "step": "candidate",
-                        "meta_pattern": kind.value,
-                        "order": [_hit_name(a), _hit_name(b)],
-                        "accepted": False,
-                        "reason": "unspliceable nested pattern",
-                    }
+        """The first candidate the graph validates: the predicted shape,
+        then the others in tie-break order (see ``patterns.plans``)."""
+        kinds = (mp, *(k for k in DEFAULT_TIE_BREAK if k is not mp))
+        for kind, (a, b) in plans(kinds, first, second):
+            step = {
+                "step": "candidate",
+                "meta_pattern": kind.value,
+                "order": [_hit_name(a), _hit_name(b)],
+            }
+            pattern = self._build_pattern(kind, (a, b), types)
+            if pattern is None:
+                step.update(accepted=False, reason="unspliceable nested pattern")
+            else:
+                accepted = self._validate(pattern, state)
+                step.update(
+                    pattern=pattern.to_json(),
+                    accepted=accepted,
+                    reason=None if accepted else "no instance in graph",
                 )
-                continue
-            pattern = built
-            accepted = self._validate(pattern, state)
-            state.trace.append(
-                {
-                    "step": "candidate",
-                    "meta_pattern": kind.value,
-                    "order": [_hit_name(a), _hit_name(b)],
-                    "pattern": pattern.to_json(),
-                    "accepted": accepted,
-                    "reason": None if accepted else "no instance in graph",
-                }
-            )
-            if accepted:
+            state.trace.append(step)
+            if step["accepted"]:
                 return pattern
         state.trace.append({"step": "no-match", "reason": "no candidate validated"})
         return None
@@ -362,36 +341,34 @@ class Linker:
         types: Sequence[TypeHit],
     ) -> Optional[SubgraphPattern]:
         """Instantiate a shape over the pair, splicing nested patterns in."""
-        template = instantiate(kind, ["r0", "r1"])
+        slots = TEMPLATES[kind]
         edges: list[PatternEdge] = []
         merged_types: dict[str, str] = {}
-        endpoints: list[tuple[str, str]] = []
         fresh = itertools.count(1)
 
-        for template_edge, hit in zip(template.edges, pair):
+        for slot, hit in zip(slots, pair):
             ref = hit.relation
             if isinstance(ref, PseudoRelation):
-                spliced = self._splice(template_edge, ref, fresh)
+                spliced = self._splice(slot, ref, fresh)
                 if spliced is None:
                     return None
                 sub_edges, sub_types = spliced
                 edges.extend(sub_edges)
                 merged_types.update(sub_types)
             else:
-                edges.append(PatternEdge(template_edge.src, ref, template_edge.dst))
-            endpoints.append((template_edge.src, template_edge.dst))
+                edges.append(PatternEdge(slot[0], ref, slot[1]))
 
         pattern = SubgraphPattern(tuple(edges), tuple(merged_types.items()))
-        return self._attach_types(pattern, list(zip(pair, endpoints)), types)
+        return self._attach_types(pattern, list(zip(pair, slots)), types)
 
     def _splice(
-        self, slot: PatternEdge, pseudo: PseudoRelation, fresh: Iterator[int]
+        self, slot: tuple[str, str], pseudo: PseudoRelation, fresh: Iterator[int]
     ) -> Optional[tuple[list[PatternEdge], dict[str, str]]]:
         ends = _source_sink(pseudo.pattern)
         if ends is None:
             return None
         source, sink = ends
-        mapping = {source: slot.src, sink: slot.dst}
+        mapping = {source: slot[0], sink: slot[1]}
         for var in pseudo.pattern.variables():
             if var not in mapping:
                 mapping[var] = f"v{next(fresh)}"
@@ -473,8 +450,8 @@ def link_data_driven(
     Retrieves every two-triple subgraph covering the first two detected
     relations by enumerating all ordered triple pairs (no index pruning:
     the baseline's defining cost is its unguided search space), then
-    returns the first instantiated shape in the fixed order RP2 as
-    detected, RP2 swapped, RP3, RP4.
+    returns the first instantiated shape in the fixed order of
+    ``plans(CLASSES, ...)``: RP2 as detected, RP2 swapped, RP3, RP4.
     """
     real = [h.relation for h in elems.relations if isinstance(h.relation, str)]
     if len(real) < 2:
@@ -494,13 +471,7 @@ def link_data_driven(
             if t1.predicate == r2 and t2.predicate == r1:
                 if t1.object == t2.subject:
                     found.add((MetaPattern.RP2, (r2, r1)))
-    order = [
-        (MetaPattern.RP2, (r1, r2)),
-        (MetaPattern.RP2, (r2, r1)),
-        (MetaPattern.RP3, (r1, r2)),
-        (MetaPattern.RP4, (r1, r2)),
-    ]
-    for kind, rels in order:
+    for kind, rels in plans(CLASSES, r1, r2):
         if (kind, rels) in found:
             return instantiate(kind, list(rels))
     return None

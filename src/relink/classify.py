@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 from . import text
 from .explain import ExplanationService
-from .kg import DataError, KnowledgeGraph
+from .kg import DataError, KnowledgeGraph, read_lines
 from .linking import (
     DEFAULT_THETA_REL,
     Lexicon,
@@ -33,9 +33,12 @@ from .linking import (
     relation_mask_name,
 )
 from .patterns import (
+    CLASSES,
+    DEFAULT_TIE_BREAK,
     MetaPattern,
     SubgraphPattern,
     adjacent_instantiations,
+    instantiate,
     shape_of,
 )
 
@@ -45,8 +48,6 @@ if TYPE_CHECKING:  # numpy is imported where the model trains, loads or predicts
 log = logging.getLogger(__name__)
 
 MODEL_FORMAT = "relink-linear/1"
-CLASSES = (MetaPattern.RP2, MetaPattern.RP3, MetaPattern.RP4)
-DEFAULT_TIE_BREAK = (MetaPattern.RP2, MetaPattern.RP4, MetaPattern.RP3)
 EPOCHS = 200
 LEARNING_RATE = 0.1
 L2 = 1e-4
@@ -209,22 +210,24 @@ def save_examples(examples: Iterable[TrainingExample], path: Union[str, Path]) -
 
 
 def load_examples(path: Union[str, Path]) -> list[TrainingExample]:
-    """Examples of a JSONL file, decoded line by line; a bad line raises
-    ``TrainingDataError`` naming the file and the line."""
+    """Examples of a JSONL file, one per line (``kg.read_lines``); a bad
+    line raises ``TrainingDataError`` naming the file and the line."""
+    try:
+        lines = read_lines(path)
+    except DataError as exc:  # not UTF-8
+        raise TrainingDataError(str(exc)) from exc
     out = []
-    with open(path, "rb") as fh:
-        try:
-            for line_no, raw in enumerate(fh, start=1):
-                line = raw.decode("utf-8")
-                if line.strip():
-                    data = json.loads(line)
-                    if not isinstance(data, dict):
-                        raise TypeError("not a JSON object")
-                    out.append(TrainingExample.from_json(data))
-        except KeyError as exc:
-            raise TrainingDataError(f"{path} line {line_no}: missing key {exc}") from exc
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise TrainingDataError(f"{path} line {line_no}: {exc}") from exc
+    try:
+        for line_no, line in enumerate(lines, start=1):
+            if line.strip():
+                data = json.loads(line)
+                if not isinstance(data, dict):
+                    raise TypeError("not a JSON object")
+                out.append(TrainingExample.from_json(data))
+    except KeyError as exc:
+        raise TrainingDataError(f"{path} line {line_no}: missing key {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise TrainingDataError(f"{path} line {line_no}: {exc}") from exc
     return out
 
 
@@ -236,8 +239,6 @@ def merge_review(
     Relabeling re-instantiates the pattern template under the new label,
     keeping the relation order, so the shape/label invariant holds.
     """
-    from .patterns import instantiate
-
     out: list[TrainingExample] = []
     for ex in examples:
         verdict = review.get(ex.phrase, "accept")
@@ -337,10 +338,11 @@ class PatternClassifier:
             tie_break = data["tie_break"]
         except (AttributeError, KeyError, TypeError) as exc:
             raise ValueError(f"malformed model: {exc!r}") from exc
-        if tie_break != [c.value for c in DEFAULT_TIE_BREAK]:
+        fixed = [c.value for c in DEFAULT_TIE_BREAK]
+        if tie_break != fixed:
             raise ValueError(
                 f"malformed model: tie_break {tie_break!r} is not the fixed"
-                " order RP2, RP4, RP3"
+                f" order {', '.join(fixed)}"
             )
         shape = (len(model.classes), len(model.vocabulary))
         if model.weights.shape != shape or model.bias.shape != shape[:1]:

@@ -221,23 +221,12 @@ def cmd_link(args: argparse.Namespace) -> int:
     return EXIT_OK if result.matched else EXIT_NO_MATCH
 
 
-def _read_lines(path: str) -> list[str]:
-    """The lines of a UTF-8 file; a byte that does not decode is a data
-    error naming the file and its line."""
-    data = Path(path).read_bytes()
-    try:
-        return data.decode("utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        line_no = len((data[: exc.start].decode("utf-8") + "?").splitlines())
-        raise kg.DataError(f"{path} line {line_no}: {exc}") from exc
-
-
 def cmd_collect(args: argparse.Namespace) -> int:
     from . import classify
 
     cfg = build_config(args)
     linker = build_linker(cfg)
-    phrases = _read_lines(args.phrases)
+    phrases = kg.read_lines(args.phrases)
     result = classify.harvest(
         phrases, linker.g, linker.explainer, linker.lexicon,
         kappa=args.kappa, theta_rel=cfg.theta_rel,

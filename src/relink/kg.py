@@ -309,17 +309,36 @@ def _decode_error(path: Union[str, Path]) -> ParseError | None:
     undecodable byte; None if the file decodes.
 
     Text-mode reading decodes in chunks, so its error gives no line;
-    decoding the whole file again gives the byte offset, and lines are
-    counted the way text mode splits them (at LF, CR LF and CR).
+    decoding the whole file again gives the byte offset.
     """
     data = Path(path).read_bytes()
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        head = data[: exc.start].decode("utf-8")
-        line_no = head.replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1
-        return ParseError(line_no, f"not valid UTF-8: {exc.reason}")
+        return ParseError(_line_of(data, exc), f"not valid UTF-8: {exc.reason}")
     return None
+
+
+def read_lines(path: Union[str, Path]) -> list[str]:
+    """The lines of a UTF-8 file, split the way text mode splits them: at
+    LF, CR LF and CR, and nowhere else. A byte that does not decode raises
+    ``DataError`` naming the file and its line."""
+    data = Path(path).read_bytes()
+    try:
+        text = _newlines(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} line {_line_of(data, exc)}: {exc}") from exc
+    return text.removesuffix("\n").split("\n") if text else []
+
+
+def _newlines(text: str) -> str:
+    """``text`` with each CR LF and lone CR read as LF, as text mode does."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _line_of(data: bytes, exc: UnicodeDecodeError) -> int:
+    """The 1-based line of ``data`` that holds the byte ``exc`` failed on."""
+    return _newlines(data[: exc.start].decode("utf-8")).count("\n") + 1
 
 
 def _entity_labels(entities: Iterable[str]) -> dict[tuple[str, ...], str]:

@@ -5,6 +5,10 @@ directly: a single edge (RP1), a two-edge chain (RP2), two edges
 converging on a shared target (RP3), and two edges diverging from a
 shared source (RP4). Matching is by homomorphism: distinct variables may
 bind to the same node.
+
+This module also owns the order in which the two-edge shapes are tried
+(``CLASSES``, ``DEFAULT_TIE_BREAK`` and ``plans``), which the linker, the
+data-driven baseline and the harvester all follow.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import enum
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, TypeVar
 
 from .kg import KnowledgeGraph, Literal, Node, UnknownPredicateError, node_key
 
@@ -25,13 +29,27 @@ class MetaPattern(enum.Enum):
 
     @property
     def edge_slots(self) -> int:
-        return 1 if self is MetaPattern.RP1 else 2
+        return len(TEMPLATES[self])
 
     def __str__(self) -> str:
         return self.value
 
 
+# the (src, dst) variables of each edge slot, one slot per relation in order
+TEMPLATES: dict[MetaPattern, tuple[tuple[str, str], ...]] = {
+    MetaPattern.RP1: (("x", "y"),),
+    MetaPattern.RP2: (("x", "z"), ("z", "y")),
+    MetaPattern.RP3: (("x", "z"), ("y", "z")),
+    MetaPattern.RP4: (("z", "x"), ("z", "y")),
+}
+# the two-edge shapes the classifier chooses between, and the order in
+# which tied or rejected shapes are tried
+CLASSES = (MetaPattern.RP2, MetaPattern.RP3, MetaPattern.RP4)
+DEFAULT_TIE_BREAK = (MetaPattern.RP2, MetaPattern.RP4, MetaPattern.RP3)
+
 COMPLEX = "complex"
+
+R = TypeVar("R")
 
 
 @dataclass(frozen=True)
@@ -136,25 +154,28 @@ class SubgraphPattern:
 
 
 def instantiate(mp: MetaPattern, relations: Sequence[str]) -> SubgraphPattern:
-    """Wire fresh variables x/z/y into the template of ``mp``.
+    """Wire the relations, in order, into the edge slots of ``mp``'s
+    template (``TEMPLATES``), over the variables x, y and z."""
+    slots = TEMPLATES[mp]
+    if len(relations) != len(slots):
+        raise ValueError(f"{mp} takes {len(slots)} relation(s), got {len(relations)}")
+    return SubgraphPattern(
+        tuple(PatternEdge(src, r, dst) for (src, dst), r in zip(slots, relations))
+    )
 
-    RP1: x-r1->y; RP2: x-r1->z, z-r2->y; RP3: x-r1->z, y-r2->z;
-    RP4: z-r1->x, z-r2->y.
+
+def plans(
+    kinds: Iterable[MetaPattern], a: R, b: R
+) -> Iterator[tuple[MetaPattern, tuple[R, R]]]:
+    """Each two-edge shape of ``kinds`` in turn over the pair (a, b).
+
+    Only the chain's slots are not symmetric, so RP2 is also tried with
+    the order swapped, right after the sentence order.
     """
-    if len(relations) != mp.edge_slots:
-        raise ValueError(
-            f"{mp} takes {mp.edge_slots} relation(s), got {len(relations)}"
-        )
-    r = list(relations)
-    if mp is MetaPattern.RP1:
-        edges = [PatternEdge("x", r[0], "y")]
-    elif mp is MetaPattern.RP2:
-        edges = [PatternEdge("x", r[0], "z"), PatternEdge("z", r[1], "y")]
-    elif mp is MetaPattern.RP3:
-        edges = [PatternEdge("x", r[0], "z"), PatternEdge("y", r[1], "z")]
-    else:
-        edges = [PatternEdge("z", r[0], "x"), PatternEdge("z", r[1], "y")]
-    return SubgraphPattern(tuple(edges))
+    for kind in kinds:
+        yield kind, (a, b)
+        if kind is MetaPattern.RP2:
+            yield kind, (b, a)
 
 
 def shape_of(sp: SubgraphPattern) -> MetaPattern | str:
@@ -316,13 +337,8 @@ def adjacent_instantiations(
     for r in (r1, r2):
         if r not in g.predicate_set:
             raise UnknownPredicateError(r)
-    candidates: list[ShapeUse] = [
-        ShapeUse(MetaPattern.RP2, (r1, r2)),
-        ShapeUse(MetaPattern.RP2, (r2, r1)),
-        ShapeUse(MetaPattern.RP3, tuple(sorted((r1, r2)))),
-        ShapeUse(MetaPattern.RP4, tuple(sorted((r1, r2)))),
-    ]
-    found = {
-        use for use in candidates if has_instance(g, use.pattern())
-    }
-    return frozenset(found)
+    candidates = (
+        ShapeUse(kind, pair if kind is MetaPattern.RP2 else tuple(sorted(pair)))
+        for kind, pair in plans(CLASSES, r1, r2)
+    )
+    return frozenset(use for use in candidates if has_instance(g, use.pattern()))

@@ -219,6 +219,34 @@ def test_fallback_rescues_misclassification(family_graph, lexicon, classifier):
     assert tried == [("RP2", False), ("RP2", False), ("RP4", True)]
 
 
+@pytest.mark.parametrize("predicted, expected", [
+    ("RP2", ["RP2", "RP2 swapped", "RP4", "RP3"]),
+    ("RP3", ["RP3", "RP2", "RP2 swapped", "RP4"]),
+    ("RP4", ["RP4", "RP2", "RP2 swapped", "RP3"]),
+])
+def test_candidate_order_per_predicted_shape(family_graph, lexicon, predicted, expected):
+    # founder and mother share no node in the graph, so every candidate is
+    # rejected and the trace lists the whole plan: the predicted shape
+    # first, then the rest in tie-break order, the chain in both orders
+    class Stub:
+        def predict(self, ms):
+            return MetaPattern(predicted), 1.0
+
+    explainer = ExplanationService(
+        [FixtureProvider({"foundermother": "the founder of your mother"})]
+    )
+    linker = Linker(family_graph, explainer, lexicon, Stub(), LinkConfig())
+    result = linker.link("foundermother")
+    assert not result.matched
+    ordered = [EX + "founder", EX + "mother"]
+    tried = [
+        s["meta_pattern"] + (" swapped" if s["order"] != ordered else "")
+        for s in result.trace if s["step"] == "candidate"
+    ]
+    assert tried == expected
+    assert not any(s["accepted"] for s in result.trace if s["step"] == "candidate")
+
+
 def test_concurrent_links_match_sequential(linker, family_graph, lexicon, classifier):
     import threading
 
@@ -350,6 +378,19 @@ def test_data_driven_prefers_rp2_when_ambiguous():
         ("x", EX + "country", "z"),
         ("z", FOAF + "gender", "y"),
     ]
+
+
+def test_data_driven_prefers_rp3_over_rp4():
+    # neither chain order instantiates; the shared target (c) and the
+    # shared source (a) both do, and the fixed order puts RP3 first
+    lines = [
+        f"<{RES}a> <{EX}p> <{RES}c> .",
+        f"<{RES}b> <{EX}q> <{RES}c> .",
+        f"<{RES}a> <{EX}q> <{RES}e> .",
+    ]
+    g = kg.load(lines)
+    sp = link_data_driven(_elems(EX + "p", EX + "q"), g)
+    assert edges_of(sp) == [("x", EX + "p", "z"), ("y", EX + "q", "z")]
 
 
 def test_data_driven_no_cooccurrence(family_graph):

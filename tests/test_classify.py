@@ -275,6 +275,18 @@ def test_load_examples_names_file_and_line(tmp_path, line, reason):
     assert str(err.value).startswith(f"{path} line 3: ")
 
 
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+def test_load_examples_line_endings(tmp_path, newline):
+    # lines split as text mode splits them, like the graph file
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(newline.join([_GOOD_LINE.encode()] * 3) + newline)
+    assert len(classify.load_examples(path)) == 3
+    path.write_bytes(newline.join([_GOOD_LINE.encode(), b"", b"\xff"]) + newline)
+    with pytest.raises(TrainingDataError, match="'utf-8' codec") as err:
+        classify.load_examples(path)
+    assert str(err.value).startswith(f"{path} line 3: ")
+
+
 def test_merge_review_accept_reject_relabel(training_examples):
     examples = training_examples[:3]
     review = {

@@ -353,6 +353,22 @@ def test_collect_phrases_not_utf8_data_error(capsys, tmp_path, content, line_no)
     assert out == "" and not out_file.exists()
 
 
+@pytest.mark.parametrize(
+    "sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+)
+def test_collect_phrases_split_only_at_line_endings(capsys, tmp_path, sep):
+    # text mode ends a line at LF, CR LF or CR only; other separators that
+    # str.splitlines knows stay inside the phrase
+    phrases = tmp_path / "p.txt"
+    phrases.write_text(f"son{sep}uncle\r\nmother\rspouse\n", encoding="utf-8")
+    out_file = tmp_path / "o.jsonl"
+    code, out, _ = run(capsys, "collect-training", str(phrases), "--out", str(out_file))
+    assert code == EXIT_OK
+    skipped = [line.split(":")[0] for line in out.splitlines()[1:]]
+    assert skipped == [f"skip {f'son{sep}uncle'!r}", "skip 'mother'", "skip 'spouse'"]
+    assert out_file.read_text() == ""
+
+
 def test_env_override(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("RELINK_OUTPUT", "text")
     code, out, _ = run(capsys, "link", "son")
