@@ -128,7 +128,8 @@ class Linker:
         if not phrase or not phrase.strip():
             raise ValueError("phrase must be non-empty")
         trace: list[dict] = []
-        state = _LinkState(trace=trace, active={normalize_phrase(phrase)})
+        key = normalize_phrase(phrase)
+        state = _LinkState(trace=trace, active={key})
 
         hit = direct_match(phrase, self.g, self.lexicon)
         if hit is not None and hit.category == "relation":
@@ -138,7 +139,7 @@ class Linker:
 
         explanation = self.explainer.explain(phrase)
         if explanation is None:
-            trace.append({"step": "explanation-miss", "phrase": normalize_phrase(phrase)})
+            trace.append({"step": "explanation-miss", "phrase": key})
             return LinkResult(phrase, None, trace, depth=0)
         trace.append(
             {
@@ -207,10 +208,9 @@ class Linker:
                 )
                 return pattern
             return None
-        pattern = instantiate(MetaPattern.RP1, [hit.relation])
-        pattern = self._attach_types(pattern, [(hit, ("x", "y"))], types)
+        pattern = self._build_pattern(MetaPattern.RP1, (hit,), types)
         if not self._validate(pattern, state):
-            untyped = instantiate(MetaPattern.RP1, [hit.relation])
+            untyped = pattern.with_types({})
             if pattern.types and self._validate(untyped, state):
                 state.trace.append({"step": "types-dropped", "pattern": untyped.to_json()})
                 pattern = untyped
@@ -250,7 +250,7 @@ class Linker:
                 state.active.discard(key)
             if sub_pattern is None:
                 state.trace.append({"step": "nested-unlinked", "phrase": gram})
-                state.failed_nested.add(normalize_phrase(gram))
+                state.failed_nested.add(key)
                 continue
             pseudo = PseudoRelation(gram, sub_pattern)
             tokens = tokens[: span.start] + [pseudo] + tokens[span.end :]
@@ -264,7 +264,7 @@ class Linker:
     ):
         """Longest leftmost unlinked content n-gram the explainer can define."""
         blocked = [t.span for t in elems.types] + [r.span for r in elems.relations]
-        for span in content_spans(tokens, text.default_stopwords(), blocked):
+        for span in content_spans(tokens, blocked):
             gram = " ".join(str(t) for t in tokens[span.start : span.end])
             key = normalize_phrase(gram)
             if key in state.active or key in state.failed_nested:
@@ -337,16 +337,17 @@ class Linker:
     def _build_pattern(
         self,
         kind: MetaPattern,
-        pair: tuple[RelationHit, RelationHit],
+        hits: tuple[RelationHit, ...],
         types: Sequence[TypeHit],
     ) -> Optional[SubgraphPattern]:
-        """Instantiate a shape over the pair, splicing nested patterns in."""
+        """Instantiate a shape over its relation hits, splicing nested
+        patterns in; None when a nested pattern cannot be spliced."""
         slots = TEMPLATES[kind]
         edges: list[PatternEdge] = []
         merged_types: dict[str, str] = {}
         fresh = itertools.count(1)
 
-        for slot, hit in zip(slots, pair):
+        for slot, hit in zip(slots, hits):
             ref = hit.relation
             if isinstance(ref, PseudoRelation):
                 spliced = self._splice(slot, ref, fresh)
@@ -359,7 +360,7 @@ class Linker:
                 edges.append(PatternEdge(slot[0], ref, slot[1]))
 
         pattern = SubgraphPattern(tuple(edges), tuple(merged_types.items()))
-        return self._attach_types(pattern, list(zip(pair, slots)), types)
+        return self._attach_types(pattern, list(zip(hits, slots)), types)
 
     def _splice(
         self, slot: tuple[str, str], pseudo: PseudoRelation, fresh: Iterator[int]

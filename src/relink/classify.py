@@ -273,12 +273,10 @@ class PatternClassifier:
         vocabulary: dict[str, int],
         weights: np.ndarray,
         bias: np.ndarray,
-        classes: tuple[MetaPattern, ...] = CLASSES,
     ):
         self.vocabulary = vocabulary
-        self.weights = weights  # shape (n_classes, n_features)
+        self.weights = weights  # shape (len(CLASSES), n_features)
         self.bias = bias
-        self.classes = classes
 
     def _scores(self, feats: dict[str, float]) -> np.ndarray:
         z = self.bias.copy()
@@ -297,11 +295,8 @@ class PatternClassifier:
         probs /= probs.sum()
         best = probs.max()
         # exact ties resolve through the fixed class order
-        tied = [c for c, p in zip(self.classes, probs) if p == best]
-        for preferred in DEFAULT_TIE_BREAK:
-            if preferred in tied:
-                return preferred, float(best)
-        return tied[0], float(best)
+        tied = [c for c, p in zip(CLASSES, probs) if p == best]
+        return min(tied, key=DEFAULT_TIE_BREAK.index), float(best)
 
     def predict(self, ms: MaskedSentence) -> tuple[MetaPattern, float]:
         return self.predict_features(featurize(ms))
@@ -311,7 +306,7 @@ class PatternClassifier:
     def to_json(self) -> dict:
         return {
             "format": MODEL_FORMAT,
-            "classes": [c.value for c in self.classes],
+            "classes": [c.value for c in CLASSES],
             "tie_break": [c.value for c in DEFAULT_TIE_BREAK],
             "vocabulary": self.vocabulary,
             "weights": [list(map(float, row)) for row in self.weights],
@@ -333,18 +328,18 @@ class PatternClassifier:
                 vocabulary={str(k): int(v) for k, v in data["vocabulary"].items()},
                 weights=np.asarray(data["weights"], dtype=float),
                 bias=np.asarray(data["bias"], dtype=float),
-                classes=tuple(MetaPattern(c) for c in data["classes"]),
             )
-            tie_break = data["tie_break"]
+            orders = {key: data[key] for key in ("classes", "tie_break")}
         except (AttributeError, KeyError, TypeError) as exc:
             raise ValueError(f"malformed model: {exc!r}") from exc
-        fixed = [c.value for c in DEFAULT_TIE_BREAK]
-        if tie_break != fixed:
-            raise ValueError(
-                f"malformed model: tie_break {tie_break!r} is not the fixed"
-                f" order {', '.join(fixed)}"
-            )
-        shape = (len(model.classes), len(model.vocabulary))
+        for key, order in (("classes", CLASSES), ("tie_break", DEFAULT_TIE_BREAK)):
+            fixed = [c.value for c in order]
+            if orders[key] != fixed:
+                raise ValueError(
+                    f"malformed model: {key} {orders[key]!r} is not the fixed"
+                    f" order {', '.join(fixed)}"
+                )
+        shape = (len(CLASSES), len(model.vocabulary))
         if model.weights.shape != shape or model.bias.shape != shape[:1]:
             raise ValueError(
                 f"malformed model: weights {model.weights.shape} and bias"
@@ -352,6 +347,8 @@ class PatternClassifier:
             )
         if any(not 0 <= i < shape[1] for i in model.vocabulary.values()):
             raise ValueError("malformed model: vocabulary index out of range")
+        if not (np.isfinite(model.weights).all() and np.isfinite(model.bias).all()):
+            raise ValueError("malformed model: weights and bias must be finite")
         return model
 
     @classmethod

@@ -109,11 +109,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
                 )
             setattr(cfg, key, value)
     _apply_env(cfg)
-    for attr in ("kg", "lexicon", "explanations", "model", "max_depth",
-                 "validation", "theta_rel", "seed", "output"):
-        value = getattr(args, attr, None)
+    for f in fields(RunConfig):  # flags and positionals named after a setting
+        value = getattr(args, f.name, None)
         if value is not None:
-            setattr(cfg, attr, value)
+            setattr(cfg, f.name, value)
     if cfg.output not in OUTPUTS:
         raise ConfigError(f"output must be one of {', '.join(OUTPUTS)}, got {cfg.output!r}")
     return cfg
@@ -242,7 +241,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     from . import classify
 
     cfg = build_config(args)
-    examples = classify.load_examples(args.training or cfg.training)
+    examples = classify.load_examples(cfg.training)
     if args.review:
         try:
             review = json.loads(Path(args.review).read_text("utf-8"))
@@ -273,11 +272,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     cfg = build_config(args)
     linker = build_linker(cfg)
-    gold_path = args.gold or cfg.gold
     try:
-        gold = evaluate.load_gold(gold_path)
+        gold = evaluate.load_gold(cfg.gold)
     except (OSError, KeyError, TypeError, ValueError) as exc:
-        print(f"error: cannot load gold file {gold_path}: {exc}", file=sys.stderr)
+        print(f"error: cannot load gold file {cfg.gold}: {exc}", file=sys.stderr)
         return EXIT_DATA
     methods = args.methods.split(",") if args.methods else list(evaluate.METHODS)
     report = evaluate.evaluate(

@@ -15,14 +15,14 @@ import logging
 import statistics
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from . import text
 from .assemble import Linker, link_data_driven
 from .classify import TrainingExample, featurize, featurize_raw, fit, train
-from .kg import KnowledgeGraph
+from .kg import KnowledgeGraph, read_lines
 from .linking import Lexicon, detect_elements, exact_match_relation, link_simple
 from .patterns import MetaPattern, SubgraphPattern, instantiate
 
@@ -58,12 +58,9 @@ class GoldEntry:
 
 
 def load_gold(path: Union[str, Path]) -> list[GoldEntry]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                out.append(GoldEntry.from_json(json.loads(line)))
-    return out
+    """Entries of a JSONL file, one per line (``kg.read_lines``)."""
+    lines = read_lines(path)
+    return [GoldEntry.from_json(json.loads(line)) for line in lines if line.strip()]
 
 
 def save_gold(entries: Sequence[GoldEntry], path: Union[str, Path]) -> None:
@@ -124,13 +121,13 @@ def exact_match(predicted: Optional[SubgraphPattern], gold: SubgraphPattern) -> 
 
 def keyword_match(phrase: str, g: KnowledgeGraph) -> Optional[SubgraphPattern]:
     """Single edge for a predicate whose label tokens equal the phrase tokens."""
-    iri = exact_match_relation(phrase, g, Lexicon.empty())
+    iri = exact_match_relation(phrase, g, Lexicon())
     return None if iri is None else instantiate(MetaPattern.RP1, [iri])
 
 
 def similarity_search(phrase: str, g: KnowledgeGraph) -> Optional[SubgraphPattern]:
     """Single edge for the argmax-similarity predicate (no threshold)."""
-    hit = link_simple(phrase, g, Lexicon.empty(), 0.0)
+    hit = link_simple(phrase, g, Lexicon(), 0.0)
     return None if hit is None else instantiate(MetaPattern.RP1, [hit[0]])
 
 
@@ -163,6 +160,18 @@ def run_baseline(
 # -- reports -----------------------------------------------------------------
 
 
+def _rounded(data):
+    """``data`` with every float, in nested dicts and lists too, rounded
+    to 6 places: the report's fields as written."""
+    if isinstance(data, float):
+        return round(data, 6)
+    if isinstance(data, dict):
+        return {k: _rounded(v) for k, v in data.items()}
+    if isinstance(data, list):
+        return [_rounded(v) for v in data]
+    return data
+
+
 @dataclass
 class PhraseScore:
     phrase: str
@@ -174,15 +183,7 @@ class PhraseScore:
     matched: bool
 
     def to_json(self) -> dict:
-        return {
-            "phrase": self.phrase,
-            "precision": round(self.precision, 6),
-            "recall": round(self.recall, 6),
-            "f1": round(self.f1, 6),
-            "exact": self.exact,
-            "known_failure": self.known_failure,
-            "matched": self.matched,
-        }
+        return _rounded(asdict(self))
 
 
 @dataclass
@@ -197,17 +198,11 @@ class MethodReport:
     time_variance: Optional[float] = None
 
     def to_json(self) -> dict:
-        out = {
-            "method": self.method,
-            "precision": round(self.precision, 6),
-            "recall": round(self.recall, 6),
-            "f1": round(self.f1, 6),
-            "exact_rate": round(self.exact_rate, 6),
-            "per_phrase": [p.to_json() for p in self.per_phrase],
-        }
+        """The rounded fields; the timing, unrounded, only for a timed run."""
+        out = _rounded(asdict(self))
+        del out["mean_time"], out["time_variance"]
         if self.mean_time is not None:
-            out["mean_time_s"] = self.mean_time
-            out["time_variance"] = self.time_variance
+            out.update(mean_time_s=self.mean_time, time_variance=self.time_variance)
         return out
 
 
@@ -334,12 +329,7 @@ class ClassificationMetrics:
     accuracy: float
 
     def to_json(self) -> dict:
-        return {
-            "precision": round(self.precision, 6),
-            "recall": round(self.recall, 6),
-            "f1": round(self.f1, 6),
-            "accuracy": round(self.accuracy, 6),
-        }
+        return _rounded(asdict(self))
 
 
 def classification_metrics(
@@ -388,7 +378,7 @@ class AblationReport:
     unmasked: ClassificationMetrics
 
     def to_json(self) -> dict:
-        return {"masked": self.masked.to_json(), "unmasked": self.unmasked.to_json()}
+        return _rounded(asdict(self))
 
 
 def ablate_masking(

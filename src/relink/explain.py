@@ -66,10 +66,11 @@ class FixtureProvider:
         return len(self._entries)
 
     def lookup(self, phrase: str) -> Optional[Explanation]:
-        sentence = self._entries.get(normalize_phrase(phrase))
+        key = normalize_phrase(phrase)
+        sentence = self._entries.get(key)
         if sentence is None:
             return None
-        return Explanation(normalize_phrase(phrase), sentence, self.id)
+        return Explanation(key, sentence, self.id)
 
 
 class HttpProvider:

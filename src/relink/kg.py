@@ -282,12 +282,13 @@ def load(
 ) -> KnowledgeGraph:
     """Parse and index a triple stream; duplicates are dropped silently.
 
-    A file that is not UTF-8 raises ``ParseError`` for the line holding
-    its first undecodable byte; an open text handle, which cannot be
-    read again, for the first line not yet read (see ``iter_triples``).
+    A file may start with a UTF-8 byte-order mark. One that is not UTF-8
+    raises ``ParseError`` for the line holding its first undecodable
+    byte; an open text handle, which cannot be read again, for the first
+    line not yet read (see ``iter_triples``).
     """
     if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as fh:
+        with open(source, encoding="utf-8-sig") as fh:
             try:
                 g = KnowledgeGraph(iter_triples(fh), type_predicate)
             except ParseError as exc:
@@ -321,11 +322,13 @@ def _decode_error(path: Union[str, Path]) -> ParseError | None:
 
 def read_lines(path: Union[str, Path]) -> list[str]:
     """The lines of a UTF-8 file, split the way text mode splits them: at
-    LF, CR LF and CR, and nowhere else. A byte that does not decode raises
-    ``DataError`` naming the file and its line."""
+    LF, CR LF and CR, and nowhere else; a leading byte-order mark is
+    dropped. A byte that does not decode raises ``DataError`` naming the
+    file and its line."""
     data = Path(path).read_bytes()
     try:
-        text = _newlines(data.decode("utf-8"))
+        # not "utf-8-sig": its error offsets would not count the mark
+        text = _newlines(data.decode("utf-8")).removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path} line {_line_of(data, exc)}: {exc}") from exc
     return text.removesuffix("\n").split("\n") if text else []

@@ -129,10 +129,6 @@ class Lexicon:
     def get(self, tokens: Sequence[str]) -> frozenset[str]:
         return self.entries.get(tuple(tokens), frozenset())
 
-    @classmethod
-    def empty(cls) -> "Lexicon":
-        return cls({})
-
 
 def _label_text(label: RelationLabel) -> str:
     return " ".join(label.tokens)
@@ -240,11 +236,10 @@ def ngram_spans(
             yield span
 
 
-def content_spans(
-    tokens: Sequence[Token], stopwords: frozenset[str], blocked: Sequence[Span] = ()
-) -> Iterator[Span]:
-    """Spans of at most MAX_MENTION_TOKENS whose endpoints are content words."""
-    return ngram_spans(tokens, MAX_MENTION_TOKENS, blocked, stopwords)
+def content_spans(tokens: Sequence[Token], blocked: Sequence[Span] = ()) -> Iterator[Span]:
+    """Spans of at most MAX_MENTION_TOKENS whose endpoints are not
+    ``text.default_stopwords()``."""
+    return ngram_spans(tokens, MAX_MENTION_TOKENS, blocked, text.default_stopwords())
 
 
 def detect_types(tokens: Sequence[Token], g: KnowledgeGraph) -> list[TypeHit]:
@@ -283,7 +278,7 @@ def detect_relations(
         if isinstance(tok, PseudoRelation):
             scored.append(RelationHit(Span(i, i + 1), tok, 1.0))
 
-    for span in content_spans(tokens, text.default_stopwords(), type_spans):
+    for span in content_spans(tokens, type_spans):
         mention = " ".join(str(t) for t in tokens[span.start : span.end])
         hit = link_simple(mention, g, lex, theta_rel)
         if hit is None:

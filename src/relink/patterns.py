@@ -27,10 +27,6 @@ class MetaPattern(enum.Enum):
     RP3 = "RP3"  # shared target
     RP4 = "RP4"  # shared source
 
-    @property
-    def edge_slots(self) -> int:
-        return len(TEMPLATES[self])
-
     def __str__(self) -> str:
         return self.value
 

@@ -66,6 +66,43 @@ def test_graph_not_utf8_data_error(capsys, tmp_path, command):
     assert "line 2" in err and "UTF-8" in err
 
 
+BOM = b"\xef\xbb\xbf"  # UTF-8 byte-order mark
+
+
+def test_graph_with_byte_order_mark(capsys, tmp_path):
+    path = tmp_path / "bom.nt"
+    path.write_bytes(BOM + data_path("family_geo.nt").read_bytes())
+    code, out, _ = run(capsys, "ingest", str(path))
+    assert code == EXIT_OK
+    assert json.loads(out)["triples"] == 248
+    assert run(capsys, "--kg", str(path), "link", "son")[0] == EXIT_OK
+
+
+def test_phrases_with_byte_order_mark(capsys, tmp_path):
+    phrases = tmp_path / "phrases.txt"
+    phrases.write_bytes(BOM + b"mother-in-law\n")
+    out_file = tmp_path / "o.jsonl"
+    code, out, _ = run(capsys, "collect-training", str(phrases), "--out", str(out_file))
+    assert (code, out) == (EXIT_OK, f"collected 1 examples -> {out_file}\n")
+    assert json.loads(out_file.read_text())["phrase"] == "mother-in-law"
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [("gold.jsonl", ["eval", "--methods", "keyword_match", "{path}"]),
+     ("training.jsonl", ["train", "{path}", "--model-out", "{out}"])],
+    ids=["gold", "training"],
+)
+def test_jsonl_with_byte_order_mark(capsys, tmp_path, name, argv):
+    path = tmp_path / name
+    path.write_bytes(BOM + data_path(name).read_bytes())
+    plain = [a.format(path=data_path(name), out=tmp_path / "m.json") for a in argv]
+    with_bom = [a.format(path=path, out=tmp_path / "m.json") for a in argv]
+    want = run(capsys, *plain)
+    assert want[0] == EXIT_OK
+    assert run(capsys, *with_bom) == (EXIT_OK, want[1].replace(str(data_path(name)), str(path)), "")
+
+
 def test_link_mother_in_law_json(capsys):
     code, out, _ = run(capsys, "link", "mother-in-law")
     assert code == EXIT_OK
@@ -446,6 +483,35 @@ def test_malformed_training_line_data_error(capsys, tmp_path, monkeypatch, argv,
     assert "line 2" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["eval", "--methods", "keyword_match", ""], ["train", "", "--model-out", "{out}"]],
+    ids=["eval", "train"],
+)
+def test_empty_positional_path_data_error(capsys, tmp_path, argv):
+    # an empty path fails like any unreadable one; it does not mean the bundled file
+    out_file = tmp_path / "m.json"
+    code, out, err = run(capsys, *[a.format(out=out_file) for a in argv])
+    assert code == EXIT_DATA
+    assert out == "" and err.startswith("error: ")
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize(
+    "env, argv",
+    [("RELINK_GOLD", ["eval", "--methods", "keyword_match", "{gold}"]),
+     ("RELINK_TRAINING", ["train", "{training}", "--model-out", "{out}"])],
+    ids=["gold", "training"],
+)
+def test_positional_path_wins_over_environment(capsys, tmp_path, monkeypatch, env, argv):
+    monkeypatch.setenv(env, str(tmp_path / "missing.jsonl"))
+    argv = [a.format(gold=data_path("gold.jsonl"), training=data_path("training.jsonl"),
+                     out=tmp_path / "m.json") for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (EXIT_OK, "")
+    assert "missing.jsonl" not in out
+
+
 @pytest.mark.parametrize("line", ["[1]", '"son"', "3"])
 def test_eval_gold_line_not_an_object_data_error(capsys, tmp_path, line):
     gold = tmp_path / "gold.jsonl"
@@ -471,6 +537,13 @@ def test_explanations_not_an_object_usage_error(capsys, tmp_path):
      # well shaped, but exact ties resolve only in the fixed order
      {"format": "relink-linear/1", "classes": ["RP2", "RP3", "RP4"],
       "tie_break": ["RP4", "RP2", "RP3"], "vocabulary": {"uni=a": 0},
+      "weights": [[0.0], [0.0], [0.0]], "bias": [0.0, 0.0, 0.0]},
+     # well shaped, but the weight rows are always RP2, RP3, RP4
+     {"format": "relink-linear/1", "classes": ["RP1", "RP2", "RP3"],
+      "tie_break": ["RP2", "RP4", "RP3"], "vocabulary": {"uni=a": 0},
+      "weights": [[0.0], [0.0], [0.0]], "bias": [0.0, 0.0, 0.0]},
+     {"format": "relink-linear/1", "classes": ["RP4", "RP3", "RP2"],
+      "tie_break": ["RP2", "RP4", "RP3"], "vocabulary": {"uni=a": 0},
       "weights": [[0.0], [0.0], [0.0]], "bias": [0.0, 0.0, 0.0]}],
 )
 def test_model_file_malformed_usage_error(capsys, tmp_path, payload):
@@ -567,7 +640,10 @@ def test_unwritable_output_data_error(capsys, tmp_path, argv):
     "corrupt",
     [lambda m: m.update(weights=[[0.0]] * 3),
      lambda m: m.update(bias=m["bias"][:-1]),
-     lambda m: m["vocabulary"].update({next(iter(m["vocabulary"])): len(m["vocabulary"])})],
+     lambda m: m["vocabulary"].update({next(iter(m["vocabulary"])): len(m["vocabulary"])}),
+     # no class would score a defined probability
+     lambda m: m["weights"][0].__setitem__(0, float("nan")),
+     lambda m: m["bias"].__setitem__(1, float("inf"))],
 )
 def test_model_shape_checked_at_load(capsys, tmp_path, corrupt):
     model = tmp_path / "model.json"

@@ -91,7 +91,7 @@ def test_link_simple_rejects_near_string_false_friend():
     assert combined == pytest.approx(0.225)
     assert combined < 0.6
     assert mention_score(["latitude"], label) == pytest.approx(combined)
-    assert link_simple("latitude", g, Lexicon.empty()) is None
+    assert link_simple("latitude", g, Lexicon()) is None
 
 
 def test_link_simple_score_in_unit_interval(family_graph, lexicon):
@@ -319,7 +319,6 @@ def test_span_overlap_logic():
     assert not Span(0, 2).overlaps(Span(2, 4))
 
 
-STOPWORDS = frozenset({"the", "of", "a", "in"})
 PSEUDO = PseudoRelation("mother in law", SubgraphPattern.make([("x", EX + "spouse", "y")]))
 
 
@@ -360,9 +359,9 @@ def _reference_content_spans(tokens, stopwords, blocked, grow):
 def test_content_spans_matches_reference_filter(tokens, blocked, grow):
     blocked = [Span(s, s + n) for s, n in blocked]
     grow = {Span(s, s + n) for s, n in grow}
-    want = _reference_content_spans(tokens, STOPWORDS, list(blocked), grow)
+    want = _reference_content_spans(tokens, text.default_stopwords(), list(blocked), grow)
     got, live = [], list(blocked)
-    for span in content_spans(tokens, STOPWORDS, live):
+    for span in content_spans(tokens, live):
         got.append(span)
         if span in grow:
             live.append(span)

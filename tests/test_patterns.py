@@ -10,6 +10,7 @@ from relink import kg
 from relink.kg import KnowledgeGraph, UnknownPredicateError
 from relink.patterns import (
     COMPLEX,
+    TEMPLATES,
     MetaPattern,
     PatternEdge,
     SubgraphPattern,
@@ -77,7 +78,7 @@ def test_shape_of_complex_cases():
 
 @pytest.mark.parametrize("mp", [MetaPattern.RP1, MetaPattern.RP2, MetaPattern.RP3, MetaPattern.RP4])
 def test_shape_of_instantiate_round_trip(mp):
-    rels = [EX + "a", EX + "b"][: mp.edge_slots]
+    rels = [EX + "a", EX + "b"][: len(TEMPLATES[mp])]
     assert shape_of(instantiate(mp, rels)) is mp
 
 
