@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 from . import text
 from .explain import ExplanationService
-from .kg import DataError, KnowledgeGraph, read_lines
+from .kg import DataError, KnowledgeGraph, read_json, read_lines
 from .linking import (
     DEFAULT_THETA_REL,
     Lexicon,
@@ -353,7 +353,7 @@ class PatternClassifier:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "PatternClassifier":
-        return cls.from_json(json.loads(Path(path).read_text("utf-8")))
+        return cls.from_json(read_json(path))
 
 
 def fit(

@@ -91,7 +91,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if args.config:
         try:
-            raw = json.loads(Path(args.config).read_text("utf-8"))
+            raw = kg.read_json(args.config)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(raw, dict):
@@ -178,7 +178,7 @@ def build_linker(cfg: RunConfig) -> Linker:
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     cfg = build_config(args)
-    graph = kg.load(_existing_file("kg", args.kg_path or cfg.kg))
+    graph = kg.load(_existing_file("kg", cfg.kg))
     summary = {
         "triples": len(graph),
         "predicates": len(graph.predicate_set),
@@ -244,7 +244,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     examples = classify.load_examples(cfg.training)
     if args.review:
         try:
-            review = json.loads(Path(args.review).read_text("utf-8"))
+            review = kg.read_json(args.review)
             if not isinstance(review, dict):
                 raise ValueError(f"review file {args.review} must be a JSON object")
             examples = classify.merge_review(examples, review)
@@ -312,7 +312,10 @@ def make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="load and validate a knowledge graph")
-    p.add_argument("kg_path", nargs="?", help="triples file (defaults to --kg)")
+    # SUPPRESS: when the positional is absent it sets nothing, so the
+    # subparser does not overwrite a global --kg with None
+    p.add_argument("kg", nargs="?", metavar="kg_path", default=argparse.SUPPRESS,
+                   help="triples file (defaults to --kg)")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("link", help="link a phrase to a subgraph pattern")

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional, Protocol, Sequence, Union
 
+from .kg import read_json
+
 log = logging.getLogger(__name__)
 
 # cached phrases (answers and misses); past this the oldest entry goes
@@ -50,8 +52,7 @@ class FixtureProvider:
     def __init__(self, source: Union[str, Path, Mapping[str, str]], id: str = "fixture"):
         self.id = id
         if isinstance(source, (str, Path)):
-            with open(source, encoding="utf-8") as fh:
-                raw = json.load(fh)
+            raw = read_json(source)
             if not isinstance(raw, dict):
                 raise ValueError(
                     f"explanation fixture must be a JSON object, got {type(raw).__name__}"

@@ -9,6 +9,7 @@ to share across threads.
 
 from __future__ import annotations
 
+import json
 import logging
 import re
 from collections import Counter, defaultdict
@@ -172,9 +173,9 @@ class KnowledgeGraph:
     (s, p, ?), ``po`` for (?, p, o) and ``p`` for (?, p, ?). The ``p``
     index holds the stored ``Triple`` objects themselves, so each triple
     is kept once. A node's types are its IRI objects of
-    ``type_predicate``. The constructor builds the indexes and the label
-    and type dictionaries; the graph is shared across threads, so no
-    lazy population happens later.
+    ``type_predicate``. The constructor builds the indexes and the label,
+    label-token and type dictionaries; the graph is shared across
+    threads, so no lazy population happens later.
     """
 
     triples: tuple[Triple, ...]
@@ -186,6 +187,8 @@ class KnowledgeGraph:
     type_set: frozenset[str] = field(init=False)
     entity_set: frozenset[str] = field(init=False)
     _relation_labels: dict = field(init=False, repr=False)
+    _relation_postings: dict = field(init=False, repr=False)
+    _relation_keys: dict = field(init=False, repr=False)
     _entity_labels: dict = field(init=False, repr=False)
     _type_dict: dict = field(init=False, repr=False)
 
@@ -232,12 +235,15 @@ class KnowledgeGraph:
         put(self, "predicate_set", frozenset(predicates))
         put(self, "type_set", frozenset(instances))
         put(self, "entity_set", frozenset(entities))
-        put(self, "_relation_labels", {
+        relation_labels = {
             p: RelationLabel(p, tokenize_name(local_name(p)))
             for p in sorted(predicates)
             if p != type_predicate
-        })
-        put(self, "_entity_labels", _entity_labels(entities))
+        }
+        put(self, "_relation_labels", relation_labels)
+        put(self, "_relation_postings", _postings(relation_labels.values()))
+        put(self, "_relation_keys", _first_by_key(relation_labels))
+        put(self, "_entity_labels", _first_by_key(entities))
         put(self, "_type_dict", _type_dictionary(instances))
 
     def __len__(self) -> int:
@@ -270,6 +276,16 @@ class KnowledgeGraph:
     def relation_labels(self) -> dict[str, RelationLabel]:
         """Tokenized labels for every predicate except the type predicate."""
         return self._relation_labels
+
+    def relation_postings(self) -> dict[str, tuple[str, ...]]:
+        """Label token -> the sorted IRIs of the ``relation_labels`` that
+        hold it."""
+        return self._relation_postings
+
+    def relation_keys(self) -> dict[tuple[str, ...], str]:
+        """Token-sequence index over ``relation_labels``: the first IRI in
+        sorted order for each label (exact-match lookups)."""
+        return self._relation_keys
 
     def entity_labels(self) -> dict[tuple[str, ...], str]:
         """Token-sequence index over entity local names (exact-match lookups)."""
@@ -344,14 +360,24 @@ def _line_of(data: bytes, exc: UnicodeDecodeError) -> int:
     return _newlines(data[: exc.start].decode("utf-8")).count("\n") + 1
 
 
-def _entity_labels(entities: Iterable[str]) -> dict[tuple[str, ...], str]:
-    """First entity in sorted order for each token key of a local name."""
+def _first_by_key(iris: Iterable[str]) -> dict[tuple[str, ...], str]:
+    """First IRI in sorted order for each token key of a local name."""
     out: dict[tuple[str, ...], str] = {}
-    for entity in sorted(entities):
-        key = tokenize_name(local_name(entity))
+    for iri in sorted(iris):
+        key = tokenize_name(local_name(iri))
         if key and key not in out:
-            out[key] = entity
+            out[key] = iri
     return out
+
+
+def _postings(labels: Iterable[RelationLabel]) -> dict[str, tuple[str, ...]]:
+    """Token -> the relations of ``labels`` whose tokens hold it, in the
+    order of ``labels``."""
+    out: defaultdict[str, list[str]] = defaultdict(list)
+    for label in labels:
+        for token in dict.fromkeys(label.tokens):  # each relation once per token
+            out[token].append(label.relation)
+    return {token: tuple(iris) for token, iris in out.items()}
 
 
 def _type_dictionary(instance_counts: Mapping[str, int]) -> dict[tuple[str, ...], str]:
@@ -385,12 +411,14 @@ def type_dictionary(g: KnowledgeGraph) -> dict[tuple[str, ...], str]:
     return g._type_dict
 
 
+def read_json(path: Union[str, Path]):
+    """The JSON value of a UTF-8 file; a leading byte-order mark is dropped."""
+    return json.loads(Path(path).read_text("utf-8").removeprefix("\ufeff"))
+
+
 def load_prefixes(path: Union[str, Path]) -> dict[str, str]:
     """Prefix table (prefix -> IRI base), used only for display."""
-    import json
-
-    with open(path, encoding="utf-8") as fh:
-        table = json.load(fh)
+    table = read_json(path)
     if not isinstance(table, dict):
         raise ValueError("prefix table must be a JSON object")
     return {str(k): str(v) for k, v in table.items()}

@@ -10,14 +10,14 @@ tokens that stand for an already-linked pattern.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from itertools import accumulate
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from . import text
-from .kg import KnowledgeGraph, RelationLabel, local_name, type_dictionary
+from .kg import KnowledgeGraph, RelationLabel, local_name, read_json, type_dictionary
 from .patterns import SubgraphPattern
 
 log = logging.getLogger(__name__)
@@ -123,8 +123,7 @@ class Lexicon:
     def load(
         cls, path: Union[str, Path], g: Optional[KnowledgeGraph] = None
     ) -> "Lexicon":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_mapping(json.load(fh), g)
+        return cls.from_mapping(read_json(path), g)
 
     def get(self, tokens: Sequence[str]) -> frozenset[str]:
         return self.entries.get(tuple(tokens), frozenset())
@@ -158,13 +157,18 @@ def link_simple(
     A lexicon hit scores a flat 1.0 and dominates the similarity blend.
     Ties break on the lexically smallest IRI for reproducibility.
 
-    Every other label's score is ``mention_score``, but its edit distance
-    is computed only when it could matter. The distance is at least the
-    length difference, so the blend with the edit similarity that
-    difference allows bounds the score from above; every float operation
-    in the blend is monotone, so the bound holds after rounding too. A
-    label whose bound is below ``theta_rel``, or no better than the best
-    score so far, cannot be chosen and is skipped.
+    Every other label's score is ``mention_score``, but only labels that
+    could reach ``theta_rel`` are scored. A label that shares no token
+    with the mention has Jaccard 0, so it scores at most ``EDIT_WEIGHT``:
+    above that threshold the candidates are the lexicon targets and the
+    graph's postings of the mention's tokens, in sorted IRI order as in
+    the full scan. A candidate's edit distance is computed only when it
+    could matter. The distance is at least the length difference, so the
+    blend with the edit similarity that difference allows bounds the
+    score from above; every float operation in the blend is monotone, so
+    the bound holds after rounding too. A label whose bound is below
+    ``theta_rel``, or no better than the best score so far, cannot be
+    chosen and is skipped.
     """
     tokens = text.tokenize(phrase)
     if not tokens:
@@ -172,9 +176,18 @@ def link_simple(
     mention = " ".join(tokens)
     token_set = set(tokens)
     lex_targets = lex.get(tokens)
+    labels = g.relation_labels()
+    candidates: Iterable[str] = labels
+    if theta_rel > EDIT_WEIGHT:
+        postings = g.relation_postings()
+        shared = {iri for iri in lex_targets if iri in labels}
+        for token in token_set:
+            shared.update(postings.get(token, ()))
+        candidates = sorted(shared)
 
     best: Optional[tuple[str, float]] = None
-    for iri, label in g.relation_labels().items():
+    for iri in candidates:
+        label = labels[iri]
         if iri in lex_targets:
             score = 1.0
         else:
@@ -203,10 +216,7 @@ def exact_match_relation(
     lex_targets = lex.get(tokens)
     if lex_targets:
         return sorted(lex_targets)[0]
-    for iri, label in g.relation_labels().items():
-        if label.tokens == tokens:
-            return iri
-    return None
+    return g.relation_keys().get(tokens)
 
 
 def ngram_spans(
@@ -217,23 +227,22 @@ def ngram_spans(
 ) -> Iterator[Span]:
     """Windows of at most max_len tokens, longest first, then leftmost.
 
-    Windows that begin or end on a stopword are dropped first, by a
-    per-token lookup; windows holding a pseudo-relation or overlapping a
-    blocked span are skipped next. ``blocked`` is read afresh for every
-    window, so the caller may extend it while iterating.
+    Windows that begin or end on a stopword, or hold a pseudo-relation,
+    are dropped first, by per-token tables; windows overlapping a blocked
+    span are skipped next, by their bounds. ``blocked`` is read afresh
+    for every window, so the caller may extend it while iterating.
     """
     stop = [isinstance(t, str) and t in stopwords for t in tokens]
+    # pseudo[i]: the pseudo-relations among tokens[:i]
+    pseudo = [0, *accumulate(isinstance(t, PseudoRelation) for t in tokens)]
     for length in range(min(max_len, len(tokens)), 0, -1):
         for start in range(0, len(tokens) - length + 1):
             end = start + length
-            if stop[start] or stop[end - 1]:
+            if stop[start] or stop[end - 1] or pseudo[end] != pseudo[start]:
                 continue
-            if any(isinstance(t, PseudoRelation) for t in tokens[start:end]):
+            if any(start < b.end and b.start < end for b in blocked):
                 continue
-            span = Span(start, end)
-            if any(span.overlaps(b) for b in blocked):
-                continue
-            yield span
+            yield Span(start, end)
 
 
 def content_spans(tokens: Sequence[Token], blocked: Sequence[Span] = ()) -> Iterator[Span]:

@@ -265,6 +265,12 @@ def reference_load(triples: set[Triple], type_predicate: str) -> dict:
             for key, group in sorted(by_key.items(), key=lambda kv: min(kv[1]))
         }
 
+    relation_labels = [
+        (p, RelationLabel(p, tokenize_name(local_name(p))))
+        for p in sorted(predicates - {type_predicate})
+    ]
+    label_tokens = {token for _, label in relation_labels for token in label.tokens}
+
     return {
         "triples": ordered,
         "objects": lambda s, p: frozenset(
@@ -281,10 +287,18 @@ def reference_load(triples: set[Triple], type_predicate: str) -> dict:
         "predicate_set": predicates,
         "type_set": types,
         "entity_set": entities,
-        "relation_labels": [
-            (p, RelationLabel(p, tokenize_name(local_name(p))))
-            for p in sorted(predicates - {type_predicate})
-        ],
+        "relation_labels": relation_labels,
+        # every token of a label -> the labelled predicates holding it, sorted
+        "relation_postings": {
+            token: tuple(p for p, label in relation_labels if token in label.tokens)
+            for token in label_tokens
+        },
+        # every non-empty label -> the least predicate with exactly that label
+        "relation_keys": {
+            label.tokens: min(p for p, other in relation_labels if other.tokens == label.tokens)
+            for _, label in relation_labels
+            if label.tokens
+        },
         "entity_labels": best_per_key(entities, lambda e: e),
         "type_dictionary": best_per_key(types, lambda ty: (-instances[ty], ty)),
     }

@@ -103,6 +103,34 @@ def test_jsonl_with_byte_order_mark(capsys, tmp_path, name, argv):
     assert run(capsys, *with_bom) == (EXIT_OK, want[1].replace(str(data_path(name)), str(path)), "")
 
 
+@pytest.mark.parametrize(
+    "name, argv",
+    [("lexicon.json", ["--lexicon", "{path}", "link", "son"]),
+     ("explanations.json", ["--explanations", "{path}", "link", "mother-in-law"]),
+     ("model.json", ["--model", "{path}", "link", "mother-in-law"]),
+     ("config.json", ["--config", "{path}", "link", "son"]),
+     ("review.json", ["train", "--review", "{path}", "--model-out", "{out}"]),
+     ("prefixes.json", ["--output", "text", "link", "son"])],  # path via RELINK_PREFIXES
+    ids=["lexicon", "explanations", "model", "config", "review", "prefixes"],
+)
+def test_json_input_with_byte_order_mark(capsys, tmp_path, monkeypatch, name, argv):
+    plain, with_bom = tmp_path / name, tmp_path / f"bom-{name}"
+    if name == "model.json":
+        assert run(capsys, "train", "--model-out", str(plain))[0] == EXIT_OK
+    else:
+        written = {"config.json": '{"output": "text", "theta_rel": 0.5}',
+                   "review.json": '{"mother-in-law": "reject"}'}
+        plain.write_text(written.get(name) or data_path(name).read_text("utf-8"), "utf-8")
+    with_bom.write_bytes(BOM + plain.read_bytes())
+    results = []
+    for path in (plain, with_bom):
+        if name == "prefixes.json":
+            monkeypatch.setenv("RELINK_PREFIXES", str(path))
+        results.append(run(capsys, *[a.format(path=path, out=tmp_path / "m.json") for a in argv]))
+    assert results[0][0] == EXIT_OK
+    assert results[1] == results[0]
+
+
 def test_link_mother_in_law_json(capsys):
     code, out, _ = run(capsys, "link", "mother-in-law")
     assert code == EXIT_OK
@@ -495,6 +523,17 @@ def test_empty_positional_path_data_error(capsys, tmp_path, argv):
     assert code == EXIT_DATA
     assert out == "" and err.startswith("error: ")
     assert not out_file.exists()
+
+
+def test_ingest_empty_path_usage_error(capsys, tmp_path):
+    # like eval and train, an empty path is a missing file, not the bundled graph
+    assert run(capsys, "ingest", "") == (EXIT_USAGE, "", "config error: kg file not found: \n")
+    assert run(capsys, "ingest", str(tmp_path / "missing.nt"))[0] == EXIT_USAGE
+    # without the positional, a global --kg is the graph loaded
+    path = tmp_path / "one.nt"
+    path.write_text("<http://x/a> <http://x/p> <http://x/b> .\n")
+    code, out, _ = run(capsys, "--kg", str(path), "ingest")
+    assert (code, json.loads(out)["triples"]) == (EXIT_OK, 1)
 
 
 @pytest.mark.parametrize(

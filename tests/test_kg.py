@@ -229,6 +229,8 @@ def _check_against_reference(g, triples, ref, round_):
     assert g.type_set == ref["type_set"]
     assert g.entity_set == ref["entity_set"]
     assert list(g.relation_labels().items()) == ref["relation_labels"]
+    assert g.relation_postings() == ref["relation_postings"]
+    assert g.relation_keys() == ref["relation_keys"]
     assert list(g.entity_labels().items()) == list(ref["entity_labels"].items())
     assert (list(type_dictionary(g).items())
             == list(ref["type_dictionary"].items())), round_
