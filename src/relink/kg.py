@@ -15,11 +15,14 @@ import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping, Union
+from types import MappingProxyType
+from typing import IO, Iterable, Iterator, KeysView, Mapping, Union
 
 log = logging.getLogger(__name__)
 
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
+
+_NO_INDEX: Mapping = MappingProxyType({})  # the index of an absent predicate
 
 
 class DataError(ValueError):
@@ -169,10 +172,13 @@ class KnowledgeGraph:
 
     The constructor takes any iterable of triples, drops duplicates and
     stores them sorted by ``Triple.sort_key`` in ``triples``. Indexes
-    cover every bound-position lookup the pipeline needs: ``sp`` for
-    (s, p, ?), ``po`` for (?, p, o) and ``p`` for (?, p, ?). The ``p``
-    index holds the stored ``Triple`` objects themselves, so each triple
-    is kept once. A node's types are its IRI objects of
+    cover every bound-position lookup the pipeline needs, each keyed by
+    predicate first: ``sp[p][s]`` for (s, p, ?), ``po[p][o]`` for
+    (?, p, o) and ``p[p]`` for (?, p, ?). The keys of ``sp[p]`` and
+    ``po[p]`` are the predicate's subject and object sets, which
+    ``predicate_subjects`` and ``predicate_objects`` return as views. The
+    ``p`` index holds the stored ``Triple`` objects themselves, so each
+    triple is kept once. A node's types are its IRI objects of
     ``type_predicate``. The constructor builds the indexes and the label,
     label-token and type dictionaries; the graph is shared across
     threads, so no lazy population happens later.
@@ -200,16 +206,12 @@ class KnowledgeGraph:
 
         # the lists only collect: every (s, p, o) is unique, so no index
         # value repeats, and each list becomes a frozenset or tuple below
-        sp: defaultdict[tuple[str, str], list[Node]] = defaultdict(list)
-        po: defaultdict[tuple[str, Node], list[str]] = defaultdict(list)
         p_idx: defaultdict[str, list[Triple]] = defaultdict(list)
         entities: set[str] = set()
 
         for t in ordered:
             s, p, o = t.subject, t.predicate, t.object
             entities.add(s)
-            sp[(s, p)].append(o)
-            po[(p, o)].append(s)
             p_idx[p].append(t)
             if p != type_predicate and not isinstance(o, Literal):
                 entities.add(o)
@@ -227,10 +229,18 @@ class KnowledgeGraph:
             fs = frozenset(values)
             return shared.setdefault(fs, fs)
 
+        def grouped(pairs: Iterable[tuple[Node, Node]]) -> dict:
+            out: defaultdict[Node, list[Node]] = defaultdict(list)
+            for key, value in pairs:
+                out[key].append(value)
+            return {key: share(values) for key, values in out.items()}
+
         put = object.__setattr__  # the dataclass is frozen
         put(self, "triples", ordered)
-        put(self, "_sp", {k: share(v) for k, v in sp.items()})
-        put(self, "_po", {k: share(v) for k, v in po.items()})
+        put(self, "_sp", {p: grouped((t.subject, t.object) for t in ts)
+                          for p, ts in p_idx.items()})
+        put(self, "_po", {p: grouped((t.object, t.subject) for t in ts)
+                          for p, ts in p_idx.items()})
         put(self, "_p", {k: tuple(v) for k, v in p_idx.items()})
         put(self, "predicate_set", frozenset(predicates))
         put(self, "type_set", frozenset(instances))
@@ -252,10 +262,20 @@ class KnowledgeGraph:
     # -- lookups ---------------------------------------------------------
 
     def objects(self, subject: str, predicate: str) -> frozenset[Node]:
-        return self._sp.get((subject, predicate), frozenset())
+        return self._sp.get(predicate, _NO_INDEX).get(subject, frozenset())
 
     def subjects(self, predicate: str, obj: Node) -> frozenset[str]:
-        return self._po.get((predicate, obj), frozenset())
+        return self._po.get(predicate, _NO_INDEX).get(obj, frozenset())
+
+    def predicate_subjects(self, predicate: str) -> KeysView[str]:
+        """The nodes with at least one ``predicate`` edge out (a read-only
+        view)."""
+        return self._sp.get(predicate, _NO_INDEX).keys()
+
+    def predicate_objects(self, predicate: str) -> KeysView[Node]:
+        """The nodes with at least one ``predicate`` edge in (a read-only
+        view)."""
+        return self._po.get(predicate, _NO_INDEX).keys()
 
     def by_predicate(self, predicate: str) -> tuple[Triple, ...]:
         """The stored triples of a predicate, in ``triples`` order."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, TypeVar
+from typing import AbstractSet, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, TypeVar
 
 from .kg import KnowledgeGraph, Literal, Node, UnknownPredicateError, node_key
 
@@ -221,6 +221,9 @@ def _join_order(g: KnowledgeGraph, sp: SubgraphPattern) -> list[int]:
 def _search(g: KnowledgeGraph, sp: SubgraphPattern):
     """Yield every homomorphism binding, following ``_join_order``.
 
+    ``match_instances`` enumerates with it, and ``has_instance`` uses it
+    for the patterns that are not trees (a cycle, or parallel edges).
+
     The seed edge is the one with the fewest triples, and its stored
     triples are the first candidates. Every later edge shares a bound
     variable, and edges with both ends bound are checked before any edge
@@ -300,15 +303,72 @@ def match_instances(
 def has_instance(g: KnowledgeGraph, sp: SubgraphPattern) -> bool:
     """True iff at least one homomorphism exists.
 
-    The search stops at the first binding. It seeds on the rarest edge,
-    then takes edges that share a bound variable, membership tests
-    (both ends bound) first, so a failing three-edge check costs about
-    one index lookup per seed pair rather than a cartesian product.
-    Which binding is found first does not matter, since only its
-    existence is returned. An unknown relation has no triples, so the
-    search seeds on it and finds nothing.
+    A tree-shaped pattern, one with an edge fewer than it has variables,
+    is decided by ``_semijoin``; every pattern the linker builds is one.
+    Any other pattern runs ``_search`` up to its first binding. An
+    unknown relation has no triples, so either way nothing is found.
     """
+    if len(sp.edges) == len(sp.variables()) - 1:
+        return _semijoin(g, sp)
     return next(_search(g, sp), None) is not None
+
+
+def _semijoin(g: KnowledgeGraph, sp: SubgraphPattern) -> bool:
+    """Whether a tree-shaped pattern has an instance, by a bottom-up
+    semi-join (Yannakakis, "Algorithms for acyclic database schemes",
+    VLDB 1981). Any root would do; the one with the most edges keeps
+    the tree shallow, so more children are leaves.
+
+    A variable's candidates are its type's instances, if it has a type,
+    intersected with the projection of each child edge: the nodes with
+    that edge to one of the child's candidates. When the child is
+    unrestricted, or its candidates cover the edge's end on its side,
+    the projection is the predicate's whole subject or object set, a
+    ready-made keys view; otherwise it is the union of the index lookups
+    over the intersection. The first empty set decides False. Only index
+    keys and lookups are read, never a predicate's triple list.
+    """
+    types = sp.type_map()
+    incident: dict[str, list[PatternEdge]] = {v: [] for v in sp.variables()}
+    for e in sp.edges:
+        incident[e.src].append(e)
+        incident[e.dst].append(e)
+
+    def candidates(var: str, via: Optional[PatternEdge]) -> Optional[AbstractSet]:
+        """The nodes ``var`` can bind to with an instance of the subtree
+        away from ``via``; None when any node can."""
+        t = types.get(var)
+        cand = None if t is None else g.subjects(g.type_predicate, t)
+        for e in incident[var]:
+            if cand is not None and not cand:
+                break
+            if e is via:
+                continue
+            outgoing = e.src == var  # var -rel-> child, else child -rel-> var
+            child = e.dst if outgoing else e.src
+            subjects, objects = g.predicate_subjects(e.rel), g.predicate_objects(e.rel)
+            near, far = (subjects, objects) if outgoing else (objects, subjects)
+            below = candidates(child, e)
+            if below is None or below >= far:
+                projection = near
+            elif outgoing:
+                projection = set().union(*(g.subjects(e.rel, o) for o in _meet(below, far)))
+            else:
+                projection = set().union(*(g.objects(s, e.rel) for s in _meet(below, far)))
+            cand = projection if cand is None else _meet(cand, projection)
+        return cand
+
+    root = max(incident, key=lambda v: len(incident[v]))
+    return bool(candidates(root, None))
+
+
+def _meet(a: AbstractSet, b: AbstractSet) -> AbstractSet:
+    """The intersection of two sets or keys views, found by iterating the
+    smaller one (a view's ``&`` iterates its right operand)."""
+    small, large = (a, b) if len(a) <= len(b) else (b, a)
+    if isinstance(large, (set, frozenset)):
+        return large.intersection(small)
+    return large & small
 
 
 class ShapeUse(NamedTuple):

@@ -271,18 +271,29 @@ def reference_load(triples: set[Triple], type_predicate: str) -> dict:
     ]
     label_tokens = {token for _, label in relation_labels for token in label.tokens}
 
+    def objects(s, p):
+        return frozenset(t.object for t in triples if (t.subject, t.predicate) == (s, p))
+
+    def subjects(p, o):
+        return frozenset(t.subject for t in triples if (t.predicate, t.object) == (p, o))
+
+    def predicate_subjects(p):
+        return {t.subject for t in triples if t.predicate == p}
+
+    def predicate_objects(p):
+        return {t.object for t in triples if t.predicate == p}
+
     return {
         "triples": ordered,
-        "objects": lambda s, p: frozenset(
-            t.object for t in triples if (t.subject, t.predicate) == (s, p)
-        ),
-        "subjects": lambda p, o: frozenset(
-            t.subject for t in triples if (t.predicate, t.object) == (p, o)
-        ),
+        "objects": objects,
+        "subjects": subjects,
         "by_predicate": lambda p: tuple(t for t in ordered if t.predicate == p),
         "types_of": lambda n: frozenset(o for s, o in typing if s == n),
-        "sp_keys": {(t.subject, t.predicate) for t in triples},
-        "po_keys": {(t.predicate, t.object) for t in triples},
+        "predicate_subjects": predicate_subjects,
+        "predicate_objects": predicate_objects,
+        # predicate -> subject -> objects, and predicate -> object -> subjects
+        "sp": {p: {s: objects(s, p) for s in predicate_subjects(p)} for p in predicates},
+        "po": {p: {o: subjects(p, o) for o in predicate_objects(p)} for p in predicates},
         "typed_nodes": {s for s, _ in typing},
         "predicate_set": predicates,
         "type_set": types,

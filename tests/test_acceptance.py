@@ -233,6 +233,7 @@ def test_c9_property_suites_present():
             "test_adjacent_oracle_on_random_graphs",
             "test_homomorphism_allows_shared_nodes",
             "test_has_instance_iff_match_instances_nonempty",
+            "test_has_instance_matches_brute_force",
         ],
         "test_explain.py": [
             "test_idempotent_byte_identical",

@@ -94,10 +94,14 @@ def test_index_round_trip(family_graph):
         assert t.object in family_graph.objects(t.subject, t.predicate)
         assert t.subject in family_graph.subjects(t.predicate, t.object)
         assert t in family_graph.by_predicate(t.predicate)
-    # and every index entry corresponds to a stored triple
-    for (s, p), objs in family_graph._sp.items():
-        for o in objs:
-            assert Triple(s, p, o) in family_graph.triples
+    # and the per-predicate indexes hold exactly the stored triples
+    sp: dict = {}
+    po: dict = {}
+    for t in family_graph.triples:
+        sp.setdefault(t.predicate, {}).setdefault(t.subject, set()).add(t.object)
+        po.setdefault(t.predicate, {}).setdefault(t.object, set()).add(t.subject)
+    assert family_graph._sp == sp
+    assert family_graph._po == po
 
 
 def test_tokenize_name_rules():
@@ -165,8 +169,10 @@ def test_equal_iris_are_one_object(family_graph):
     g = family_graph
     iris = [n for t in g.triples for n in (t.subject, t.predicate, t.object)
             if isinstance(n, str)]
-    iris += [n for key in (*g._sp, *g._po) for n in key if isinstance(n, str)]
-    iris += [n for v in (*g._sp.values(), *g._po.values())
+    by_key = [index for table in (g._sp, g._po) for index in table.values()]
+    iris += [*g._sp, *g._po]
+    iris += [n for index in by_key for n in index if isinstance(n, str)]
+    iris += [n for index in by_key for v in index.values()
              for n in v if isinstance(n, str)]
     iris += [*g._p, *g.predicate_set, *g.type_set, *g.entity_set]
     assert len({id(n) for n in iris}) == len(set(iris))
@@ -183,7 +189,8 @@ def test_equal_index_value_sets_are_one_object(family_graph):
         type_predicate = RDF_TYPE if round_ % 3 else "http://t.example/p0"
         graphs.append(kg.load(lines, type_predicate=type_predicate))
     for g in graphs:
-        values = [*g._sp.values(), *g._po.values()]
+        values = [v for table in (g._sp, g._po) for index in table.values()
+                  for v in index.values()]
         assert len({id(v) for v in values}) == len(set(values))
 
 
@@ -213,6 +220,8 @@ def _check_against_reference(g, triples, ref, round_):
     for p in predicates:
         assert g.by_predicate(p) == ref["by_predicate"](p)
         assert g.predicate_count(p) == len(ref["by_predicate"](p))
+        assert g.predicate_subjects(p) == ref["predicate_subjects"](p)
+        assert g.predicate_objects(p) == ref["predicate_objects"](p)
         for n in nodes:
             if isinstance(n, str):
                 assert g.objects(n, p) == ref["objects"](n, p)
@@ -221,8 +230,8 @@ def _check_against_reference(g, triples, ref, round_):
             assert type(g.subjects(p, n)) is frozenset
     for n in nodes:
         assert g.types_of(n) == ref["types_of"](n)
-    assert set(g._sp) == ref["sp_keys"]
-    assert set(g._po) == ref["po_keys"]
+    assert g._sp == ref["sp"]
+    assert g._po == ref["po"]
     assert set(g._p) == ref["predicate_set"]
     assert {n for n in nodes if g.types_of(n)} == ref["typed_nodes"]
     assert g.predicate_set == ref["predicate_set"]

@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relink import kg
@@ -230,9 +230,6 @@ def test_has_instance_uncle_shape_reads_predicate_index_once(monkeypatch):
     lines += [f"<{RES}p{i}> <{EX}parent> <{RES}p{i + 2}> ." for i in range(30)]
     lines += [f"<{RES}p{i}> <{EX}gender> <{RES}male> ." for i in range(50)]
     g = kg.load(lines)
-    sp = SubgraphPattern.make(
-        [("x", EX + "relative", "v1"), ("v1", EX + "gender", "z"), ("z", EX + "parent", "y")]
-    )
     calls = []
     by_predicate = KnowledgeGraph.by_predicate
 
@@ -241,7 +238,17 @@ def test_has_instance_uncle_shape_reads_predicate_index_once(monkeypatch):
         return by_predicate(self, predicate)
 
     monkeypatch.setattr(KnowledgeGraph, "by_predicate", counting)
-    assert not has_instance(g, sp)
+    # a tree is decided from index keys and lookups alone
+    tree = SubgraphPattern.make(
+        [("x", EX + "relative", "v1"), ("v1", EX + "gender", "z"), ("z", EX + "parent", "y")]
+    )
+    assert not has_instance(g, tree)
+    assert calls == []
+    # a cycle is searched, reading only its rarest predicate's triples, once
+    cycle = SubgraphPattern.make(
+        [("x", EX + "relative", "v1"), ("v1", EX + "gender", "z"), ("x", EX + "parent", "z")]
+    )
+    assert not has_instance(g, cycle)
     assert calls == [EX + "relative"]
 
 
@@ -345,3 +352,64 @@ def test_shape_is_invariant_under_renaming(perm, mp):
     sp = instantiate(mp, [EX + "a", EX + "b"])
     renamed = sp.rename(dict(zip(["x", "y", "z"], perm)))
     assert shape_of(renamed) is mp
+
+
+# small universes, so the brute-force oracle stays fast and drawn patterns
+# often have instances
+_NODES = [RES + f"n{i}" for i in range(4)]
+_PREDICATES = [EX + "a", EX + "b", EX + "c"]
+_TYPES = [EX + "T0", EX + "T1"]
+_UNKNOWN = EX + "unknown"
+_VARIABLES = ["x", "y", "z", "w", "v"]
+
+
+@st.composite
+def _graphs(draw) -> list[kg.Triple]:
+    """A sparse to dense sample of the edges among four nodes and to a
+    literal, and of the type triples."""
+    rng = draw(st.randoms(use_true_random=False))
+    density = draw(st.sampled_from([0.1, 0.25, 0.5]))
+    universe = [kg.Triple(s, p, o) for s in _NODES for p in _PREDICATES
+                for o in [*_NODES, kg.Literal("red")]]
+    universe += [kg.Triple(s, kg.RDF_TYPE, t) for s in _NODES for t in _TYPES]
+    return [t for t in universe if rng.random() < density]
+
+
+@st.composite
+def _patterns(draw) -> SubgraphPattern:
+    """A tree of 1-4 edges with random directions, often with one more
+    edge between two of its variables: parallel, a 2-cycle or a longer
+    cycle. Half the patterns may use an unknown relation, and variables
+    may carry types."""
+    rel = st.sampled_from([*_PREDICATES, _UNKNOWN] if draw(st.booleans()) else _PREDICATES)
+    n_edges = draw(st.integers(1, 4))
+    edges = []
+    for j in range(1, n_edges + 1):
+        old, new = _VARIABLES[draw(st.integers(0, j - 1))], _VARIABLES[j]
+        edges.append((old, draw(rel), new) if draw(st.booleans()) else (new, draw(rel), old))
+    if draw(st.booleans()):
+        src, dst = draw(st.permutations(_VARIABLES[: n_edges + 1]))[:2]
+        edges.append((src, draw(rel), dst))
+    edges = draw(st.permutations(edges))
+    typed = draw(st.lists(st.sampled_from(_VARIABLES[: n_edges + 1]), unique=True, max_size=2))
+    return SubgraphPattern.make(edges, {v: draw(st.sampled_from(_TYPES)) for v in typed})
+
+
+@settings(max_examples=200, deadline=None)
+@given(triples=_graphs(), sp=_patterns())
+@example(  # parallel edges, with an instance
+    triples=[kg.Triple(RES + "n0", EX + "a", RES + "n1"), kg.Triple(RES + "n0", EX + "b", RES + "n1")],
+    sp=SubgraphPattern.make([("x", EX + "a", "y"), ("x", EX + "b", "y")]),
+)
+@example(  # a 2-cycle, without one
+    triples=[kg.Triple(RES + "n0", EX + "a", RES + "n1"), kg.Triple(RES + "n1", EX + "b", RES + "n2")],
+    sp=SubgraphPattern.make([("x", EX + "a", "y"), ("y", EX + "b", "x")]),
+)
+@example(  # a typed leaf under a literal-valued edge
+    triples=[kg.Triple(RES + "n0", EX + "a", kg.Literal("red")),
+             kg.Triple(RES + "n0", kg.RDF_TYPE, EX + "T0")],
+    sp=SubgraphPattern.make([("x", EX + "a", "y")], {"y": EX + "T0"}),
+)
+def test_has_instance_matches_brute_force(triples, sp):
+    g = KnowledgeGraph(triples)
+    assert has_instance(g, sp) == bool(brute_force_instances(triples, sp))
