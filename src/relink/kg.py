@@ -73,31 +73,53 @@ def local_name(iri: str) -> str:
 
 
 _CAMEL_RE = re.compile(r"(?<=[a-z0-9])(?=[A-Z])|(?<=[A-Z])(?=[A-Z][a-z])")
-_SPLIT_RE = re.compile(r"[_\-]+|(?<=\D)(?=\d)|(?<=\d)(?=\D)")
+_CHUNK_RE = re.compile(r"\d+|[^\d_\-]+")
 
 
 def tokenize_name(name: str) -> tuple[str, ...]:
-    """Split a local name on camelCase, '_', '-', and digit boundaries; lowercase."""
+    """Split a local name on camelCase, '_', '-', and digit boundaries;
+    lowercase each token.
+
+    The chunks are the maximal runs of digits and of other characters
+    that are neither '_' nor '-'. A camelCase boundary lies before an
+    ASCII capital that is not a chunk's first character, and ``lower``
+    changes every such capital, so a chunk whose characters after the
+    first ``lower`` leaves as they are is one token.
+    """
     parts = []
-    for chunk in _SPLIT_RE.split(name):
-        if not chunk:
-            continue
-        parts.extend(p for p in _CAMEL_RE.split(chunk) if p)
-    return tuple(p.lower() for p in parts)
+    for chunk in _CHUNK_RE.findall(name):
+        lowered = chunk.lower()
+        if chunk[1:] == lowered[1:]:
+            parts.append(lowered)
+        else:
+            parts += [p.lower() for p in _CAMEL_RE.split(chunk) if p]
+    return tuple(parts)
 
 
 def valid_iri(iri: str) -> bool:
     return bool(iri) and not any(c.isspace() for c in iri) and bool(local_name(iri))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Triple:
     subject: str
     predicate: str
     object: Node
 
+    def __init__(self, subject: str, predicate: str, object: Node):
+        # the slot descriptors store past the frozen __setattr__, without
+        # the by-name lookup of the generated object.__setattr__ calls
+        _set_subject(self, subject)
+        _set_predicate(self, predicate)
+        _set_object(self, object)
+
     def sort_key(self):
         return (self.subject, self.predicate, node_key(self.object))
+
+
+_set_subject = Triple.subject.__set__
+_set_predicate = Triple.predicate.__set__
+_set_object = Triple.object.__set__
 
 
 @dataclass(frozen=True)
@@ -108,20 +130,31 @@ class RelationLabel:
     tokens: tuple[str, ...]
 
 
-_IRI_TERM = r"<([^<>\s]+)>"
+# The characters \s matches, which are those str.isspace accepts. Listed
+# in the IRI class, they compile to a table lookup per character, where
+# \s would be a category test; IRIs are most of a line.
+_SPACES = (r"\t\n\x0b\x0c\r\x1c-\x20\x85\xa0\u1680"
+           r"\u2000-\u200a\u2028\u2029\u202f\u205f\u3000")
+_IRI_TERM = rf"<([^<>{_SPACES}]+)>"
 _LIT_TERM = r'"([^"]*)"'
 _LINE_RE = re.compile(
     rf"^\s*{_IRI_TERM}\s+{_IRI_TERM}\s+(?:{_IRI_TERM}|{_LIT_TERM})\s*\.\s*$"
 )
 
 
-def parse_line(line: str, line_no: int, iris: dict[str, str] | None = None) -> Triple:
+def parse_line(
+    line: str,
+    line_no: int,
+    iris: dict[str, str] | None = None,
+    literals: dict[str, Literal] | None = None,
+) -> Triple:
     """Parse one triple line.
 
     The line pattern already rules out empty IRIs and whitespace, so an
-    IRI needs only ``valid_iri``'s local-name check. ``iris`` is the
-    intern table of one load: an IRI is checked when first seen and
-    stored, and every later occurrence reuses the stored string.
+    IRI needs only ``valid_iri``'s local-name check. ``iris`` and
+    ``literals`` are the intern tables of one load: an IRI is checked
+    when first seen and stored, a literal value gets its ``Literal``
+    when first seen, and every later occurrence reuses the stored object.
     """
     m = _LINE_RE.match(line)
     if not m:
@@ -132,7 +165,10 @@ def parse_line(line: str, line_no: int, iris: dict[str, str] | None = None) -> T
     subject = iris.get(subject) or _intern(iris, subject, "subject", line_no)
     predicate = iris.get(predicate) or _intern(iris, predicate, "predicate", line_no)
     if obj_iri is None:
-        return Triple(subject, predicate, Literal(obj_lit))
+        if literals is None:
+            literals = {}
+        obj = literals.get(obj_lit) or literals.setdefault(obj_lit, Literal(obj_lit))
+        return Triple(subject, predicate, obj)
     obj_iri = iris.get(obj_iri) or _intern(iris, obj_iri, "object", line_no)
     return Triple(subject, predicate, obj_iri)
 
@@ -146,20 +182,22 @@ def _intern(iris: dict[str, str], iri: str, role: str, line_no: int) -> str:
 
 
 def iter_triples(lines: Iterable[str]) -> Iterator[Triple]:
-    """Triples of a line stream; equal IRIs come out as one string object.
+    """Triples of a line stream; equal IRIs come out as one string object
+    and equal literals as one ``Literal``.
 
     A stream that fails to decode raises ``ParseError`` for the first
     line not yet read. Text mode decodes in chunks, so the bad byte is
     at or after that line.
     """
     iris: dict[str, str] = {}
+    literals: dict[str, Literal] = {}
     line_no = 0
     try:
         for line_no, line in enumerate(lines, start=1):
             head = line.lstrip()
             if not head or head[0] == "#":
                 continue
-            yield parse_line(line, line_no, iris)
+            yield parse_line(line, line_no, iris, literals)
     except UnicodeDecodeError as exc:
         raise ParseError(
             line_no + 1, f"not valid UTF-8 at or after this line: {exc.reason}"
@@ -170,18 +208,19 @@ def iter_triples(lines: Iterable[str]) -> Iterator[Triple]:
 class KnowledgeGraph:
     """Immutable indexed triple set.
 
-    The constructor takes any iterable of triples, drops duplicates and
-    stores them sorted by ``Triple.sort_key`` in ``triples``. Indexes
-    cover every bound-position lookup the pipeline needs, each keyed by
-    predicate first: ``sp[p][s]`` for (s, p, ?), ``po[p][o]`` for
-    (?, p, o) and ``p[p]`` for (?, p, ?). The keys of ``sp[p]`` and
-    ``po[p]`` are the predicate's subject and object sets, which
-    ``predicate_subjects`` and ``predicate_objects`` return as views. The
-    ``p`` index holds the stored ``Triple`` objects themselves, so each
-    triple is kept once. A node's types are its IRI objects of
-    ``type_predicate``. The constructor builds the indexes and the label,
-    label-token and type dictionaries; the graph is shared across
-    threads, so no lazy population happens later.
+    The constructor reads any iterable of triples once, a generator
+    included, drops duplicates (the first triple seen is kept) and stores
+    them sorted by ``Triple.sort_key`` in ``triples``. Indexes cover every
+    bound-position lookup the pipeline needs, each keyed by predicate
+    first: ``sp[p][s]`` for (s, p, ?), ``po[p][o]`` for (?, p, o) and
+    ``p[p]`` for (?, p, ?). The keys of ``sp[p]`` and ``po[p]`` are the
+    predicate's subject and object sets, which ``predicate_subjects`` and
+    ``predicate_objects`` return as views. The ``p`` index holds the
+    stored ``Triple`` objects themselves, so each triple is kept once, and
+    equal index value sets are one ``frozenset``. A node's types are its
+    IRI objects of ``type_predicate``. The constructor builds the indexes
+    and the label, label-token and type dictionaries; the graph is shared
+    across threads, so no lazy population happens later.
     """
 
     triples: tuple[Triple, ...]
@@ -200,9 +239,20 @@ class KnowledgeGraph:
 
     def __post_init__(self):
         type_predicate = self.type_predicate
-        triples = set(self.triples)
-        ordered = tuple(sorted(triples, key=Triple.sort_key))
-        del triples  # frees the set's table before the indexes grow
+        # a plain key tuple per triple, (s, p, 0, iri) or (s, p, 1, value),
+        # orders as Triple.sort_key and hashes and compares in C; the
+        # first triple seen for each key is the one kept
+        first: dict[tuple, Triple] = {}
+        for t in self.triples:
+            o = t.object
+            if isinstance(o, Literal):
+                key = (t.subject, t.predicate, 1, o.value)
+            else:
+                key = (t.subject, t.predicate, 0, o)
+            if key not in first:
+                first[key] = t
+        ordered = tuple(map(first.__getitem__, sorted(first)))
+        del first  # frees the keys before the indexes grow
 
         # the lists only collect: every (s, p, o) is unique, so no index
         # value repeats, and each list becomes a frozenset or tuple below
@@ -223,9 +273,17 @@ class KnowledgeGraph:
         # equal value sets become one frozenset: many keys hold the same set
         # (the instances of a type, the subjects of one edge to a hub). The
         # table is local, so nothing is shared with other graphs or threads.
+        # A one-element set is found by its element, so no throwaway
+        # frozenset is built for it.
         shared: dict[frozenset, frozenset] = {}
+        single: dict[Node, frozenset] = {}
 
         def share(values: list) -> frozenset:
+            if len(values) == 1:
+                fs = single.get(values[0])
+                if fs is None:
+                    fs = single[values[0]] = frozenset(values)
+                return fs
             fs = frozenset(values)
             return shared.setdefault(fs, fs)
 

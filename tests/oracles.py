@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 import string
 from typing import Optional
 
@@ -20,7 +21,6 @@ from relink.kg import (
     Triple,
     local_name,
     node_key,
-    tokenize_name,
 )
 from relink.linking import Lexicon, mention_score
 from relink.patterns import MetaPattern, SubgraphPattern
@@ -107,6 +107,22 @@ def random_graph(
         if rng.random() < 0.5:
             triples.add(Triple(e, RDF_TYPE, rng.choice(types)))
     return sorted(triples, key=Triple.sort_key)
+
+
+_SPLIT_RE = re.compile(r"[_\-]+|(?<=\D)(?=\d)|(?<=\d)(?=\D)")
+_CAMEL_RE = re.compile(r"(?<=[a-z0-9])(?=[A-Z])|(?<=[A-Z])(?=[A-Z][a-z])")
+
+
+def reference_tokenize_name(name: str) -> tuple[str, ...]:
+    """``tokenize_name`` by splitting at separators and digit boundaries,
+    then at camelCase boundaries in every chunk, and lowercasing each
+    piece."""
+    parts = []
+    for chunk in _SPLIT_RE.split(name):
+        if not chunk:
+            continue
+        parts.extend(p for p in _CAMEL_RE.split(chunk) if p)
+    return tuple(p.lower() for p in parts)
 
 
 def reference_levenshtein(a: str, b: str) -> int:
@@ -213,13 +229,14 @@ def graph_from_triples(triples: list[Triple]) -> KnowledgeGraph:
 
 def random_load_graph(rng: random.Random) -> set[Triple]:
     """Triples for checking ``kg.load``: entity and type IRIs from two
-    namespaces whose local names tokenize alike, literal objects, and
-    literal objects of the type predicate."""
+    namespaces whose local names tokenize alike, literal objects, one of
+    them equal to an entity IRI, and literal objects of the type
+    predicate."""
     spaces = ["http://t.example/", "http://u.example/ns#"]
     entities = [ns + f"e{i}" for ns in spaces for i in range(3)]
     types = [ns + name for ns in spaces for name in ("Person", "person", "SoccerPlayer")]
     predicates = [spaces[0] + "p0", spaces[0] + "hasPart", spaces[1] + "has_part", RDF_TYPE]
-    literals = [Literal("red"), Literal("Person"), Literal("")]
+    literals = [Literal("red"), Literal("Person"), Literal(""), Literal(entities[0])]
     triples: set[Triple] = set()
     for _ in range(rng.randrange(40)):
         s = rng.choice(entities + types[:1])
@@ -257,7 +274,7 @@ def reference_load(triples: set[Triple], type_predicate: str) -> dict:
         key; keys in the order of their least IRI."""
         by_key: dict = {}
         for iri in iris:
-            key = tokenize_name(local_name(iri))
+            key = reference_tokenize_name(local_name(iri))
             if key:
                 by_key.setdefault(key, []).append(iri)
         return {
@@ -266,7 +283,7 @@ def reference_load(triples: set[Triple], type_predicate: str) -> dict:
         }
 
     relation_labels = [
-        (p, RelationLabel(p, tokenize_name(local_name(p))))
+        (p, RelationLabel(p, reference_tokenize_name(local_name(p))))
         for p in sorted(predicates - {type_predicate})
     ]
     label_tokens = {token for _, label in relation_labels for token in label.tokens}

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import pickle
 import random
 import re
+import string
 import sys
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from relink import evaluate, kg
 from relink.assemble import LinkConfig, Linker, link_data_driven
@@ -21,7 +25,12 @@ from relink.kg import (
     type_dictionary,
 )
 
-from .oracles import ntriples_line, random_load_graph, reference_load
+from .oracles import (
+    ntriples_line,
+    random_load_graph,
+    reference_load,
+    reference_tokenize_name,
+)
 
 
 def test_three_line_file_with_type_triple():
@@ -110,6 +119,74 @@ def test_tokenize_name_rules():
     assert tokenize_name("mother_in_law") == ("mother", "in", "law")
     assert tokenize_name("top-10Hits") == ("top", "10", "hits")
     assert tokenize_name("HTMLParser") == ("html", "parser")
+    # each token is lowercased on its own: a sigma that ends one takes its
+    # final form
+    assert tokenize_name("ΑΣ_b") == ("ας", "b")
+    assert tokenize_name("ΑΣb") == ("ασb",)
+    # a non-ASCII decimal digit is a digit, so it is a token of its own
+    assert tokenize_name("x٣y") == ("x", "٣", "y")
+
+
+# separators, ASCII and non-ASCII digits, capitals whose lowercase form
+# differs in length or by context, and punctuation
+_NAME_CHARS = (string.ascii_letters + string.digits + "_-" + "٣" + "ΣİÉ"
+               + string.punctuation)
+
+
+@settings(max_examples=500, deadline=None)
+@given(name=st.text(st.sampled_from(_NAME_CHARS), max_size=24))
+@example(name="İP")
+@example(name="aΣB")
+@example(name="-_9É.Ab")
+def test_tokenize_name_matches_reference(name):
+    assert tokenize_name(name) == reference_tokenize_name(name)
+
+
+def test_iri_and_equal_literal_are_two_triples():
+    # the key tuples keep an IRI object and a literal of the same text
+    # apart, and order every IRI object before every literal
+    for literal in ("http://a", "http://0", ""):
+        lines = [f'<http://x/x> <http://x/p> "{literal}" .',
+                 "<http://x/x> <http://x/p> <http://a> ."]
+        for ordered in (lines, lines[::-1]):
+            g = kg.load(ordered)
+            assert [t.object for t in g.triples] == ["http://a", Literal(literal)]
+            assert g.objects("http://x/x", "http://x/p") == {"http://a", Literal(literal)}
+            assert g.subjects("http://x/p", "http://a") == {"http://x/x"}
+            assert g.subjects("http://x/p", Literal(literal)) == {"http://x/x"}
+            assert kg.KnowledgeGraph(reversed(g.triples)) == g
+
+
+def test_duplicate_triples_keep_the_first_seen():
+    first, second = Triple("a", "p", Literal("v")), Triple("a", "p", Literal("v"))
+    g = kg.KnowledgeGraph([first, Triple("a", "p", "b"), second])
+    assert len(g) == 2
+    assert g.triples[1] is first
+
+
+def test_triple_behaviour():
+    t = Triple("http://x/a", "http://x/p", Literal("v"))
+    for name in ("subject", "predicate", "object"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(t, name, "x")
+        with pytest.raises(FrozenInstanceError):
+            delattr(t, name)
+    assert not hasattr(t, "__dict__")
+    assert [f.name for f in fields(Triple)] == ["subject", "predicate", "object"]
+    same = Triple(subject="http://x/a", predicate="http://x/p", object=Literal("v"))
+    assert t == same and hash(t) == hash(same)
+    assert hash(t) == hash(("http://x/a", "http://x/p", Literal("v")))
+    assert t != Triple("http://x/a", "http://x/p", "v")
+    assert t != ("http://x/a", "http://x/p", Literal("v"))
+    assert repr(t) == ("Triple(subject='http://x/a', predicate='http://x/p', "
+                       "object=Literal(value='v'))")
+    moved = replace(t, object="http://x/b")
+    assert moved == Triple("http://x/a", "http://x/p", "http://x/b")
+    assert t.object == Literal("v")
+    copy = pickle.loads(pickle.dumps(t))
+    assert type(copy) is Triple and copy == t and hash(copy) == hash(t)
+    with pytest.raises(TypeError):
+        Triple("http://x/a", "http://x/p")
 
 
 def test_type_dictionary_single_and_camelcase():
@@ -154,6 +231,9 @@ def test_parse_line_rejects_every_whitespace_in_iri():
     assert len(spaces) == 29
     space_re = re.compile(r"\s")
     assert [c for c in chars if space_re.match(c)] == spaces
+    # the IRI class spells the same characters out
+    iri_char = re.compile(rf"[^<>{kg._SPACES}]")
+    assert [c for c in chars if not iri_char.match(c)] == sorted([*spaces, "<", ">"])
     for ch in spaces:
         for position in range(3):
             iris = ["http://x.org/a", "http://x.org/p", "http://x.org/b"]
@@ -176,6 +256,13 @@ def test_equal_iris_are_one_object(family_graph):
              for n in v if isinstance(n, str)]
     iris += [*g._p, *g.predicate_set, *g.type_set, *g.entity_set]
     assert len({id(n) for n in iris}) == len(set(iris))
+    # and so are equal literals: one Literal per distinct value
+    literals = [t.object for t in g.triples if isinstance(t.object, Literal)]
+    assert len(literals) > len(set(literals)) > 1
+    literals += [n for index in by_key for n in index if isinstance(n, Literal)]
+    literals += [n for index in by_key for v in index.values()
+                 for n in v if isinstance(n, Literal)]
+    assert len({id(n) for n in literals}) == len(set(literals))
     # the predicate index holds the stored triples, not copies
     stored = {id(t) for t in g.triples}
     assert all(id(t) in stored for p in g.predicate_set for t in g.by_predicate(p))
@@ -251,6 +338,10 @@ def test_constructed_graph_validates_as_loaded():
     loaded = kg.load(data_path("family_geo.nt"))
     built = kg.KnowledgeGraph(reversed(loaded.triples))
     assert built == loaded
+    # the constructor reads its input once, so a generator gives the same graph
+    shuffled = list(loaded.triples)
+    random.Random(3).shuffle(shuffled)
+    assert kg.KnowledgeGraph(t for t in shuffled) == kg.KnowledgeGraph(shuffled) == loaded
     for entry in evaluate.load_gold(data_path("gold.jsonl")):
         pattern = entry.gold_pattern
         assert has_instance(built, pattern) == has_instance(loaded, pattern)
