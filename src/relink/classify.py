@@ -113,20 +113,32 @@ def mask(tokens: Sequence[Token], elems: MetaElements) -> MaskedSentence:
     return MaskedSentence(tuple(out), len(elems.relations))
 
 
-def _is_mask(token: str) -> bool:
-    return token.startswith(MASK_PREFIX)
+def _mask_positions(tokens: Sequence[str]) -> list[int]:
+    return [i for i, tok in enumerate(tokens) if tok.startswith(MASK_PREFIX)]
 
 
-def _token_features(tokens: Sequence[str]) -> dict[str, float]:
-    feats: dict[str, float] = {}
-    for tok in tokens:
-        feats[f"uni={tok}"] = 1.0
-        if _is_mask(tok):
-            feats[f"uni={GENERIC_MASK}"] = 1.0
-    general = [GENERIC_MASK if _is_mask(t) else t for t in tokens]
+def _token_features(tokens: Sequence[str], masks: Sequence[int]) -> dict[str, float]:
+    """Unigram and bigram features. The tokens at ``masks`` also count as
+    ``GENERIC_MASK``: one unigram, keyed right after the first mask's, and
+    every bigram sees only that generic form. Key order is the order in
+    which ``PatternClassifier._scores`` adds the weights."""
+    unigrams = [f"uni={tok}" for tok in tokens]
+    general = list(tokens)
+    if masks:
+        unigrams.insert(masks[0] + 1, f"uni={GENERIC_MASK}")
+        for i in masks:
+            general[i] = GENERIC_MASK
+    feats = dict.fromkeys(unigrams, 1.0)
     for a, b in zip(general, general[1:]):
         feats[f"bi={a}|{b}"] = 1.0
     return feats
+
+
+def _require_two_masks(ms: MaskedSentence) -> None:
+    if ms.relation_count < 2:
+        raise FeaturizeError(
+            f"need at least 2 masked relations, got {ms.relation_count}"
+        )
 
 
 def featurize(ms: MaskedSentence) -> dict[str, float]:
@@ -136,14 +148,11 @@ def featurize(ms: MaskedSentence) -> dict[str, float]:
     masks drives most of the signal: its tokens, marker words inside it,
     whether it is empty (adjacent masks), and its bucketed width.
     """
-    if ms.relation_count < 2:
-        raise FeaturizeError(
-            f"need at least 2 masked relations, got {ms.relation_count}"
-        )
-    feats = _token_features(ms.tokens)
+    _require_two_masks(ms)
+    masks = _mask_positions(ms.tokens)
+    feats = _token_features(ms.tokens, masks)
 
-    mask_positions = [i for i, t in enumerate(ms.tokens) if _is_mask(t)]
-    first, second = mask_positions[0], mask_positions[1]
+    first, second = masks[0], masks[1]
     between = ms.tokens[first + 1 : second]
     for tok in between:
         feats[f"btw={tok}"] = 1.0
@@ -160,7 +169,8 @@ def featurize(ms: MaskedSentence) -> dict[str, float]:
 
 def featurize_raw(tokens: Sequence[str]) -> dict[str, float]:
     """Unigram/bigram features of unmasked tokens (the ablation arm)."""
-    return _token_features([t.lower() for t in tokens])
+    lowered = [t.lower() for t in tokens]
+    return _token_features(lowered, _mask_positions(lowered))
 
 
 @dataclass(frozen=True)
@@ -180,6 +190,7 @@ class TrainingExample:
             raise ValueError(
                 f"pattern shape {shape} does not match label {self.label}"
             )
+        _require_two_masks(self.masked)
 
     def to_json(self) -> dict:
         return {
@@ -362,7 +373,19 @@ def fit(
     seed: int,
 ) -> tuple[PatternClassifier, TrainReport]:
     """Fit the linear model on sparse features, ``EPOCHS`` full-batch
-    gradient steps from weights drawn with ``seed``."""
+    gradient steps from weights drawn with ``seed``.
+
+    An epoch is ``z = x @ w.T + b``, ``z -= z.max(1)``, ``p = exp(z)``,
+    ``p /= p.sum(1)``, ``grad = (p - y) / n``,
+    ``w -= LEARNING_RATE * (grad.T @ x + L2 * w)`` and
+    ``b -= LEARNING_RATE * grad.sum(0)``. The arrays are small, so the
+    time goes to numpy calls, not arithmetic: each step writes into
+    buffers allocated once, and a row's max and sum over the three
+    classes are taken over column views, the sum as ``(z0 + z1) + z2``
+    as numpy sums a row. The float operations and their order are those
+    of the expressions above, so the weights are bit-identical to theirs
+    (``tests/oracles.py::reference_fit``).
+    """
     import numpy as np
 
     present = set(labels)
@@ -370,34 +393,49 @@ def fit(
     if missing:
         raise TrainingDataError(f"missing training classes: {', '.join(missing)}")
 
-    vocab: dict[str, int] = {}
-    for feats in features:
-        for name in feats:
-            if name not in vocab:
-                vocab[name] = len(vocab)
-    vocab = {name: i for i, name in enumerate(sorted(vocab))}
-
+    vocab = {name: i for i, name in enumerate(sorted(set().union(*features)))}
     n, f, c = len(features), len(vocab), len(CLASSES)
     x = np.zeros((n, f))
-    for row, feats in enumerate(features):
-        for name, value in feats.items():
-            x[row, vocab[name]] = value
+    x[
+        [row for row, feats in enumerate(features) for _ in feats],
+        [vocab[name] for feats in features for name in feats],
+    ] = [value for feats in features for value in feats.values()]
     class_index = {cls: i for i, cls in enumerate(CLASSES)}
     y = np.zeros((n, c))
-    for row, label in enumerate(labels):
-        y[row, class_index[label]] = 1.0
+    y[range(n), [class_index[label] for label in labels]] = 1.0
 
     rng = np.random.default_rng(seed)
     w = rng.normal(0.0, 1e-3, size=(c, f))
     b = np.zeros(c)
+    z = np.empty((n, c))  # scores, then probabilities, then the gradient
+    z0, z1, z2 = z[:, 0:1], z[:, 1:2], z[:, 2:3]
+    row = np.empty((n, 1))  # each row's max, then its sum
+    g = np.empty((c, f))  # the weight step
+    r = np.empty((c, f))  # the L2 term
+    s = np.empty(c)  # the bias step
+    # as 0-d arrays, which numpy takes as they are; it converts a Python
+    # number operand on every call
+    count, rate, decay = (np.array(float(v)) for v in (n, LEARNING_RATE, L2))
     for _ in range(EPOCHS):
-        z = x @ w.T + b
-        z -= z.max(axis=1, keepdims=True)
-        p = np.exp(z)
-        p /= p.sum(axis=1, keepdims=True)
-        grad = (p - y) / n
-        w -= LEARNING_RATE * (grad.T @ x + L2 * w)
-        b -= LEARNING_RATE * grad.sum(axis=0)
+        np.matmul(x, w.T, out=z)
+        z += b
+        np.maximum(z0, z1, out=row)
+        np.maximum(row, z2, out=row)
+        z -= row
+        np.exp(z, out=z)
+        np.add(z0, z1, out=row)
+        row += z2
+        z /= row
+        z -= y
+        z /= count
+        np.matmul(z.T, x, out=g)
+        np.multiply(decay, w, out=r)
+        g += r
+        g *= rate
+        w -= g
+        np.add.reduce(z, axis=0, out=s)
+        s *= rate
+        b -= s
 
     clf = PatternClassifier(vocab, w, b)
     z = x @ w.T + b

@@ -13,7 +13,7 @@ import json
 import logging
 import re
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from pathlib import Path
 from types import MappingProxyType
 from typing import IO, Iterable, Iterator, KeysView, Mapping, Union
@@ -46,6 +46,26 @@ class UnknownPredicateError(KeyError):
         return f"unknown predicate: {self.predicate}"
 
 
+def _refuse_setattr(self, name: str, value) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_delattr(self, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _frozen(cls: type) -> type:
+    """Make setting or deleting any attribute of ``cls`` raise
+    ``FrozenInstanceError``. ``slots=True`` builds a new class, and before
+    Python 3.12 the ``__setattr__``/``__delattr__`` that ``frozen=True``
+    generates still test against the old one, so a name that is not a
+    field raised ``TypeError`` from ``super()``."""
+    cls.__setattr__ = _refuse_setattr
+    cls.__delattr__ = _refuse_delattr
+    return cls
+
+
+@_frozen
 @dataclass(frozen=True, slots=True)
 class Literal:
     """An opaque literal value; may appear only in object position."""
@@ -100,6 +120,7 @@ def valid_iri(iri: str) -> bool:
     return bool(iri) and not any(c.isspace() for c in iri) and bool(local_name(iri))
 
 
+@_frozen
 @dataclass(frozen=True, slots=True, init=False)
 class Triple:
     subject: str

@@ -73,12 +73,27 @@ class SubgraphPattern:
     def __post_init__(self):
         if not self.edges:
             raise ValueError("pattern needs at least one edge")
-        object.__setattr__(self, "types", tuple(sorted(self.types)))
-        variables = self.variables()
-        for var, _ in self.types:
-            if var not in variables:
+        types = tuple(sorted(self.types))
+        object.__setattr__(self, "types", types)
+        # grow the first edge's component: each pass takes in the edges
+        # that touch it, and the edges left over are the unconnected ones
+        first, *rest = self.edges
+        reached = {first.src, first.dst}
+        while rest:
+            left = []
+            for e in rest:
+                if e.src in reached or e.dst in reached:
+                    reached.add(e.src)
+                    reached.add(e.dst)
+                else:
+                    left.append(e)
+            if len(left) == len(rest):
+                break
+            rest = left
+        for var, _ in types:
+            if var not in reached and all(var != e.src and var != e.dst for e in rest):
                 raise ValueError(f"type restriction on unused variable {var!r}")
-        if not self._connected():
+        if rest:
             raise ValueError("pattern edges must form a connected graph")
 
     @classmethod
@@ -104,22 +119,6 @@ class SubgraphPattern:
 
     def relations(self) -> tuple[str, ...]:
         return tuple(e.rel for e in self.edges)
-
-    def _connected(self) -> bool:
-        variables = set(self.variables())
-        adjacency: dict[str, set[str]] = {v: set() for v in variables}
-        for e in self.edges:
-            adjacency[e.src].add(e.dst)
-            adjacency[e.dst].add(e.src)
-        stack = [next(iter(variables))]
-        seen: set[str] = set()
-        while stack:
-            v = stack.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            stack.extend(adjacency[v] - seen)
-        return seen == variables
 
     def with_types(self, types: Mapping[str, str]) -> "SubgraphPattern":
         return SubgraphPattern(self.edges, tuple(types.items()))

@@ -11,8 +11,9 @@ import itertools
 import random
 import re
 import string
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
+from relink.classify import EPOCHS, L2, LEARNING_RATE
 from relink.kg import (
     RDF_TYPE,
     KnowledgeGraph,
@@ -23,8 +24,11 @@ from relink.kg import (
     node_key,
 )
 from relink.linking import Lexicon, mention_score
-from relink.patterns import MetaPattern, SubgraphPattern
+from relink.patterns import CLASSES, MetaPattern, PatternEdge, SubgraphPattern
 from relink.text import tokenize
+
+if TYPE_CHECKING:
+    import numpy as np
 
 LETTERS = string.ascii_lowercase
 
@@ -159,6 +163,78 @@ def reference_link_simple(
         if score >= theta_rel and (best is None or score > best[1]):
             best = (iri, score)
     return best
+
+
+def reference_fit(
+    features: list[dict[str, float]], labels: list[MetaPattern], seed: int
+) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
+    """``classify.fit``'s vocabulary, weights and bias by the plain loop:
+    scalar stores into ``x`` and ``y``, and each epoch's steps written as
+    whole-array expressions that allocate their results."""
+    import numpy as np
+
+    vocab: dict[str, int] = {}
+    for feats in features:
+        for name in feats:
+            if name not in vocab:
+                vocab[name] = len(vocab)
+    vocab = {name: i for i, name in enumerate(sorted(vocab))}
+
+    n, f, c = len(features), len(vocab), len(CLASSES)
+    x = np.zeros((n, f))
+    for row, feats in enumerate(features):
+        for name, value in feats.items():
+            x[row, vocab[name]] = value
+    class_index = {cls: i for i, cls in enumerate(CLASSES)}
+    y = np.zeros((n, c))
+    for row, label in enumerate(labels):
+        y[row, class_index[label]] = 1.0
+
+    rng = np.random.default_rng(seed)
+    w = rng.normal(0.0, 1e-3, size=(c, f))
+    b = np.zeros(c)
+    for _ in range(EPOCHS):
+        z = x @ w.T + b
+        z -= z.max(axis=1, keepdims=True)
+        p = np.exp(z)
+        p /= p.sum(axis=1, keepdims=True)
+        grad = (p - y) / n
+        w -= LEARNING_RATE * (grad.T @ x + L2 * w)
+        b -= LEARNING_RATE * grad.sum(axis=0)
+    return vocab, w, b
+
+
+def reference_pattern_check(
+    edges: tuple[PatternEdge, ...], types: tuple[tuple[str, str], ...]
+) -> Optional[str]:
+    """The message ``SubgraphPattern`` rejects a pattern with, or None,
+    by collecting the variables and then searching an adjacency-set graph
+    from one of them."""
+    if not edges:
+        return "pattern needs at least one edge"
+    seen: dict[str, None] = {}
+    for e in edges:
+        seen.setdefault(e.src)
+        seen.setdefault(e.dst)
+    variables = set(seen)
+    for var, _ in sorted(types):
+        if var not in variables:
+            return f"type restriction on unused variable {var!r}"
+    adjacency: dict[str, set[str]] = {v: set() for v in variables}
+    for e in edges:
+        adjacency[e.src].add(e.dst)
+        adjacency[e.dst].add(e.src)
+    stack = [next(iter(variables))]
+    reached: set[str] = set()
+    while stack:
+        v = stack.pop()
+        if v in reached:
+            continue
+        reached.add(v)
+        stack.extend(adjacency[v] - reached)
+    if reached != variables:
+        return "pattern edges must form a connected graph"
+    return None
 
 
 def near_miss(word: str, rng: random.Random) -> str:

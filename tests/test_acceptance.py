@@ -234,6 +234,7 @@ def test_c9_property_suites_present():
             "test_homomorphism_allows_shared_nodes",
             "test_has_instance_iff_match_instances_nonempty",
             "test_has_instance_matches_brute_force",
+            "test_pattern_checks_match_reference",
         ],
         "test_explain.py": [
             "test_idempotent_byte_identical",
@@ -249,6 +250,7 @@ def test_c9_property_suites_present():
             "test_harvest_deterministic",
             "test_featurize_tail_does_not_disturb_between_features",
             "test_mask_mother_in_law_explanation",
+            "test_fit_matches_reference",
         ],
         "test_assemble.py": [
             "test_link_strict_results_always_instantiate",

@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relink import classify
 from relink.classify import (
@@ -12,6 +15,7 @@ from relink.classify import (
     TrainingExample,
     featurize,
     featurize_raw,
+    fit,
     harvest,
     mask,
     merge_review,
@@ -20,6 +24,8 @@ from relink.classify import (
 from relink.linking import detect_elements
 from relink.patterns import MetaPattern, has_instance, instantiate, shape_of
 from relink.text import tokenize
+
+from .oracles import reference_fit
 
 EX = "http://example.org/ontology/"
 FOAF = "http://xmlns.com/foaf/0.1/"
@@ -82,6 +88,20 @@ def test_featurize_between_mask_of():
 def test_featurize_deterministic():
     ms = MaskedSentence.from_tokens(["a", "*gender", "from", "your", "own", "*country"])
     assert featurize(ms) == featurize(ms)
+
+
+def test_featurize_key_order():
+    # the classifier adds weights in key order, so the order is part of
+    # its float result
+    ms = MaskedSentence.from_tokens(["the", "*mother", "of", "*spouse", "x"])
+    assert list(featurize(ms)) == [
+        "uni=the", "uni=*mother", "uni=*REL", "uni=of", "uni=*spouse", "uni=x",
+        "bi=the|*REL", "bi=*REL|of", "bi=of|*REL", "bi=*REL|x",
+        "btw=of", "btw_has=of", "mask_dist=1",
+    ]
+    assert list(featurize_raw(["A", "*B", "c"])) == [
+        "uni=a", "uni=*b", "uni=*REL", "uni=c", "bi=a|*REL", "bi=*REL|c",
+    ]
 
 
 def test_featurize_requires_two_masks():
@@ -172,6 +192,46 @@ def test_train_thirty_examples_accuracy(training_examples):
     assert report.train_accuracy >= 0.9
 
 
+@st.composite
+def _fit_inputs(draw):
+    """Sparse 0/1 feature dicts over a narrow (1-6 names) or wide (40-300)
+    vocabulary, every class present and some with a single example,
+    some rows repeated, and a seed."""
+    wide = draw(st.booleans())
+    names = [f"f{i}" for i in range(draw(st.integers(40, 300) if wide else st.integers(1, 6)))]
+    labels = draw(st.permutations(
+        list(classify.CLASSES) + draw(st.lists(st.sampled_from(classify.CLASSES), max_size=40))
+    ))
+    features: list[dict[str, float]] = []
+    for _ in labels:
+        if features and draw(st.integers(0, 3)) == 0:
+            features.append(dict(draw(st.sampled_from(features))))
+        else:
+            row = draw(st.lists(st.sampled_from(names), min_size=1, max_size=12, unique=True))
+            features.append({name: draw(st.sampled_from([1.0, 1.0, 0.0])) for name in row})
+    return features, labels, draw(st.integers(0, 2**32 - 1))
+
+
+def _assert_fit_matches_reference(features, labels, seed):
+    clf, _ = fit(features, labels, seed)
+    vocab, weights, bias = reference_fit(features, labels, seed)
+    assert clf.vocabulary == vocab
+    assert np.array_equal(clf.weights, weights) and np.array_equal(clf.bias, bias)
+
+
+@settings(max_examples=100, deadline=None)
+@given(inputs=_fit_inputs())
+def test_fit_matches_reference(inputs):
+    """Bit-identical weights and bias to the plain whole-array loop."""
+    _assert_fit_matches_reference(*inputs)
+
+
+@pytest.mark.parametrize("seed", [0, 42])
+def test_fit_matches_reference_on_bundled_set(training_examples, seed):
+    features = [featurize(ex.masked) for ex in training_examples]
+    _assert_fit_matches_reference(features, [ex.label for ex in training_examples], seed)
+
+
 def test_train_reproducible(training_examples):
     a, _ = train(training_examples, seed=42)
     b, _ = train(training_examples, seed=42)
@@ -249,7 +309,7 @@ def test_example_jsonl_round_trip(training_examples, tmp_path):
 
 
 _GOOD_LINE = json.dumps({
-    "phrase": "p", "sentence": ["a"], "masked": ["*mother"], "label": "RP2",
+    "phrase": "p", "sentence": ["a"], "masked": ["*mother", "*spouse"], "label": "RP2",
     "pattern": {"edges": [{"src": "x", "rel": EX + "mother", "dst": "z"},
                           {"src": "z", "rel": EX + "spouse", "dst": "y"}]},
 })
@@ -262,10 +322,11 @@ _GOOD_LINE = json.dumps({
      (b'{"phrase": "x"}', "missing key 'sentence'"),
      (_GOOD_LINE.replace('"RP2"', '"RP9"').encode(), "RP9"),
      (_GOOD_LINE.replace('"RP2"', '"RP3"').encode(), "does not match label"),
-     (_GOOD_LINE.replace('["*mother"]', "[1]").encode(), "startswith"),
+     (_GOOD_LINE.replace('"*mother"', "1").encode(), "startswith"),
+     (_GOOD_LINE.replace('"*mother", ', "").encode(), "need at least 2 masked relations, got 1"),
      (b"\xff", "'utf-8' codec")],
     ids=["not-json", "not-object", "missing-key", "unknown-label", "wrong-shape",
-         "token-not-string", "not-utf8"],
+         "token-not-string", "one-mask", "not-utf8"],
 )
 def test_load_examples_names_file_and_line(tmp_path, line, reason):
     path = tmp_path / "t.jsonl"

@@ -486,9 +486,17 @@ def test_train_example_not_an_object_data_error(capsys, tmp_path):
     assert code == EXIT_DATA
 
 
+# the bundled file's first example with its second mask unmasked: it
+# parses, but a sentence with one masked relation cannot be featurized
+_ONE_MASK_LINE = (
+    data_path("training.jsonl").read_text("utf-8").splitlines()[0]
+    .replace('"*spouse"', '"spouse"').encode()
+)
+
+
 @pytest.mark.parametrize(
-    "line", [b'{"phrase": "x"}', b"[1]", b"{not json", b"\xff"],
-    ids=["missing-key", "not-object", "not-json", "not-utf8"],
+    "line", [b'{"phrase": "x"}', b"[1]", b"{not json", b"\xff", _ONE_MASK_LINE],
+    ids=["missing-key", "not-object", "not-json", "not-utf8", "one-mask"],
 )
 @pytest.mark.parametrize(
     "argv",

@@ -166,12 +166,15 @@ def test_duplicate_triples_keep_the_first_seen():
 
 def test_triple_behaviour():
     t = Triple("http://x/a", "http://x/p", Literal("v"))
-    for name in ("subject", "predicate", "object"):
-        with pytest.raises(FrozenInstanceError):
-            setattr(t, name, "x")
-        with pytest.raises(FrozenInstanceError):
-            delattr(t, name)
-    assert not hasattr(t, "__dict__")
+    # a name that is not a field is refused the same way, on Literal too
+    for obj, names in ((t, ("subject", "predicate", "object", "extra")),
+                       (Literal("v"), ("value", "extra"))):
+        for name in names:
+            with pytest.raises(FrozenInstanceError):
+                setattr(obj, name, "x")
+            with pytest.raises(FrozenInstanceError):
+                delattr(obj, name)
+        assert not hasattr(obj, "__dict__")
     assert [f.name for f in fields(Triple)] == ["subject", "predicate", "object"]
     same = Triple(subject="http://x/a", predicate="http://x/p", object=Literal("v"))
     assert t == same and hash(t) == hash(same)
@@ -185,6 +188,8 @@ def test_triple_behaviour():
     assert t.object == Literal("v")
     copy = pickle.loads(pickle.dumps(t))
     assert type(copy) is Triple and copy == t and hash(copy) == hash(t)
+    assert pickle.loads(pickle.dumps(Literal("v"))) == Literal("v")
+    assert replace(Literal("v"), value="w") == Literal("w")
     with pytest.raises(TypeError):
         Triple("http://x/a", "http://x/p")
 

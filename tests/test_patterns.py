@@ -21,7 +21,13 @@ from relink.patterns import (
     shape_of,
 )
 
-from .oracles import brute_force_adjacent, brute_force_instances, graph_from_triples, random_graph
+from .oracles import (
+    brute_force_adjacent,
+    brute_force_instances,
+    graph_from_triples,
+    random_graph,
+    reference_pattern_check,
+)
 
 EX = "http://example.org/ontology/"
 RES = "http://example.org/resource/"
@@ -413,3 +419,40 @@ def _patterns(draw) -> SubgraphPattern:
 def test_has_instance_matches_brute_force(triples, sp):
     g = KnowledgeGraph(triples)
     assert has_instance(g, sp) == bool(brute_force_instances(triples, sp))
+
+
+@st.composite
+def _edge_lists(draw) -> tuple[PatternEdge, ...]:
+    """A chain of 1-5 edges with random directions, or 0-5 edges between
+    random variables (often disconnected), in any order, sometimes with
+    an edge repeated."""
+    rel = st.sampled_from(_PREDICATES)
+    if draw(st.booleans()):
+        n_edges = draw(st.integers(1, 5))
+        names = draw(st.permutations(_VARIABLES + ["u"]))[: n_edges + 1]
+        edges = [(a, draw(rel), b) if draw(st.booleans()) else (b, draw(rel), a)
+                 for a, b in zip(names, names[1:])]
+    else:
+        ends = draw(st.lists(st.permutations(_VARIABLES), max_size=5))
+        edges = [(src, draw(rel), dst) for src, dst, *_ in ends]
+    if edges and draw(st.booleans()):
+        edges.append(draw(st.sampled_from(edges)))
+    return tuple(PatternEdge(*e) for e in draw(st.permutations(edges)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    edges=_edge_lists(),
+    types=st.lists(st.tuples(st.sampled_from(_VARIABLES), st.sampled_from(_TYPES)), max_size=3),
+)
+def test_pattern_checks_match_reference(edges, types):
+    """Accepting, rejecting and the error text all match the check that
+    collects the variables and then searches an adjacency graph."""
+    expected = reference_pattern_check(edges, tuple(types))
+    if expected is None:
+        sp = SubgraphPattern(edges, tuple(types))
+        assert sp.edges == edges and sp.types == tuple(sorted(types))
+    else:
+        with pytest.raises(ValueError) as err:
+            SubgraphPattern(edges, tuple(types))
+        assert str(err.value) == expected
