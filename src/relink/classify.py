@@ -121,7 +121,7 @@ def _token_features(tokens: Sequence[str], masks: Sequence[int]) -> dict[str, fl
     """Unigram and bigram features. The tokens at ``masks`` also count as
     ``GENERIC_MASK``: one unigram, keyed right after the first mask's, and
     every bigram sees only that generic form. Key order is the order in
-    which ``PatternClassifier._scores`` adds the weights."""
+    which ``PatternClassifier.predict_features`` adds the weights."""
     unigrams = [f"uni={tok}" for tok in tokens]
     general = list(tokens)
     if masks:
@@ -276,8 +276,18 @@ class TrainReport:
     train_accuracy: float
 
 
+def _is_number_list(value: object) -> bool:
+    return isinstance(value, list) and all(type(x) in (int, float) for x in value)
+
+
 class PatternClassifier:
-    """Multinomial linear model over sparse features."""
+    """Multinomial linear model over sparse features.
+
+    The constructor checks the model and keeps read-only float copies of
+    the array-likes ``weights`` (one row per class of ``CLASSES``, one
+    column per vocabulary index) and ``bias``; a model that does not fit
+    raises ``ValueError("malformed model: …")``.
+    """
 
     def __init__(
         self,
@@ -285,29 +295,67 @@ class PatternClassifier:
         weights: np.ndarray,
         bias: np.ndarray,
     ):
-        self.vocabulary = vocabulary
-        self.weights = weights  # shape (len(CLASSES), n_features)
-        self.bias = bias
-
-    def _scores(self, feats: dict[str, float]) -> np.ndarray:
-        z = self.bias.copy()
-        for name, value in feats.items():
-            idx = self.vocabulary.get(name)
-            if idx is not None:
-                z += value * self.weights[:, idx]
-        return z
-
-    def predict_features(self, feats: dict[str, float]) -> tuple[MetaPattern, float]:
         import numpy as np
 
-        z = self._scores(feats)
-        z = z - z.max()
-        probs = np.exp(z)
-        probs /= probs.sum()
-        best = probs.max()
+        try:
+            weights = np.array(weights, dtype=float)
+            bias = np.array(bias, dtype=float)
+        except (OverflowError, ValueError) as exc:  # ragged rows, an int no float holds
+            raise ValueError(f"malformed model: weights and bias: {exc}") from exc
+        shape = (len(CLASSES), len(vocabulary))
+        if weights.shape != shape or bias.shape != shape[:1]:
+            raise ValueError(
+                f"malformed model: weights {weights.shape} and bias"
+                f" {bias.shape} do not fit {shape[0]} classes, {shape[1]} features"
+            )
+        if any(type(i) is not int or not 0 <= i < shape[1] for i in vocabulary.values()):
+            raise ValueError(
+                f"malformed model: vocabulary indexes must be integers in [0, {shape[1]})"
+            )
+        if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
+            raise ValueError("malformed model: weights and bias must be finite")
+        weights.flags.writeable = False
+        bias.flags.writeable = False
+        self.vocabulary = dict(vocabulary)
+        self.weights = weights
+        self.bias = bias
+        # feature name -> its weight for each class, as Python floats
+        columns = list(zip(*weights.tolist()))
+        self._columns = {name: columns[i] for name, i in self.vocabulary.items()}
+        self._bias = tuple(bias.tolist())
+
+    def predict_features(self, feats: dict[str, float]) -> tuple[MetaPattern, float]:
+        """The most probable class and its softmax probability.
+
+        The scores are summed in Python floats, from the bias and in the
+        order of ``feats``, one ``value * weight`` product per class and
+        feature: the IEEE operations, in the same order, of adding each
+        feature's numpy weight column to a numpy score vector. The shifted
+        scores go through one ``np.exp`` call on a length-3 array, as the
+        numpy softmax does, and are normalised by ``(e0 + e1) + e2``, the
+        order in which numpy sums a row of three. So the result is
+        bit-identical to that numpy computation
+        (``tests/oracles.py::reference_predict_features``).
+        """
+        import numpy as np
+
+        z0, z1, z2 = self._bias
+        columns = self._columns
+        for name, value in feats.items():
+            column = columns.get(name)
+            if column is not None:
+                w0, w1, w2 = column
+                z0 += value * w0
+                z1 += value * w1
+                z2 += value * w2
+        top = max(z0, z1, z2)
+        e0, e1, e2 = np.exp((z0 - top, z1 - top, z2 - top)).tolist()
+        total = (e0 + e1) + e2
+        probs = (e0 / total, e1 / total, e2 / total)
+        best = max(probs)
         # exact ties resolve through the fixed class order
         tied = [c for c, p in zip(CLASSES, probs) if p == best]
-        return min(tied, key=DEFAULT_TIE_BREAK.index), float(best)
+        return min(tied, key=DEFAULT_TIE_BREAK.index), best
 
     def predict(self, ms: MaskedSentence) -> tuple[MetaPattern, float]:
         return self.predict_features(featurize(ms))
@@ -320,8 +368,8 @@ class PatternClassifier:
             "classes": [c.value for c in CLASSES],
             "tie_break": [c.value for c in DEFAULT_TIE_BREAK],
             "vocabulary": self.vocabulary,
-            "weights": [list(map(float, row)) for row in self.weights],
-            "bias": [float(b) for b in self.bias],
+            "weights": self.weights.tolist(),
+            "bias": self.bias.tolist(),
         }
 
     def save(self, path: Union[str, Path]) -> None:
@@ -329,20 +377,17 @@ class PatternClassifier:
 
     @classmethod
     def from_json(cls, data: dict) -> "PatternClassifier":
+        """The model a ``to_json`` dict describes. Weights and bias must be
+        JSON numbers and vocabulary indexes JSON integers, so that no
+        ``true`` or ``1.5`` loads as the number or column it converts to."""
         fmt = data.get("format") if isinstance(data, dict) else None
         if fmt != MODEL_FORMAT:
             raise ValueError(f"unsupported model format: {fmt!r}")
-        import numpy as np
-
         try:
-            model = cls(
-                vocabulary={str(k): int(v) for k, v in data["vocabulary"].items()},
-                weights=np.asarray(data["weights"], dtype=float),
-                bias=np.asarray(data["bias"], dtype=float),
-            )
+            vocabulary, weights, bias = data["vocabulary"], data["weights"], data["bias"]
             orders = {key: data[key] for key in ("classes", "tie_break")}
-        except (AttributeError, KeyError, TypeError) as exc:
-            raise ValueError(f"malformed model: {exc!r}") from exc
+        except KeyError as exc:
+            raise ValueError(f"malformed model: missing key {exc}") from exc
         for key, order in (("classes", CLASSES), ("tie_break", DEFAULT_TIE_BREAK)):
             fixed = [c.value for c in order]
             if orders[key] != fixed:
@@ -350,17 +395,17 @@ class PatternClassifier:
                     f"malformed model: {key} {orders[key]!r} is not the fixed"
                     f" order {', '.join(fixed)}"
                 )
-        shape = (len(CLASSES), len(model.vocabulary))
-        if model.weights.shape != shape or model.bias.shape != shape[:1]:
+        if not isinstance(vocabulary, dict):
+            raise ValueError("malformed model: vocabulary is not an object")
+        if not (
+            isinstance(weights, list)
+            and all(_is_number_list(row) for row in weights)
+            and _is_number_list(bias)
+        ):
             raise ValueError(
-                f"malformed model: weights {model.weights.shape} and bias"
-                f" {model.bias.shape} do not fit {shape[0]} classes, {shape[1]} features"
+                "malformed model: weights must be lists of numbers, bias a list of numbers"
             )
-        if any(not 0 <= i < shape[1] for i in model.vocabulary.values()):
-            raise ValueError("malformed model: vocabulary index out of range")
-        if not (np.isfinite(model.weights).all() and np.isfinite(model.bias).all()):
-            raise ValueError("malformed model: weights and bias must be finite")
-        return model
+        return cls(vocabulary, weights, bias)
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "PatternClassifier":

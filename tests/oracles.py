@@ -13,7 +13,7 @@ import re
 import string
 from typing import TYPE_CHECKING, Optional
 
-from relink.classify import EPOCHS, L2, LEARNING_RATE
+from relink.classify import EPOCHS, L2, LEARNING_RATE, PatternClassifier
 from relink.kg import (
     RDF_TYPE,
     KnowledgeGraph,
@@ -24,7 +24,13 @@ from relink.kg import (
     node_key,
 )
 from relink.linking import Lexicon, mention_score
-from relink.patterns import CLASSES, MetaPattern, PatternEdge, SubgraphPattern
+from relink.patterns import (
+    CLASSES,
+    DEFAULT_TIE_BREAK,
+    MetaPattern,
+    PatternEdge,
+    SubgraphPattern,
+)
 from relink.text import tokenize
 
 if TYPE_CHECKING:
@@ -202,6 +208,28 @@ def reference_fit(
         w -= LEARNING_RATE * (grad.T @ x + L2 * w)
         b -= LEARNING_RATE * grad.sum(axis=0)
     return vocab, w, b
+
+
+def reference_predict_features(
+    clf: PatternClassifier, feats: dict[str, float]
+) -> tuple[MetaPattern, float]:
+    """``PatternClassifier.predict_features`` in numpy: each feature's
+    weight column scaled and added to a score vector that starts from the
+    bias, then the softmax of that vector."""
+    import numpy as np
+
+    z = clf.bias.copy()
+    for name, value in feats.items():
+        idx = clf.vocabulary.get(name)
+        if idx is not None:
+            z += value * clf.weights[:, idx]
+    z = z - z.max()
+    probs = np.exp(z)
+    probs /= probs.sum()
+    best = probs.max()
+    # exact ties resolve through the fixed class order
+    tied = [c for c, p in zip(CLASSES, probs) if p == best]
+    return min(tied, key=DEFAULT_TIE_BREAK.index), float(best)
 
 
 def reference_pattern_check(

@@ -251,6 +251,7 @@ def test_c9_property_suites_present():
             "test_featurize_tail_does_not_disturb_between_features",
             "test_mask_mother_in_law_explanation",
             "test_fit_matches_reference",
+            "test_predict_matches_reference",
         ],
         "test_assemble.py": [
             "test_link_strict_results_always_instantiate",

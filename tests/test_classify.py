@@ -25,7 +25,7 @@ from relink.linking import detect_elements
 from relink.patterns import MetaPattern, has_instance, instantiate, shape_of
 from relink.text import tokenize
 
-from .oracles import reference_fit
+from .oracles import reference_fit, reference_predict_features
 
 EX = "http://example.org/ontology/"
 FOAF = "http://xmlns.com/foaf/0.1/"
@@ -266,6 +266,84 @@ def test_predict_tie_break_order():
     predicted, confidence = zeros.predict(ms)
     assert predicted is MetaPattern.RP2
     assert confidence == pytest.approx(1 / 3)
+
+
+@st.composite
+def _predict_inputs(draw):
+    """A classifier and a feature dict. The weights are all zero (every
+    class ties), have two equal rows (two classes tie), come from a few
+    short binary fractions (frequent ties) or are floats large enough that ``exp`` of a
+    shifted score underflows to 0. Some vocabulary names share an index,
+    some feature names are not in the vocabulary, and values other than
+    1.0 occur."""
+    names = [f"f{i}" for i in range(draw(st.integers(1, 8)))]
+    n_features = len(names)  # one column per name; shared indexes leave some unused
+    vocabulary = {name: draw(st.integers(0, n_features - 1)) for name in names}
+    kind = draw(st.sampled_from(["zeros", "two_equal", "small", "large"]))
+    if kind == "zeros":
+        number = st.just(0.0)
+    elif kind == "large":
+        number = st.floats(-1e3, 1e3)
+    else:
+        number = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.25, 1.0, 3.0])
+    weights = [[draw(number) for _ in range(n_features)] for _ in classify.CLASSES]
+    bias = [draw(number) for _ in classify.CLASSES]
+    if kind == "two_equal":
+        i, j = draw(st.permutations(range(len(classify.CLASSES))))[:2]
+        weights[j], bias[j] = weights[i], bias[i]
+    clf = classify.PatternClassifier(vocabulary, weights, bias)
+    feats = draw(st.dictionaries(
+        st.sampled_from(names + ["unknown"]),
+        st.sampled_from([1.0, 1.0, 0.0, -1.0, 0.5, 2.0]) | st.floats(-10.0, 10.0),
+        max_size=12,
+    ))
+    return clf, feats
+
+
+@settings(max_examples=300, deadline=None)
+@given(inputs=_predict_inputs())
+def test_predict_matches_reference(inputs):
+    """Exactly the class and confidence of the numpy score vector and softmax."""
+    clf, feats = inputs
+    assert clf.predict_features(feats) == reference_predict_features(clf, feats)
+
+
+def test_predict_matches_reference_on_bundled_set(training_examples, classifier):
+    raw = [featurize_raw(ex.sentence) for ex in training_examples]
+    raw_clf, _ = fit(raw, [ex.label for ex in training_examples], 42)
+    for ex, raw_feats in zip(training_examples, raw):
+        feats = featurize(ex.masked)
+        assert classifier.predict_features(feats) == reference_predict_features(
+            classifier, feats
+        )
+        assert raw_clf.predict_features(raw_feats) == reference_predict_features(
+            raw_clf, raw_feats
+        )
+
+
+def test_classifier_keeps_read_only_copies():
+    weights, bias = np.zeros((3, 1)), np.zeros(3)
+    clf = classify.PatternClassifier({"uni=a": 0}, weights, bias)
+    weights[0, 0] = bias[0] = 5.0
+    assert not clf.weights.any() and not clf.bias.any()
+    with pytest.raises(ValueError):
+        clf.weights[0, 0] = 5.0
+    with pytest.raises(ValueError):
+        clf.bias[0] = 5.0
+
+
+@pytest.mark.parametrize(
+    "vocabulary, weights, bias",
+    [({"a": 1}, [[0.0]] * 3, [0.0] * 3),  # index out of range
+     ({"a": 0.0}, [[0.0]] * 3, [0.0] * 3),  # index not an int
+     ({"a": True}, [[0.0]] * 3, [0.0] * 3),
+     ({"a": 0}, [[0.0], [0.0], [0.0, 1.0]], [0.0] * 3),  # ragged
+     ({"a": 0}, [[0.0]] * 2, [0.0] * 3),
+     ({"a": 0}, [[0.0]] * 3, [0.0, float("inf"), 0.0])],
+)
+def test_classifier_checks_model(vocabulary, weights, bias):
+    with pytest.raises(ValueError, match="^malformed model: "):
+        classify.PatternClassifier(vocabulary, weights, bias)
 
 
 def test_featurize_three_masks_uses_first_window():

@@ -690,7 +690,15 @@ def test_unwritable_output_data_error(capsys, tmp_path, argv):
      lambda m: m["vocabulary"].update({next(iter(m["vocabulary"])): len(m["vocabulary"])}),
      # no class would score a defined probability
      lambda m: m["weights"][0].__setitem__(0, float("nan")),
-     lambda m: m["bias"].__setitem__(1, float("inf"))],
+     lambda m: m["bias"].__setitem__(1, float("inf")),
+     # not JSON numbers for weights and bias, nor JSON integers for indexes
+     lambda m: m["vocabulary"].update({next(iter(m["vocabulary"])): 1.5}),
+     lambda m: m["vocabulary"].update({next(iter(m["vocabulary"])): True}),
+     lambda m: m["weights"][0].__setitem__(0, True),
+     lambda m: m["weights"][1].__setitem__(0, "0.5"),
+     lambda m: m["weights"][2].__setitem__(0, "x"),
+     lambda m: m["weights"][2].append(0.0),  # ragged
+     lambda m: m["bias"].__setitem__(0, 10**400)],  # no float holds it
 )
 def test_model_shape_checked_at_load(capsys, tmp_path, corrupt):
     model = tmp_path / "model.json"
@@ -700,4 +708,4 @@ def test_model_shape_checked_at_load(capsys, tmp_path, corrupt):
     model.write_text(json.dumps(payload))
     code, _, err = run(capsys, "--model", str(model), "link", "mother-in-law")
     assert code == EXIT_USAGE
-    assert "malformed model" in err
+    assert err.startswith("error: malformed model: ")
