@@ -239,9 +239,10 @@ class KnowledgeGraph:
     ``predicate_objects`` return as views. The ``p`` index holds the
     stored ``Triple`` objects themselves, so each triple is kept once, and
     equal index value sets are one ``frozenset``. A node's types are its
-    IRI objects of ``type_predicate``. The constructor builds the indexes
-    and the label, label-token and type dictionaries; the graph is shared
-    across threads, so no lazy population happens later.
+    IRI objects of ``type_predicate``. The constructor builds the indexes,
+    the label, label-token and type dictionaries, and the type
+    dictionary's first-token table; the graph is shared across threads,
+    so no lazy population happens later.
     """
 
     triples: tuple[Triple, ...]
@@ -257,6 +258,7 @@ class KnowledgeGraph:
     _relation_keys: dict = field(init=False, repr=False)
     _entity_labels: dict = field(init=False, repr=False)
     _type_dict: dict = field(init=False, repr=False)
+    _type_starts: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         type_predicate = self.type_predicate
@@ -333,7 +335,9 @@ class KnowledgeGraph:
         put(self, "_relation_postings", _postings(relation_labels.values()))
         put(self, "_relation_keys", _first_by_key(relation_labels))
         put(self, "_entity_labels", _first_by_key(entities))
-        put(self, "_type_dict", _type_dictionary(instances))
+        type_dict = _type_dictionary(instances)
+        put(self, "_type_dict", type_dict)
+        put(self, "_type_starts", _key_starts(type_dict))
 
     def __len__(self) -> int:
         return len(self.triples)
@@ -505,9 +509,24 @@ def _type_dictionary(instance_counts: Mapping[str, int]) -> dict[tuple[str, ...]
     return out
 
 
+def _key_starts(keys: Iterable[tuple[str, ...]]) -> dict[str, tuple[int, ...]]:
+    """First token -> the distinct lengths of the keys that begin with it,
+    longest first."""
+    out: defaultdict[str, set[int]] = defaultdict(set)
+    for key in keys:
+        out[key[0]].add(len(key))
+    return {token: tuple(sorted(lengths, reverse=True)) for token, lengths in out.items()}
+
+
 def type_dictionary(g: KnowledgeGraph) -> dict[tuple[str, ...], str]:
     """Tokenized type local names -> type IRIs, as built with the graph."""
     return g._type_dict
+
+
+def type_key_starts(g: KnowledgeGraph) -> dict[str, tuple[int, ...]]:
+    """Each ``type_dictionary`` key's first token -> the lengths of the
+    keys that begin with it, longest first, as built with the graph."""
+    return g._type_starts
 
 
 def read_json(path: Union[str, Path]):

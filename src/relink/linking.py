@@ -17,7 +17,14 @@ from itertools import accumulate
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from . import text
-from .kg import KnowledgeGraph, RelationLabel, local_name, read_json, type_dictionary
+from .kg import (
+    KnowledgeGraph,
+    RelationLabel,
+    local_name,
+    read_json,
+    type_dictionary,
+    type_key_starts,
+)
 from .patterns import SubgraphPattern
 
 log = logging.getLogger(__name__)
@@ -210,7 +217,12 @@ def exact_match_relation(
     phrase: str, g: KnowledgeGraph, lex: Lexicon
 ) -> Optional[str]:
     """Exact-tier linking only: token-identical label or lexicon entry."""
-    tokens = tuple(text.tokenize(phrase))
+    return _exact_relation(tuple(text.tokenize(phrase)), g, lex)
+
+
+def _exact_relation(
+    tokens: tuple[str, ...], g: KnowledgeGraph, lex: Lexicon
+) -> Optional[str]:
     if not tokens:
         return None
     lex_targets = lex.get(tokens)
@@ -252,18 +264,34 @@ def content_spans(tokens: Sequence[Token], blocked: Sequence[Span] = ()) -> Iter
 
 
 def detect_types(tokens: Sequence[Token], g: KnowledgeGraph) -> list[TypeHit]:
-    """Greedy longest-span-first matching against the type dictionary."""
+    """Greedy longest-span-first matching against the type dictionary.
+
+    A window can match only if its first token begins a key, so the
+    windows probed are those of ``type_key_starts`` lengths at each such
+    token. The hits are kept in (longest, leftmost) order, skipping any
+    that overlaps one already kept: the order in which a scan over every
+    window would meet them, so the result is the same. A window holding
+    a pseudo-relation never equals a key, whose tokens are strings.
+    """
     type_dict = type_dictionary(g)
-    if not type_dict:
-        return []
-    max_len = max(len(k) for k in type_dict)
+    starts = type_key_starts(g)
+    n = len(tokens)
+    found: list[tuple[int, int, str]] = []  # (-length, start, type IRI)
+    for start, tok in enumerate(tokens):
+        if not isinstance(tok, str):
+            continue
+        for length in starts.get(tok, ()):
+            if start + length > n:
+                continue
+            iri = type_dict.get(tuple(tokens[start : start + length]))
+            if iri is not None:
+                found.append((-length, start, iri))
+    found.sort()
     hits: list[TypeHit] = []
-    taken: list[Span] = []
-    for span in ngram_spans(tokens, max_len, taken):
-        iri = type_dict.get(tuple(str(t) for t in tokens[span.start : span.end]))
-        if iri is not None:
+    for neg_length, start, iri in found:
+        span = Span(start, start - neg_length)
+        if not any(span.overlaps(h.span) for h in hits):
             hits.append(TypeHit(span, iri))
-            taken.append(span)
     hits.sort(key=lambda h: h.span.start)
     return hits
 
@@ -329,12 +357,12 @@ def direct_match(phrase: str, g: KnowledgeGraph, lex: Lexicon) -> Optional[Direc
     a phrase is "simple" when it matches a predicate label verbatim or
     through the lexicon.
     """
-    rel = exact_match_relation(phrase, g, lex)
-    if rel is not None:
-        return DirectHit("relation", rel)
     key = tuple(text.tokenize(phrase))
     if not key:
         return None
+    rel = _exact_relation(key, g, lex)
+    if rel is not None:
+        return DirectHit("relation", rel)
     type_dict = type_dictionary(g)
     if key in type_dict:
         return DirectHit("type", type_dict[key])

@@ -303,9 +303,10 @@ def has_instance(g: KnowledgeGraph, sp: SubgraphPattern) -> bool:
     """True iff at least one homomorphism exists.
 
     A tree-shaped pattern, one with an edge fewer than it has variables,
-    is decided by ``_semijoin``; every pattern the linker builds is one.
-    Any other pattern runs ``_search`` up to its first binding. An
-    unknown relation has no triples, so either way nothing is found.
+    is decided by ``_semijoin``, which stops at the first node the root
+    can bind to; every pattern the linker builds is one. Any other
+    pattern runs ``_search`` up to its first binding. An unknown relation
+    has no triples, so either way nothing is found.
     """
     if len(sp.edges) == len(sp.variables()) - 1:
         return _semijoin(g, sp)
@@ -324,8 +325,11 @@ def _semijoin(g: KnowledgeGraph, sp: SubgraphPattern) -> bool:
     unrestricted, or its candidates cover the edge's end on its side,
     the projection is the predicate's whole subject or object set, a
     ready-made keys view; otherwise it is the union of the index lookups
-    over the intersection. The first empty set decides False. Only index
-    keys and lookups are read, never a predicate's triple list.
+    over the intersection. The first empty set decides False. At the
+    root the question is only whether the last edge's projection meets
+    the candidates of the rest, so that intersection is not built: an
+    ``isdisjoint`` test stops at the first shared node. Only index keys
+    and lookups are read, never a predicate's triple list.
     """
     types = sp.type_map()
     incident: dict[str, list[PatternEdge]] = {v: [] for v in sp.variables()}
@@ -341,24 +345,32 @@ def _semijoin(g: KnowledgeGraph, sp: SubgraphPattern) -> bool:
         for e in incident[var]:
             if cand is not None and not cand:
                 break
-            if e is via:
-                continue
-            outgoing = e.src == var  # var -rel-> child, else child -rel-> var
-            child = e.dst if outgoing else e.src
-            subjects, objects = g.predicate_subjects(e.rel), g.predicate_objects(e.rel)
-            near, far = (subjects, objects) if outgoing else (objects, subjects)
-            below = candidates(child, e)
-            if below is None or below >= far:
-                projection = near
-            elif outgoing:
-                projection = set().union(*(g.subjects(e.rel, o) for o in _meet(below, far)))
-            else:
-                projection = set().union(*(g.objects(s, e.rel) for s in _meet(below, far)))
-            cand = projection if cand is None else _meet(cand, projection)
+            if e is not via:
+                p = projection(var, e)
+                cand = p if cand is None else _meet(cand, p)
         return cand
 
+    def projection(var: str, e: PatternEdge) -> AbstractSet:
+        """The nodes with an ``e`` edge to a candidate of its other end,
+        the child of ``var``."""
+        outgoing = e.src == var  # var -rel-> child, else child -rel-> var
+        child = e.dst if outgoing else e.src
+        subjects, objects = g.predicate_subjects(e.rel), g.predicate_objects(e.rel)
+        near, far = (subjects, objects) if outgoing else (objects, subjects)
+        below = candidates(child, e)
+        if below is None or below >= far:
+            return near
+        if outgoing:
+            return set().union(*(g.subjects(e.rel, o) for o in _meet(below, far)))
+        return set().union(*(g.objects(s, e.rel) for s in _meet(below, far)))
+
     root = max(incident, key=lambda v: len(incident[v]))
-    return bool(candidates(root, None))
+    last = incident[root][-1]
+    cand = candidates(root, last)  # every edge but the last
+    if cand is not None and not cand:
+        return False
+    p = projection(root, last)
+    return bool(p) if cand is None else _meets(cand, p)
 
 
 def _meet(a: AbstractSet, b: AbstractSet) -> AbstractSet:
@@ -368,6 +380,14 @@ def _meet(a: AbstractSet, b: AbstractSet) -> AbstractSet:
     if isinstance(large, (set, frozenset)):
         return large.intersection(small)
     return large & small
+
+
+def _meets(a: AbstractSet, b: AbstractSet) -> bool:
+    """Whether two sets or keys views share an element, found by iterating
+    the smaller one up to the first shared element (``isdisjoint`` on a
+    set or a view iterates its argument when that is the smaller)."""
+    small, large = (a, b) if len(a) <= len(b) else (b, a)
+    return not large.isdisjoint(small)
 
 
 class ShapeUse(NamedTuple):

@@ -22,8 +22,9 @@ from relink.kg import (
     Triple,
     local_name,
     node_key,
+    type_dictionary,
 )
-from relink.linking import Lexicon, mention_score
+from relink.linking import Lexicon, Span, Token, TypeHit, mention_score, ngram_spans
 from relink.patterns import (
     CLASSES,
     DEFAULT_TIE_BREAK,
@@ -169,6 +170,25 @@ def reference_link_simple(
         if score >= theta_rel and (best is None or score > best[1]):
             best = (iri, score)
     return best
+
+
+def reference_detect_types(tokens: list[Token], g: KnowledgeGraph) -> list[TypeHit]:
+    """Type mentions by scanning every window, longest first, then
+    leftmost, and taking each one the type dictionary holds that
+    overlaps no window taken before it."""
+    type_dict = type_dictionary(g)
+    if not type_dict:
+        return []
+    max_len = max(len(k) for k in type_dict)
+    hits: list[TypeHit] = []
+    taken: list[Span] = []
+    for span in ngram_spans(tokens, max_len, taken):
+        iri = type_dict.get(tuple(str(t) for t in tokens[span.start : span.end]))
+        if iri is not None:
+            hits.append(TypeHit(span, iri))
+            taken.append(span)
+    hits.sort(key=lambda h: h.span.start)
+    return hits
 
 
 def reference_fit(

@@ -335,6 +335,12 @@ def _check_against_reference(g, triples, ref, round_):
     assert list(g.entity_labels().items()) == list(ref["entity_labels"].items())
     assert (list(type_dictionary(g).items())
             == list(ref["type_dictionary"].items())), round_
+    starts: dict = {}
+    for key in ref["type_dictionary"]:
+        starts.setdefault(key[0], set()).add(len(key))
+    assert kg.type_key_starts(g) == {
+        token: tuple(sorted(lengths, reverse=True)) for token, lengths in starts.items()
+    }, round_
 
 
 def test_constructed_graph_validates_as_loaded():

@@ -5,7 +5,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relink import kg, linking, text
@@ -35,12 +35,14 @@ from .oracles import (
     LETTERS,
     disjoint_triples,
     near_miss,
+    reference_detect_types,
     reference_levenshtein,
     reference_link_simple,
 )
 
 EX = "http://example.org/ontology/"
 RES = "http://example.org/resource/"
+PSEUDO = PseudoRelation("mother in law", SubgraphPattern.make([("x", EX + "spouse", "y")]))
 
 
 def test_tokenize_strips_possessive_and_splits_hyphens():
@@ -54,6 +56,20 @@ def test_tokenize_strips_possessive_and_splits_hyphens():
 def test_tokenize_keeps_unicode_words():
     assert tokenize("café au lait") == ["café", "au", "lait"]
     assert tokenize("naïve approach") == ["naïve", "approach"]
+
+
+# no token match can hold a space, so tokenizing the joined parts gives
+# each part's own tokens: tokenizing each token of a span on its own is
+# exact where the span's joined string is tokenized today
+_TOKEN_CHAR = st.sampled_from("aZ İ'_-s ") | st.characters()
+
+
+@settings(max_examples=300, deadline=None)
+@given(parts=st.lists(st.text(_TOKEN_CHAR, max_size=8), max_size=5))
+@example(parts=["İstanbul", "i̇stanbul"])
+@example(parts=["person'", "s", "'s", "a_b", "_"])
+def test_tokenize_of_joined_parts_is_tokens_of_each(parts):
+    assert text.tokenize(" ".join(parts)) == [w for p in parts for w in text.tokenize(p)]
 
 
 def test_levenshtein_basics():
@@ -267,6 +283,56 @@ def test_detect_types_prefers_longer_span():
     ]
 
 
+# two words, so that keys share tokens and overlap in a sentence often
+TYPE_WORDS = ["soccer", "player"]
+
+
+def _typed_graph(keys):
+    """A graph whose type dictionary holds each key: one instance per type
+    IRI, named by the key's tokens joined with '_'."""
+    lines = [f"<{RES}a> <{EX}knows> <{RES}b> ."]
+    for i, key in enumerate(keys):
+        lines.append(f"<{RES}i{i}> <{kg.RDF_TYPE}> <{EX}{'_'.join(key)}> .")
+    return kg.load(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    keys=st.lists(
+        st.lists(st.sampled_from(TYPE_WORDS), min_size=1, max_size=3), max_size=6
+    ),
+    # a sentence part is a word, a pseudo-relation, or an int i standing
+    # for the tokens of keys[i], so that keys recur and overlap often
+    parts=st.lists(st.sampled_from(TYPE_WORDS) | st.just(PSEUDO) | st.integers(0, 5),
+                   max_size=8),
+)
+# a key that is a prefix, and one that is a suffix, of another
+@example(
+    keys=[["soccer", "player"], ["soccer"], ["player"]],
+    parts=["the", "soccer", "player", "soccer", "player", "soccer"],
+)
+# keys sharing a first token, repeated tokens, a pseudo-relation inside
+@example(
+    keys=[["place", "place"], ["place", "of", "birth"], ["place"]],
+    parts=["place", "place", "place", "of", "birth", "place", PSEUDO, "place"],
+)
+@example(keys=[["birth", "place"]], parts=["birth", PSEUDO, "place", "birth"])
+# a key longer than any relation mention
+@example(keys=[["city", "of", "birth", "place"], ["birth"]], parts=["the", "city", "of", 0])
+# a longer key to the right beats a shorter one to the left
+@example(keys=[["soccer", "player"], ["player", "of", "the"]], parts=[0, "of", "the"])
+def test_detect_types_matches_reference(keys, parts):
+    g = _typed_graph(keys)
+    assert len(kg.type_dictionary(g)) == len({tuple(k) for k in keys})
+    tokens = []
+    for part in parts:
+        if not isinstance(part, int):
+            tokens.append(part)
+        elif keys:
+            tokens += keys[part % len(keys)]
+    assert detect_types(tokens, g) == reference_detect_types(tokens, g)
+
+
 def test_detect_relations_mother_spouse_order(family_graph, lexicon):
     tokens = tokenize("the mother of a person's spouse")
     types = detect_types(tokens, family_graph)
@@ -379,15 +445,12 @@ def test_span_overlap_logic():
     assert not Span(0, 2).overlaps(Span(2, 4))
 
 
-PSEUDO = PseudoRelation("mother in law", SubgraphPattern.make([("x", EX + "spouse", "y")]))
-
-
 def _reference_content_spans(tokens, stopwords, blocked, grow):
     """The plain filter: every window, longest first, all three conditions.
 
     A yielded span in ``grow`` (every span, if ``grow`` is None) is
-    appended to ``blocked``, as the nested scan's callers and
-    ``detect_types`` extend it while iterating.
+    appended to ``blocked``, as a greedy caller such as
+    ``oracles.reference_detect_types`` extends it while iterating.
     """
     out = []
     for length in range(min(MAX_MENTION_TOKENS, len(tokens)), 0, -1):
@@ -415,7 +478,7 @@ def _reference_content_spans(tokens, stopwords, blocked, grow):
         max_size=9,
     ),
     blocked=st.lists(st.tuples(st.integers(0, 9), st.integers(1, 3)), max_size=3),
-    # None: every yielded span is blocked, as detect_types takes its hits
+    # None: every yielded span is blocked, as a greedy scan takes its hits
     grow=st.none() | st.sets(st.tuples(st.integers(0, 9), st.integers(1, 3)), max_size=4),
 )
 def test_content_spans_matches_reference_filter(tokens, blocked, grow):

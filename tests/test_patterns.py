@@ -6,9 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from relink import kg
+from relink import kg, patterns
 from relink.kg import KnowledgeGraph, UnknownPredicateError
 from relink.patterns import (
+    CLASSES,
     COMPLEX,
     TEMPLATES,
     MetaPattern,
@@ -18,6 +19,7 @@ from relink.patterns import (
     has_instance,
     instantiate,
     match_instances,
+    plans,
     shape_of,
 )
 
@@ -256,6 +258,35 @@ def test_has_instance_uncle_shape_reads_predicate_index_once(monkeypatch):
     )
     assert not has_instance(g, cycle)
     assert calls == [EX + "relative"]
+
+
+def test_has_instance_two_edge_root_builds_no_intersection(monkeypatch):
+    # an untyped two-edge pattern roots at its shared variable, whose two
+    # children are unrestricted leaves: each projection is a keys view,
+    # and whether they meet is answered without intersecting them
+    calls = []
+    meet = patterns._meet
+
+    def counting(a, b):
+        calls.append((len(a), len(b)))
+        return meet(a, b)
+
+    monkeypatch.setattr(patterns, "_meet", counting)
+    accepted = 0
+    for seed in range(8):
+        rng = random.Random(seed)
+        triples = random_graph(rng, n_entities=7, n_predicates=3, n_triples=24)
+        g = graph_from_triples(triples)
+        preds = sorted({t.predicate for t in triples if t.predicate != kg.RDF_TYPE})
+        for a in preds:
+            for b in preds:
+                for kind, pair in plans(CLASSES, a, b):
+                    sp = instantiate(kind, pair)
+                    found = has_instance(g, sp)
+                    assert found == bool(brute_force_instances(triples, sp))
+                    accepted += found
+    assert accepted > 0
+    assert calls == []
 
 
 def _random_tree_pattern(rng: random.Random, preds: list[str], n_edges: int):
