@@ -23,7 +23,7 @@ from . import text
 from .assemble import Linker, link_data_driven
 from .classify import TrainingExample, featurize, featurize_raw, fit, train
 from .kg import KnowledgeGraph, read_lines
-from .linking import Lexicon, detect_elements, exact_match_relation, link_simple
+from .linking import Lexicon, detect_elements, direct_match, link_simple
 from .patterns import MetaPattern, SubgraphPattern, instantiate
 
 log = logging.getLogger(__name__)
@@ -121,8 +121,10 @@ def exact_match(predicted: Optional[SubgraphPattern], gold: SubgraphPattern) -> 
 
 def keyword_match(phrase: str, g: KnowledgeGraph) -> Optional[SubgraphPattern]:
     """Single edge for a predicate whose label tokens equal the phrase tokens."""
-    iri = exact_match_relation(phrase, g, Lexicon())
-    return None if iri is None else instantiate(MetaPattern.RP1, [iri])
+    hit = direct_match(phrase, g, Lexicon())
+    if hit is None or hit.category != "relation":
+        return None
+    return instantiate(MetaPattern.RP1, [hit.iri])
 
 
 def similarity_search(phrase: str, g: KnowledgeGraph) -> Optional[SubgraphPattern]:

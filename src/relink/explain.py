@@ -59,9 +59,12 @@ class FixtureProvider:
                 )
         else:
             raw = dict(source)
-        self._entries = {
-            normalize_phrase(k): str(v) for k, v in raw.items() if str(v).strip()
-        }
+        for k, v in raw.items():
+            if not isinstance(v, str):
+                raise ValueError(
+                    f"explanation for {k!r} must be a string, got {type(v).__name__}"
+                )
+        self._entries = {normalize_phrase(k): v for k, v in raw.items() if v.strip()}
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -108,10 +108,17 @@ class Lexicon:
         cls, raw: Mapping[str, list[str]], g: Optional[KnowledgeGraph] = None
     ) -> "Lexicon":
         entries: dict[tuple[str, ...], frozenset[str]] = {}
+        surfaces: dict[tuple[str, ...], str] = {}
         for surface, iris in raw.items():
             key = tuple(text.tokenize(surface))
             if not key:
                 raise LexiconError(f"unusable lexicon surface: {surface!r}")
+            if key in surfaces:
+                raise LexiconError(
+                    f"lexicon surfaces {surfaces[key]!r} and {surface!r}"
+                    f" both tokenize to {' '.join(key)!r}"
+                )
+            surfaces[key] = surface
             if not isinstance(iris, list) or not all(isinstance(i, str) for i in iris):
                 raise LexiconError(
                     f"lexicon entry {surface!r} must be a list of predicate IRIs,"
@@ -213,41 +220,19 @@ def link_simple(
     return best
 
 
-def exact_match_relation(
-    phrase: str, g: KnowledgeGraph, lex: Lexicon
-) -> Optional[str]:
-    """Exact-tier linking only: token-identical label or lexicon entry."""
-    return _exact_relation(tuple(text.tokenize(phrase)), g, lex)
+def content_spans(tokens: Sequence[Token], blocked: Sequence[Span] = ()) -> Iterator[Span]:
+    """Windows of at most MAX_MENTION_TOKENS tokens, longest first, then
+    leftmost.
 
-
-def _exact_relation(
-    tokens: tuple[str, ...], g: KnowledgeGraph, lex: Lexicon
-) -> Optional[str]:
-    if not tokens:
-        return None
-    lex_targets = lex.get(tokens)
-    if lex_targets:
-        return sorted(lex_targets)[0]
-    return g.relation_keys().get(tokens)
-
-
-def ngram_spans(
-    tokens: Sequence[Token],
-    max_len: int,
-    blocked: Sequence[Span] = (),
-    stopwords: frozenset[str] = frozenset(),
-) -> Iterator[Span]:
-    """Windows of at most max_len tokens, longest first, then leftmost.
-
-    Windows that begin or end on a stopword, or hold a pseudo-relation,
-    are dropped first, by per-token tables; windows overlapping a blocked
-    span are skipped next, by their bounds. ``blocked`` is read afresh
-    for every window, so the caller may extend it while iterating.
+    Windows that begin or end on one of ``text.default_stopwords()``, or
+    hold a pseudo-relation, are dropped first, by per-token tables;
+    windows overlapping a blocked span are skipped next, by their bounds.
     """
+    stopwords = text.default_stopwords()
     stop = [isinstance(t, str) and t in stopwords for t in tokens]
     # pseudo[i]: the pseudo-relations among tokens[:i]
     pseudo = [0, *accumulate(isinstance(t, PseudoRelation) for t in tokens)]
-    for length in range(min(max_len, len(tokens)), 0, -1):
+    for length in range(min(MAX_MENTION_TOKENS, len(tokens)), 0, -1):
         for start in range(0, len(tokens) - length + 1):
             end = start + length
             if stop[start] or stop[end - 1] or pseudo[end] != pseudo[start]:
@@ -255,12 +240,6 @@ def ngram_spans(
             if any(start < b.end and b.start < end for b in blocked):
                 continue
             yield Span(start, end)
-
-
-def content_spans(tokens: Sequence[Token], blocked: Sequence[Span] = ()) -> Iterator[Span]:
-    """Spans of at most MAX_MENTION_TOKENS whose endpoints are not
-    ``text.default_stopwords()``."""
-    return ngram_spans(tokens, MAX_MENTION_TOKENS, blocked, text.default_stopwords())
 
 
 def detect_types(tokens: Sequence[Token], g: KnowledgeGraph) -> list[TypeHit]:
@@ -355,12 +334,16 @@ def direct_match(phrase: str, g: KnowledgeGraph, lex: Lexicon) -> Optional[Direc
 
     Only the exact tier applies for relations (no similarity fallback):
     a phrase is "simple" when it matches a predicate label verbatim or
-    through the lexicon.
+    through the lexicon. Relations are tried before types and entities,
+    the lexicon's smallest target IRI before the label table.
     """
     key = tuple(text.tokenize(phrase))
     if not key:
         return None
-    rel = _exact_relation(key, g, lex)
+    lex_targets = lex.get(key)
+    if lex_targets:
+        return DirectHit("relation", sorted(lex_targets)[0])
+    rel = g.relation_keys().get(key)
     if rel is not None:
         return DirectHit("relation", rel)
     type_dict = type_dictionary(g)

@@ -24,7 +24,7 @@ from relink.kg import (
     node_key,
     type_dictionary,
 )
-from relink.linking import Lexicon, Span, Token, TypeHit, mention_score, ngram_spans
+from relink.linking import Lexicon, PseudoRelation, Span, Token, TypeHit, mention_score
 from relink.patterns import (
     CLASSES,
     DEFAULT_TIE_BREAK,
@@ -181,12 +181,17 @@ def reference_detect_types(tokens: list[Token], g: KnowledgeGraph) -> list[TypeH
         return []
     max_len = max(len(k) for k in type_dict)
     hits: list[TypeHit] = []
-    taken: list[Span] = []
-    for span in ngram_spans(tokens, max_len, taken):
-        iri = type_dict.get(tuple(str(t) for t in tokens[span.start : span.end]))
-        if iri is not None:
-            hits.append(TypeHit(span, iri))
-            taken.append(span)
+    for length in range(min(max_len, len(tokens)), 0, -1):
+        for start in range(len(tokens) - length + 1):
+            window = tokens[start : start + length]
+            span = Span(start, start + length)
+            if any(isinstance(t, PseudoRelation) for t in window):
+                continue
+            if any(span.overlaps(h.span) for h in hits):
+                continue
+            iri = type_dict.get(tuple(window))
+            if iri is not None:
+                hits.append(TypeHit(span, iri))
     hits.sort(key=lambda h: h.span.start)
     return hits
 
@@ -334,6 +339,42 @@ def disjoint_triples(
     predicates = sorted({iri() for _ in range(n_predicates)})
     fresh = [iri() for _ in range(len(predicates))]
     ends = list(nodes) + fresh
+    return [
+        Triple(rng.choice(ends), predicates[i % len(predicates)], rng.choice(ends))
+        for i in range(n_triples)
+    ]
+
+
+def shared_token_triples(
+    rng: random.Random,
+    label_tokens: set[str],
+    nodes: list[str],
+    n_predicates: int,
+    n_triples: int,
+) -> list[Triple]:
+    """Triples on fresh predicates whose labels are each one of
+    ``label_tokens`` followed by a random letter string, between
+    ``nodes`` and fresh nodes.
+
+    Every new label shares a token with a graph label, so a mention that
+    holds that token has the new label among its postings and scores it.
+    Names are camelCase, which ``tokenize_name`` splits back into the two
+    words; random words that are themselves label tokens are redrawn.
+    """
+    namespace = "http://shared.example/"
+    stems = sorted(w for w in label_tokens if w.isascii() and w.isalpha())
+
+    def word() -> str:
+        while True:
+            w = "".join(rng.choice(LETTERS) for _ in range(rng.randint(3, 8)))
+            if w not in label_tokens:
+                return w
+
+    def iri() -> str:
+        return namespace + rng.choice(stems) + word().capitalize()
+
+    predicates = sorted({iri() for _ in range(n_predicates)})
+    ends = list(nodes) + [namespace + word() for _ in range(len(predicates))]
     return [
         Triple(rng.choice(ends), predicates[i % len(predicates)], rng.choice(ends))
         for i in range(n_triples)

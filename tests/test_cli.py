@@ -576,6 +576,25 @@ def test_explanations_not_an_object_usage_error(capsys, tmp_path):
     assert "explanation fixture must be a JSON object" in err
 
 
+@pytest.mark.parametrize("value", [None, ["the mother of a person's spouse"], 3])
+def test_explanation_not_a_string_usage_error(capsys, tmp_path, value):
+    explanations = tmp_path / "explanations.json"
+    explanations.write_text(json.dumps({"mother-in-law": value}))
+    code, out, err = run(capsys, "--explanations", str(explanations), "link", "mother-in-law")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "explanation for 'mother-in-law' must be a string" in err
+
+
+@pytest.mark.parametrize("surfaces", [["wife", "Wife"], ["in-law", "in law"]])
+def test_lexicon_surfaces_colliding_usage_error(capsys, tmp_path, surfaces):
+    lexicon = tmp_path / "lexicon.json"
+    spouse = "http://example.org/ontology/spouse"
+    lexicon.write_text(json.dumps({s: [spouse] for s in surfaces}))
+    code, out, err = run(capsys, "--lexicon", str(lexicon), "link", "son")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert all(repr(s) in err for s in surfaces)
+
+
 @pytest.mark.parametrize(
     "payload",
     [{"format": "relink-linear/1"}, ["relink-linear/1"],

@@ -2,12 +2,16 @@ from __future__ import annotations
 
 import json
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relink import classify, evaluate as ev, kg
 from relink.cli import data_path
-from relink.patterns import MetaPattern, SubgraphPattern
+from relink.patterns import MetaPattern, SubgraphPattern, instantiate
+from relink.text import tokenize
 
 EX = "http://example.org/ontology/"
 FOAF = "http://xmlns.com/foaf/0.1/"
@@ -90,6 +94,52 @@ def test_keyword_match_wordless_phrase_misses():
     # the predicate's local name "_" tokenizes to no words, like "?!"
     g = kg.load(["<http://x.org/a> <http://x.org/_> <http://x.org/b> ."])
     assert ev.keyword_match("?!", g) is None
+
+
+def _keyword_reference(phrase, g):
+    """RP1 over the predicate whose label tokens equal the phrase's."""
+    iri = g.relation_keys().get(tuple(tokenize(phrase)))
+    return None if iri is None else instantiate(MetaPattern.RP1, [iri])
+
+
+def _corpus_phrases() -> list[str]:
+    """Gold, harvest and golden-file phrases, lexicon surfaces (which
+    ``keyword_match`` must not use) and the bundled predicate labels."""
+    golden = Path(__file__).parent / "golden"
+    phrases = {e.phrase for e in ev.load_gold(data_path("gold.jsonl"))}
+    phrases.update(data_path("phrases.txt").read_text("utf-8").splitlines())
+    for path in (data_path("training.jsonl"), golden / "harvest_k10.jsonl"):
+        phrases.update(ex.phrase for ex in classify.load_examples(path))
+    for name in ("link_patterns.json", "link_traces.json"):
+        phrases.update(json.loads((golden / name).read_text("utf-8")))
+    phrases.update(json.loads(data_path("lexicon.json").read_text("utf-8")))
+    return sorted(phrases)
+
+
+def test_keyword_match_is_label_lookup_on_corpus(family_graph):
+    phrases = _corpus_phrases()
+    for label in family_graph.relation_labels().values():
+        phrases.append(" ".join(label.tokens))
+    hits = 0
+    for phrase in phrases:
+        want = _keyword_reference(phrase, family_graph)
+        assert ev.keyword_match(phrase, family_graph) == want, phrase
+        hits += want is not None
+    assert hits >= len(family_graph.relation_labels())
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    phrase=st.lists(
+        st.sampled_from(
+            ["founder", "birth", "place", "Mother", "wife", "person", "-", "_", "?", "of"]
+        )
+        | st.text(max_size=4),
+        max_size=4,
+    ).map(" ".join)
+)
+def test_keyword_match_is_label_lookup(family_graph, phrase):
+    assert ev.keyword_match(phrase, family_graph) == _keyword_reference(phrase, family_graph)
 
 
 def test_similarity_search_always_answers(family_graph):

@@ -73,6 +73,16 @@ def test_idempotent_byte_identical(explainer):
         assert explainer.explain("uncle") == first
 
 
+@pytest.mark.parametrize("value", [None, ["a sentence"], 0])
+def test_fixture_value_must_be_a_string(value):
+    with pytest.raises(ValueError, match="explanation for 'word' must be a string"):
+        FixtureProvider({"word": value})
+
+
+def test_fixture_blank_value_is_absent():
+    assert FixtureProvider({"word": "  ", "other": "a sentence"}).lookup("word") is None
+
+
 def test_provider_priority_order():
     first = FixtureProvider({"word": "first sentence"}, id="one")
     second = FixtureProvider({"word": "second sentence", "only": "from two"}, id="two")
