@@ -383,7 +383,8 @@ class Linker:
         types: Sequence[TypeHit],
     ) -> SubgraphPattern:
         """A type mention restricts the object variable of each relation
-        mention within TYPE_WINDOW tokens."""
+        mention within TYPE_WINDOW tokens; with none that near, the
+        pattern is returned as it is."""
         merged = pattern.type_map()
         best_gap: dict[str, int] = {}
         for type_hit in types:
@@ -394,7 +395,7 @@ class Linker:
                 if obj_var not in merged or gap < best_gap.get(obj_var, 10**9):
                     merged[obj_var] = type_hit.type_iri
                     best_gap[obj_var] = gap
-        return pattern.with_types(merged)
+        return pattern.with_types(merged) if best_gap else pattern
 
     def _validate(self, pattern: SubgraphPattern, state: "_LinkState") -> bool:
         if self.config.validation == PERMISSIVE:

@@ -20,6 +20,7 @@ from . import text
 from .kg import (
     KnowledgeGraph,
     RelationLabel,
+    _frozen,
     local_name,
     read_json,
     type_dictionary,
@@ -60,10 +61,20 @@ def relation_mask_name(ref: RelationRef) -> str:
 Token = Union[str, PseudoRelation]  # sentence tokens after substitution
 
 
-@dataclass(frozen=True)
+# Span, TypeHit and RelationHit are built for every window and hit, so,
+# like kg.Triple, they store their fields through the slot descriptors,
+# past the frozen __setattr__.
+
+
+@_frozen
+@dataclass(frozen=True, slots=True, init=False)
 class Span:
     start: int
     end: int  # exclusive
+
+    def __init__(self, start: int, end: int):
+        _set_start(self, start)
+        _set_end(self, end)
 
     def overlaps(self, other: "Span") -> bool:
         return self.start < other.end and other.start < self.end
@@ -72,17 +83,41 @@ class Span:
         return self.end - self.start
 
 
-@dataclass(frozen=True)
+_set_start = Span.start.__set__
+_set_end = Span.end.__set__
+
+
+@_frozen
+@dataclass(frozen=True, slots=True, init=False)
 class TypeHit:
     span: Span
     type_iri: str
 
+    def __init__(self, span: Span, type_iri: str):
+        _set_type_span(self, span)
+        _set_type_iri(self, type_iri)
 
-@dataclass(frozen=True)
+
+_set_type_span = TypeHit.span.__set__
+_set_type_iri = TypeHit.type_iri.__set__
+
+
+@_frozen
+@dataclass(frozen=True, slots=True, init=False)
 class RelationHit:
     span: Span
     relation: RelationRef
     score: float
+
+    def __init__(self, span: Span, relation: RelationRef, score: float):
+        _set_relation_span(self, span)
+        _set_relation(self, relation)
+        _set_score(self, score)
+
+
+_set_relation_span = RelationHit.span.__set__
+_set_relation = RelationHit.relation.__set__
+_set_score = RelationHit.score.__set__
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import heapq
 from dataclasses import dataclass
 from typing import AbstractSet, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, TypeVar
 
-from .kg import KnowledgeGraph, Literal, Node, UnknownPredicateError, node_key
+from .kg import KnowledgeGraph, Literal, Node, UnknownPredicateError, _frozen, node_key
 
 
 class MetaPattern(enum.Enum):
@@ -48,36 +48,56 @@ COMPLEX = "complex"
 R = TypeVar("R")
 
 
-@dataclass(frozen=True)
+@_frozen
+@dataclass(frozen=True, slots=True, init=False)
 class PatternEdge:
     src: str
     rel: str
     dst: str
 
-    def __post_init__(self):
-        if self.src == self.dst:
-            raise ValueError(f"edge endpoints must differ: {self.src}")
+    def __init__(self, src: str, rel: str, dst: str):
+        if src == dst:
+            raise ValueError(f"edge endpoints must differ: {src}")
+        # the slot descriptors store past the frozen __setattr__, as in kg.Triple
+        _set_src(self, src)
+        _set_rel(self, rel)
+        _set_dst(self, dst)
 
 
-@dataclass(frozen=True)
+_set_src = PatternEdge.src.__set__
+_set_rel = PatternEdge.rel.__set__
+_set_dst = PatternEdge.dst.__set__
+
+
+@_frozen
+@dataclass(frozen=True, slots=True, init=False)
 class SubgraphPattern:
     """An ordered set of variable edges with optional type restrictions.
 
-    ``types`` is stored as a sorted tuple of (variable, type IRI) pairs so
-    the pattern stays hashable; use :meth:`type_map` for dict access.
+    ``edges`` is stored as a tuple, and ``types`` as a sorted tuple of
+    (variable, type IRI) pairs with at most one pair per variable, so the
+    pattern stays hashable and what was checked cannot change; use
+    :meth:`type_map` for dict access.
     """
 
     edges: tuple[PatternEdge, ...]
     types: tuple[tuple[str, str], ...] = ()
 
-    def __post_init__(self):
-        if not self.edges:
+    def __init__(
+        self,
+        edges: Iterable[PatternEdge],
+        types: Iterable[tuple[str, str]] = (),
+    ):
+        edges = tuple(edges)
+        if not edges:
             raise ValueError("pattern needs at least one edge")
-        types = tuple(sorted(self.types))
-        object.__setattr__(self, "types", types)
+        types = tuple(sorted(types))
+        for (var, _), (next_var, _) in zip(types, types[1:]):
+            if var == next_var:
+                raise ValueError(f"more than one type restriction on variable {var!r}")
         # grow the first edge's component: each pass takes in the edges
         # that touch it, and the edges left over are the unconnected ones
-        first, *rest = self.edges
+        first, *rest = edges
         reached = {first.src, first.dst}
         while rest:
             left = []
@@ -95,6 +115,8 @@ class SubgraphPattern:
                 raise ValueError(f"type restriction on unused variable {var!r}")
         if rest:
             raise ValueError("pattern edges must form a connected graph")
+        _set_edges(self, edges)
+        _set_types(self, types)
 
     @classmethod
     def make(
@@ -146,6 +168,10 @@ class SubgraphPattern:
             PatternEdge(e["src"], e["rel"], e["dst"]) for e in data["edges"]
         )
         return cls(edges, tuple(dict(data.get("types", {})).items()))
+
+
+_set_edges = SubgraphPattern.edges.__set__
+_set_types = SubgraphPattern.types.__set__
 
 
 def instantiate(mp: MetaPattern, relations: Sequence[str]) -> SubgraphPattern:
@@ -308,16 +334,19 @@ def has_instance(g: KnowledgeGraph, sp: SubgraphPattern) -> bool:
     pattern runs ``_search`` up to its first binding. An unknown relation
     has no triples, so either way nothing is found.
     """
-    if len(sp.edges) == len(sp.variables()) - 1:
-        return _semijoin(g, sp)
+    variables = sp.variables()
+    if len(sp.edges) == len(variables) - 1:
+        return _semijoin(g, sp, variables)
     return next(_search(g, sp), None) is not None
 
 
-def _semijoin(g: KnowledgeGraph, sp: SubgraphPattern) -> bool:
+def _semijoin(
+    g: KnowledgeGraph, sp: SubgraphPattern, variables: Sequence[str]
+) -> bool:
     """Whether a tree-shaped pattern has an instance, by a bottom-up
     semi-join (Yannakakis, "Algorithms for acyclic database schemes",
-    VLDB 1981). Any root would do; the one with the most edges keeps
-    the tree shallow, so more children are leaves.
+    VLDB 1981), given ``sp.variables()``. Any root would do; the one with
+    the most edges keeps the tree shallow, so more children are leaves.
 
     A variable's candidates are its type's instances, if it has a type,
     intersected with the projection of each child edge: the nodes with
@@ -332,7 +361,7 @@ def _semijoin(g: KnowledgeGraph, sp: SubgraphPattern) -> bool:
     and lookups are read, never a predicate's triple list.
     """
     types = sp.type_map()
-    incident: dict[str, list[PatternEdge]] = {v: [] for v in sp.variables()}
+    incident: dict[str, list[PatternEdge]] = {v: [] for v in variables}
     for e in sp.edges:
         incident[e.src].append(e)
         incident[e.dst].append(e)

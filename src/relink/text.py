@@ -8,16 +8,24 @@ from importlib import resources
 from typing import Iterable
 
 _TOKEN_RE = re.compile(r"[^\W_]+(?:'[^\W_]+)?")  # unicode word, optional 's
-_POSSESSIVE_RE = re.compile(r"'s?$")
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase word tokens; possessive 's is stripped, hyphens split."""
+    """Lowercase word tokens; possessive 's is stripped, hyphens split.
+
+    A token is a run of word characters, optionally followed by one
+    apostrophe and another run. It is lowercased as one string, and then
+    a trailing ``'s`` is cut off. No code point lowercases to a string
+    that holds an apostrophe, and only ``S`` and ``s`` lowercase to one
+    that ends in ``s`` (a capital sigma, which lowercases by its place in
+    the token, becomes neither). So a lowercased token ends in ``'s``
+    exactly when its apostrophe is followed by one ``S`` or ``s``, never
+    ends in a bare apostrophe, and is never empty.
+    """
     tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        tok = _POSSESSIVE_RE.sub("", m.group(0).lower())
-        if tok:
-            tokens.append(tok)
+    for tok in _TOKEN_RE.findall(text):
+        tok = tok.lower()
+        tokens.append(tok[:-2] if tok.endswith("'s") else tok)
     return tokens
 
 

@@ -120,6 +120,22 @@ def random_graph(
     return sorted(triples, key=Triple.sort_key)
 
 
+_TOKEN_RE = re.compile(r"[^\W_]+(?:'[^\W_]+)?")
+_POSSESSIVE_RE = re.compile(r"'s?$")
+
+
+def reference_tokenize(text: str) -> list[str]:
+    """``text.tokenize`` by lowercasing each token and then deleting a
+    trailing apostrophe, or apostrophe and ``s``, with a regex
+    substitution, keeping the tokens that are left non-empty."""
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        tok = _POSSESSIVE_RE.sub("", m.group(0).lower())
+        if tok:
+            tokens.append(tok)
+    return tokens
+
+
 _SPLIT_RE = re.compile(r"[_\-]+|(?<=\D)(?=\d)|(?<=\d)(?=\D)")
 _CAMEL_RE = re.compile(r"(?<=[a-z0-9])(?=[A-Z])|(?<=[A-Z])(?=[A-Z][a-z])")
 
@@ -261,10 +277,14 @@ def reference_pattern_check(
     edges: tuple[PatternEdge, ...], types: tuple[tuple[str, str], ...]
 ) -> Optional[str]:
     """The message ``SubgraphPattern`` rejects a pattern with, or None,
-    by collecting the variables and then searching an adjacency-set graph
-    from one of them."""
+    by counting each variable's types, collecting the variables and then
+    searching an adjacency-set graph from one of them."""
     if not edges:
         return "pattern needs at least one edge"
+    typed = [var for var, _ in types]
+    twice = sorted({var for var in typed if typed.count(var) > 1})
+    if twice:
+        return f"more than one type restriction on variable {twice[0]!r}"
     seen: dict[str, None] = {}
     for e in edges:
         seen.setdefault(e.src)

@@ -245,6 +245,7 @@ def test_c9_property_suites_present():
             "test_lexicon_hit_dominates_similarity",
             "test_link_simple_matches_full_scan",
             "test_detect_types_matches_reference",
+            "test_tokenize_matches_reference",
         ],
         "test_classify.py": [
             "test_harvest_outputs_satisfy_invariants",

@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import json
 import math
+import pickle
 import random
+import sys
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,7 +22,9 @@ from relink.linking import (
     Lexicon,
     LexiconError,
     PseudoRelation,
+    RelationHit,
     Span,
+    TypeHit,
     content_spans,
     detect_elements,
     detect_relations,
@@ -28,7 +33,7 @@ from relink.linking import (
     link_simple,
     mention_score,
 )
-from relink.patterns import SubgraphPattern
+from relink.patterns import PatternEdge, SubgraphPattern
 from relink.text import edit_similarity, jaccard, levenshtein, tokenize
 
 from .oracles import (
@@ -38,6 +43,7 @@ from .oracles import (
     reference_detect_types,
     reference_levenshtein,
     reference_link_simple,
+    reference_tokenize,
     shared_token_triples,
 )
 
@@ -71,6 +77,38 @@ _TOKEN_CHAR = st.sampled_from("aZ İ'_-s ") | st.characters()
 @example(parts=["person'", "s", "'s", "a_b", "_"])
 def test_tokenize_of_joined_parts_is_tokens_of_each(parts):
     assert text.tokenize(" ".join(parts)) == [w for p in parts for w in text.tokenize(p)]
+
+
+# apostrophes, "s" and "S", and letters whose lowercase is two code
+# points (İ), is the letter itself (ſ, the long s), is ASCII (the Kelvin
+# sign) or depends on the next letter (Σ)
+_APOSTROPHE_TEXT = st.text(st.sampled_from("'sSİſ\u212aΣa_ -") | st.characters(), max_size=24)
+
+
+@settings(max_examples=500, deadline=None)
+@given(s=_APOSTROPHE_TEXT)
+@example(s="the brother's wife's sister'S")
+@example(s="İ's ſ's \u212a'S ΑΣ'S ΑΣ x'ss 's s' ' x''s x'_s")
+def test_tokenize_matches_reference(s):
+    assert tokenize(s) == reference_tokenize(s)
+
+
+def test_lowercase_premise_of_tokenize():
+    """``tokenize`` cuts a trailing ``'s`` by ``endswith``, which is exact
+    because of what ``str.lower`` does to each code point: only the
+    apostrophe lowercases to a string that holds an apostrophe, only the
+    newline (before which a regex ``$`` also matches) to one that holds a
+    newline, and only ``S`` and ``s`` to one that ends in ``s``."""
+    holds = []
+    ends_in_s = []
+    for code in range(sys.maxunicode + 1):
+        low = chr(code).lower()
+        if "'" in low or "\n" in low:
+            holds.append(chr(code))
+        if low.endswith("s"):
+            ends_in_s.append(chr(code))
+    assert holds == ["\n", "'"]
+    assert ends_in_s == ["S", "s"]
 
 
 def test_levenshtein_basics():
@@ -478,6 +516,56 @@ def test_lexicon_hit_dominates_similarity(family_graph):
 def test_span_overlap_logic():
     assert Span(0, 2).overlaps(Span(1, 3))
     assert not Span(0, 2).overlaps(Span(2, 4))
+
+
+_EDGE = PatternEdge("x", EX + "spouse", "y")
+
+
+# each slotted value class: a value, its fields, its repr, a replacement
+# and the value it gives, and a replacement that fails the class's checks
+@pytest.mark.parametrize(
+    "value, names, text_repr, change, changed, bad",
+    [
+        (Span(1, 3), ("start", "end"), "Span(start=1, end=3)",
+         {"end": 4}, Span(1, 4), None),
+        (TypeHit(Span(0, 1), EX + "Person"), ("span", "type_iri"),
+         f"TypeHit(span=Span(start=0, end=1), type_iri='{EX}Person')",
+         {"type_iri": EX + "City"}, TypeHit(Span(0, 1), EX + "City"), None),
+        (RelationHit(Span(2, 3), EX + "mother", 0.75), ("span", "relation", "score"),
+         f"RelationHit(span=Span(start=2, end=3), relation='{EX}mother', score=0.75)",
+         {"score": 1.0}, RelationHit(Span(2, 3), EX + "mother", 1.0), None),
+        (_EDGE, ("src", "rel", "dst"), f"PatternEdge(src='x', rel='{EX}spouse', dst='y')",
+         {"dst": "z"}, PatternEdge("x", EX + "spouse", "z"), {"dst": "x"}),
+        (SubgraphPattern((_EDGE,), (("y", EX + "Person"),)), ("edges", "types"),
+         f"SubgraphPattern(edges=({_EDGE!r},), types=(('y', '{EX}Person'),))",
+         {"types": ()}, SubgraphPattern((_EDGE,)), {"types": (("z", EX + "Person"),)}),
+    ],
+    ids=["Span", "TypeHit", "RelationHit", "PatternEdge", "SubgraphPattern"],
+)
+def test_value_class_behaviour(value, names, text_repr, change, changed, bad):
+    cls = type(value)
+    # a name that is not a field is refused the same way
+    for name in (*names, "extra"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(value, name, None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(value, name)
+    assert not hasattr(value, "__dict__")
+    assert tuple(f.name for f in fields(cls)) == names
+    parts = tuple(getattr(value, name) for name in names)
+    same = cls(**dict(zip(names, parts)))
+    assert same == value and hash(same) == hash(value) == hash(parts)
+    assert value != parts
+    assert repr(value) == text_repr
+    assert replace(value, **change) == changed
+    if bad is not None:
+        # replace builds through __init__, so the checks run again
+        with pytest.raises(ValueError):
+            replace(value, **bad)
+    copy = pickle.loads(pickle.dumps(value))
+    assert type(copy) is cls and copy == value and hash(copy) == hash(value)
+    with pytest.raises(TypeError):
+        cls()
 
 
 def _reference_content_spans(tokens, stopwords, blocked):

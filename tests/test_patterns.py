@@ -99,6 +99,33 @@ def test_pattern_validation_rejects_disconnected():
         SubgraphPattern.make([("x", EX + "a", "y")], types={"q": EX + "T"})
 
 
+def test_pattern_stores_edges_as_a_tuple():
+    e1, e2 = PatternEdge("x", EX + "a", "z"), PatternEdge("z", EX + "b", "y")
+    sp = SubgraphPattern([e1, e2])
+    assert sp.edges == (e1, e2)
+    assert sp == SubgraphPattern((e1, e2)) and hash(sp) == hash(SubgraphPattern((e1, e2)))
+    # the checked edges cannot grow afterwards
+    with pytest.raises(AttributeError):
+        sp.edges.append(PatternEdge("u", EX + "c", "v"))
+    assert SubgraphPattern(iter([e1, e2])).edges == (e1, e2)
+
+
+@pytest.mark.parametrize(
+    "types",
+    [
+        (("x", EX + "T"), ("x", EX + "U")),
+        (("y", EX + "T"), ("x", EX + "U"), ("x", EX + "T")),
+        (("x", EX + "T"), ("x", EX + "T")),
+    ],
+)
+def test_pattern_rejects_a_variable_typed_twice(types):
+    # type_map, to_json and so has_instance would keep one type, while ==
+    # and hash would see both
+    edge = PatternEdge("x", EX + "a", "y")
+    with pytest.raises(ValueError, match="more than one type restriction on variable 'x'"):
+        SubgraphPattern((edge,), types)
+
+
 def test_pattern_json_round_trip(ns):
     sp = instantiate(MetaPattern.RP2, [ns.rel("spouse"), ns.rel("mother")]).with_types(
         {"z": EX + "Person", "y": EX + "Person"}
