@@ -108,6 +108,9 @@ class HttpProvider:
         return self.cache_dir / f"{digest}.json"
 
     def _extract(self, payload) -> Optional[str]:
+        """The string at ``json_path`` in ``payload``; None when the path is
+        missing or leads to any other value (a number, a boolean, null, an
+        array or an object), since an explanation is a sentence."""
         node = payload
         for step in self.json_path:
             if isinstance(node, list):
@@ -121,7 +124,7 @@ class HttpProvider:
                 node = node[step]
             else:
                 return None
-        return str(node) if isinstance(node, (str, int, float)) else None
+        return node if isinstance(node, str) else None
 
     def lookup(self, phrase: str) -> Optional[Explanation]:
         from urllib.parse import quote
@@ -157,7 +160,7 @@ class HttpProvider:
                         os.unlink(tmp)
                     raise
         sentence = self._extract(payload)
-        if not sentence:
+        if sentence is None or not sentence.strip():  # as FixtureProvider drops it
             return None
         return Explanation(phrase, sentence, self.id)
 

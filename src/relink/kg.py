@@ -12,8 +12,9 @@ from __future__ import annotations
 import json
 import logging
 import re
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import FrozenInstanceError, dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from types import MappingProxyType
 from typing import IO, Iterable, Iterator, KeysView, Mapping, Union
@@ -116,10 +117,6 @@ def tokenize_name(name: str) -> tuple[str, ...]:
     return tuple(parts)
 
 
-def valid_iri(iri: str) -> bool:
-    return bool(iri) and not any(c.isspace() for c in iri) and bool(local_name(iri))
-
-
 @_frozen
 @dataclass(frozen=True, slots=True, init=False)
 class Triple:
@@ -151,16 +148,26 @@ class RelationLabel:
     tokens: tuple[str, ...]
 
 
-# The characters \s matches, which are those str.isspace accepts. Listed
-# in the IRI class, they compile to a table lookup per character, where
-# \s would be a category test; IRIs are most of a line.
+# The characters \s matches, which are those str.isspace accepts.
 _SPACES = (r"\t\n\x0b\x0c\r\x1c-\x20\x85\xa0\u1680"
            r"\u2000-\u200a\u2028\u2029\u202f\u205f\u3000")
-_IRI_TERM = rf"<([^<>{_SPACES}]+)>"
+_NOT_IRI_CHAR = re.compile(rf"[<>{_SPACES}]")
+# An IRI term runs to the first '>'. The one-character class scans about
+# twice as fast as one that also excludes '<' and whitespace; those are
+# ruled out when an IRI is first seen (``_intern``), which gives the same
+# answer as excluding them here, because an IRI term ends at the first
+# '>' either way.
+_IRI_TERM = r"<([^>]+)>"
 _LIT_TERM = r'"([^"]*)"'
 _LINE_RE = re.compile(
     rf"^\s*{_IRI_TERM}\s+{_IRI_TERM}\s+(?:{_IRI_TERM}|{_LIT_TERM})\s*\.\s*$"
 )
+
+
+def valid_iri(iri: str) -> bool:
+    """An IRI holds no '<', '>' or whitespace and has a non-empty local
+    name; ``parse_line`` applies this rule to each IRI it reads."""
+    return _NOT_IRI_CHAR.search(iri) is None and bool(local_name(iri))
 
 
 def parse_line(
@@ -171,35 +178,47 @@ def parse_line(
 ) -> Triple:
     """Parse one triple line.
 
-    The line pattern already rules out empty IRIs and whitespace, so an
-    IRI needs only ``valid_iri``'s local-name check. ``iris`` and
-    ``literals`` are the intern tables of one load: an IRI is checked
-    when first seen and stored, a literal value gets its ``Literal``
-    when first seen, and every later occurrence reuses the stored object.
+    The line pattern reads each IRI term up to its first '>'. ``iris`` and
+    ``literals`` are the intern tables of one load: an IRI is checked by
+    ``valid_iri`` when first seen and stored, a literal value gets its
+    ``Literal`` when first seen, and every later occurrence reuses the
+    stored object. A line with '<' or whitespace in any IRI term is not a
+    valid triple; only a line without one reports an empty local name.
     """
     m = _LINE_RE.match(line)
     if not m:
-        raise ParseError(line_no, f"not a valid triple: {line.strip()!r}")
+        raise _not_a_triple(line, line_no)
     if iris is None:
         iris = {}
     subject, predicate, obj_iri, obj_lit = m.groups()
-    subject = iris.get(subject) or _intern(iris, subject, "subject", line_no)
-    predicate = iris.get(predicate) or _intern(iris, predicate, "predicate", line_no)
+    subject = iris.get(subject) or _intern(iris, subject, "subject", m, line_no)
+    predicate = iris.get(predicate) or _intern(iris, predicate, "predicate", m, line_no)
     if obj_iri is None:
         if literals is None:
             literals = {}
         obj = literals.get(obj_lit) or literals.setdefault(obj_lit, Literal(obj_lit))
         return Triple(subject, predicate, obj)
-    obj_iri = iris.get(obj_iri) or _intern(iris, obj_iri, "object", line_no)
+    obj_iri = iris.get(obj_iri) or _intern(iris, obj_iri, "object", m, line_no)
     return Triple(subject, predicate, obj_iri)
 
 
-def _intern(iris: dict[str, str], iri: str, role: str, line_no: int) -> str:
-    """Check an IRI not yet in ``iris`` and store it there."""
-    if not local_name(iri):
+def _intern(iris: dict[str, str], iri: str, role: str, m: re.Match, line_no: int) -> str:
+    """Check an IRI not yet in ``iris`` and store it there.
+
+    ``m`` is the line's match. Every IRI term of the line is tested for
+    '<' and whitespace before a local name is blamed, so such a line is
+    not a valid triple even when an earlier term's local name is empty.
+    """
+    if not valid_iri(iri):
+        if any(_NOT_IRI_CHAR.search(term) for term in m.groups()[:3] if term):
+            raise _not_a_triple(m.string, line_no)
         raise ParseError(line_no, f"invalid {role} IRI: {iri!r}")
     iris[iri] = iri
     return iri
+
+
+def _not_a_triple(line: str, line_no: int) -> ParseError:
+    return ParseError(line_no, f"not a valid triple: {line.strip()!r}")
 
 
 def iter_triples(lines: Iterable[str]) -> Iterator[Triple]:
@@ -238,11 +257,13 @@ class KnowledgeGraph:
     predicate's subject and object sets, which ``predicate_subjects`` and
     ``predicate_objects`` return as views. The ``p`` index holds the
     stored ``Triple`` objects themselves, so each triple is kept once, and
-    equal index value sets are one ``frozenset``. A node's types are its
-    IRI objects of ``type_predicate``. The constructor builds the indexes,
-    the label, label-token and type dictionaries, and the type
-    dictionary's first-token table; the graph is shared across threads,
-    so no lazy population happens later.
+    equal index value sets are one ``frozenset``. ``sp`` and ``po`` are
+    grouped from each predicate's subject and object columns, and
+    ``entity_set`` and the type instance counts are read from their keys.
+    A node's types are its IRI objects of ``type_predicate``. The
+    constructor builds the indexes, the label, label-token and type
+    dictionaries, and the type dictionary's first-token table; the graph
+    is shared across threads, so no lazy population happens later.
     """
 
     triples: tuple[Triple, ...]
@@ -277,21 +298,9 @@ class KnowledgeGraph:
         ordered = tuple(map(first.__getitem__, sorted(first)))
         del first  # frees the keys before the indexes grow
 
-        # the lists only collect: every (s, p, o) is unique, so no index
-        # value repeats, and each list becomes a frozenset or tuple below
         p_idx: defaultdict[str, list[Triple]] = defaultdict(list)
-        entities: set[str] = set()
-
         for t in ordered:
-            s, p, o = t.subject, t.predicate, t.object
-            entities.add(s)
-            p_idx[p].append(t)
-            if p != type_predicate and not isinstance(o, Literal):
-                entities.add(o)
-        predicates = p_idx.keys()
-        # type IRI -> number of nodes typed with it (each triple is unique)
-        type_objects = (t.object for t in p_idx.get(type_predicate, ()))
-        instances = Counter(o for o in type_objects if not isinstance(o, Literal))
+            p_idx[t.predicate].append(t)
 
         # equal value sets become one frozenset: many keys hold the same set
         # (the instances of a type, the subjects of one edge to a hub). The
@@ -301,27 +310,50 @@ class KnowledgeGraph:
         shared: dict[frozenset, frozenset] = {}
         single: dict[Node, frozenset] = {}
 
-        def share(values: list) -> frozenset:
-            if len(values) == 1:
-                fs = single.get(values[0])
-                if fs is None:
-                    fs = single[values[0]] = frozenset(values)
-                return fs
-            fs = frozenset(values)
-            return shared.setdefault(fs, fs)
+        def grouped(keys: Iterable[Node], values: Iterable[Node]) -> dict:
+            # a key holds its bare value until a second one arrives, so the
+            # many keys with one value never get a list; every (s, p, o) is
+            # unique, so a value seen under a key is never seen there again
+            out: dict = {}
+            hold = out.setdefault
+            for key, value in zip(keys, values):
+                held = hold(key, value)
+                if held is not value:
+                    if type(held) is list:
+                        held.append(value)
+                    else:
+                        out[key] = [held, value]
+            for key, held in out.items():
+                if type(held) is list:
+                    fs = frozenset(held)
+                    out[key] = shared.setdefault(fs, fs)
+                else:
+                    fs = single.get(held)
+                    if fs is None:
+                        fs = single[held] = frozenset((held,))
+                    out[key] = fs
+            return out
 
-        def grouped(pairs: Iterable[tuple[Node, Node]]) -> dict:
-            out: defaultdict[Node, list[Node]] = defaultdict(list)
-            for key, value in pairs:
-                out[key].append(value)
-            return {key: share(values) for key, values in out.items()}
+        subject_of, object_of = attrgetter("subject"), attrgetter("object")
+        sp = {p: grouped(map(subject_of, ts), map(object_of, ts))
+              for p, ts in p_idx.items()}
+        po = {p: grouped(map(object_of, ts), map(subject_of, ts))
+              for p, ts in p_idx.items()}
+        entities: set[str] = set()
+        for index in sp.values():
+            entities.update(index)
+        for p, index in po.items():
+            if p != type_predicate:
+                entities.update(o for o in index if not isinstance(o, Literal))
+        predicates = p_idx.keys()
+        # type IRI -> number of nodes typed with it
+        instances = {o: len(nodes) for o, nodes in po.get(type_predicate, {}).items()
+                     if not isinstance(o, Literal)}
 
         put = object.__setattr__  # the dataclass is frozen
         put(self, "triples", ordered)
-        put(self, "_sp", {p: grouped((t.subject, t.object) for t in ts)
-                          for p, ts in p_idx.items()})
-        put(self, "_po", {p: grouped((t.object, t.subject) for t in ts)
-                          for p, ts in p_idx.items()})
+        put(self, "_sp", sp)
+        put(self, "_po", po)
         put(self, "_p", {k: tuple(v) for k, v in p_idx.items()})
         put(self, "predicate_set", frozenset(predicates))
         put(self, "type_set", frozenset(instances))

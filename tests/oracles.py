@@ -18,6 +18,7 @@ from relink.kg import (
     RDF_TYPE,
     KnowledgeGraph,
     Literal,
+    ParseError,
     RelationLabel,
     Triple,
     local_name,
@@ -399,6 +400,28 @@ def shared_token_triples(
         Triple(rng.choice(ends), predicates[i % len(predicates)], rng.choice(ends))
         for i in range(n_triples)
     ]
+
+
+# The line parser whose IRI term excluded '<', '>' and whitespace in its
+# character class (\s matches exactly the str.isspace characters).
+_REF_IRI_TERM = r"<([^<>\s]+)>"
+_REF_LINE_RE = re.compile(
+    rf'^\s*{_REF_IRI_TERM}\s+{_REF_IRI_TERM}\s+(?:{_REF_IRI_TERM}|"([^"]*)")\s*\.\s*$'
+)
+
+
+def reference_parse_line(line: str, line_no: int) -> Triple:
+    """One triple line, by a pattern whose IRI class rules out '<', '>' and
+    whitespace, then a non-empty local name for the subject, predicate and
+    object IRIs in that order."""
+    m = _REF_LINE_RE.match(line)
+    if not m:
+        raise ParseError(line_no, f"not a valid triple: {line.strip()!r}")
+    subject, predicate, obj_iri, obj_lit = m.groups()
+    for iri, role in ((subject, "subject"), (predicate, "predicate"), (obj_iri, "object")):
+        if iri is not None and not local_name(iri):
+            raise ParseError(line_no, f"invalid {role} IRI: {iri!r}")
+    return Triple(subject, predicate, Literal(obj_lit) if obj_iri is None else obj_iri)
 
 
 def ntriples_line(t: Triple) -> str:

@@ -227,7 +227,11 @@ def test_c8_eval_determinism(tmp_path, capsys):
 def test_c9_property_suites_present():
     here = Path(__file__).parent
     required = {
-        "test_kg.py": ["test_index_round_trip", "test_load_is_deterministic"],
+        "test_kg.py": [
+            "test_index_round_trip",
+            "test_load_is_deterministic",
+            "test_parse_line_matches_reference",
+        ],
         "test_patterns.py": [
             "test_match_oracle_on_random_graphs",
             "test_adjacent_oracle_on_random_graphs",

@@ -222,6 +222,24 @@ def test_http_provider_extract_paths():
     assert provider._extract({"other": 1}) is None
 
 
+def test_http_provider_answers_only_strings(tmp_path):
+    # a JSON number, boolean, null, array or object at the path is a miss,
+    # like a missing path, as a fixture accepts only string explanations
+    from relink.explain import HttpProvider
+
+    provider = HttpProvider("http://x.invalid/{phrase}", json_path="definition")
+    for value in (True, False, 0, 7, 2.5, None, ["a sentence"], {"text": "a sentence"}):
+        assert provider._extract({"definition": value}) is None, value
+    assert provider._extract({"definition": "a sentence"}) == "a sentence"
+    reply = tmp_path / "reply.json"
+    provider = HttpProvider(reply.as_uri(), json_path="definition")
+    for value in (True, 7, " \t"):  # and a blank sentence, as a fixture drops it
+        reply.write_text(json.dumps({"definition": value}), "utf-8")
+        assert provider.lookup("gizmo") is None, value
+    reply.write_text(json.dumps({"definition": "a small gadget"}), "utf-8")
+    assert provider.lookup("gizmo").sentence == "a small gadget"
+
+
 def test_concurrent_lookups_single_result():
     calls = []
 

@@ -29,6 +29,7 @@ from .oracles import (
     ntriples_line,
     random_load_graph,
     reference_load,
+    reference_parse_line,
     reference_tokenize_name,
 )
 
@@ -229,8 +230,9 @@ def test_iri_validation():
 
 
 def test_parse_line_rejects_every_whitespace_in_iri():
-    # parse_line relies on the line pattern alone to keep whitespace out
-    # of IRIs, so its \s must match exactly what valid_iri's isspace rejects
+    # parse_line keeps whitespace out of IRIs with a character class built
+    # from kg._SPACES, which it tests each IRI against when first seen, so
+    # that class must hold exactly what str.isspace and \s accept
     chars = [chr(c) for c in range(sys.maxunicode + 1)]
     spaces = [c for c in chars if c.isspace()]
     assert len(spaces) == 29
@@ -248,6 +250,93 @@ def test_parse_line_rejects_every_whitespace_in_iri():
             with pytest.raises(ParseError) as err:
                 kg.parse_line(line, 7)
             assert err.value.line_no == 7
+
+
+_SPACE_CHARS = tuple(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
+_LINE_CHARS = ("<", ">", '"', ".", "#", "/", "a", "b", *_SPACE_CHARS)
+
+
+def _parse_outcome(parse, line: str, line_no: int):
+    """The parsed triple, or the error's text and line number."""
+    try:
+        return parse(line, line_no)
+    except ParseError as exc:
+        return (str(exc), exc.line_no)
+
+
+@settings(max_examples=500, deadline=None)
+@given(iri=st.text(st.sampled_from(("h", ":", *_LINE_CHARS)), max_size=10))
+@example(iri="http://x/a<b")
+@example(iri="http://x/a>b")
+@example(iri="http://x/a\u3000b")
+@example(iri="http://x/")
+@example(iri="")
+def test_valid_iri_is_the_parse_rule(iri):
+    line = f"<{iri}> <http://x/p> <http://x/o> ."
+    parsed = not isinstance(_parse_outcome(kg.parse_line, line, 1), tuple)
+    assert kg.valid_iri(iri) == parsed
+
+
+@st.composite
+def _triple_lines(draw) -> list[str]:
+    """One to four lines whose IRI terms come from a small shared pool, so
+    an IRI recurs and both the first-sight and the interned path run; the
+    pool, literals, gaps and some whole lines are drawn from '<', '>', '"',
+    '.', '#', '/', letters and every whitespace character."""
+    chars = st.sampled_from(_LINE_CHARS)
+    plain = st.text(st.sampled_from("ab/#"), min_size=1, max_size=5)
+    pool = draw(st.lists(st.one_of(plain, plain, st.text(chars, max_size=5)),
+                         min_size=1, max_size=4))
+    iri = st.sampled_from(pool).map(lambda i: f"<{i}>")
+    term = st.one_of(iri, st.text(chars, max_size=3).map(lambda v: f'"{v}"'))
+    edge = st.text(st.sampled_from(_SPACE_CHARS), max_size=2)
+    gap = st.text(st.sampled_from(_SPACE_CHARS), min_size=1, max_size=2)
+    lines = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.text(chars, max_size=12)))
+            continue
+        lines.append("".join((
+            draw(edge), draw(iri), draw(gap), draw(iri), draw(gap), draw(term),
+            draw(edge), draw(st.sampled_from((".", ".", ".", "", ".."))), draw(edge),
+        )))
+    return lines
+
+
+@settings(max_examples=500, deadline=None)
+@given(lines=_triple_lines())
+# a fresh subject with an empty local name and an object that holds a space
+@example(lines=["<http://x/> <http://x/p> <http://x/a b> ."])
+@example(lines=["<http://x/a> <http://x/p> <http://x/b> .",
+                "<http://x/> <http://x/p> <http://x/a b> ."])
+@example(lines=["<http://x/a> <http://x/p> <http://x/> .",
+                "<http://x/a> <http://x/p> <http://x/a<b> ."])
+def test_parse_line_matches_reference(lines):
+    # kg.parse_line and kg.load give the reference parser's triples, or
+    # its error text and line number, on every line, fresh IRIs or not
+    iris: dict = {}
+    literals: dict = {}
+    triples = []
+    first_error = None
+    for line_no, line in enumerate(lines, start=1):
+        head = line.lstrip()
+        if not head or head[0] == "#":
+            continue
+        want = _parse_outcome(reference_parse_line, line, line_no)
+        got = _parse_outcome(
+            lambda text, n: kg.parse_line(text, n, iris, literals), line, line_no)
+        assert got == want
+        if isinstance(want, tuple):
+            first_error = first_error or want
+        else:
+            triples.append(want)
+    try:
+        g = kg.load(lines)
+    except ParseError as exc:
+        assert (str(exc), exc.line_no) == first_error
+    else:
+        assert first_error is None
+        assert g.triples == tuple(sorted(set(triples), key=Triple.sort_key))
 
 
 def test_equal_iris_are_one_object(family_graph):
