@@ -98,11 +98,18 @@ def _span_gap(a: Span, b: Span) -> int:
 
 def _source_sink(sp: SubgraphPattern) -> Optional[tuple[str, str]]:
     """The unique source and sink variables, if the pattern has them."""
-    sources = [v for v in sp.variables() if all(e.dst != v for e in sp.edges)]
-    sinks = [v for v in sp.variables() if all(e.src != v for e in sp.edges)]
+    tails = {e.src for e in sp.edges}
+    heads = {e.dst for e in sp.edges}
+    sources = tails - heads
+    sinks = heads - tails
     if len(sources) == 1 and len(sinks) == 1:
-        return sources[0], sinks[0]
+        return sources.pop(), sinks.pop()
     return None
+
+
+# a relation hit with the source and sink of its nested pattern, if it
+# has one (see _source_sink)
+Side = tuple[RelationHit, Optional[tuple[str, str]]]
 
 
 class Linker:
@@ -208,7 +215,7 @@ class Linker:
                 )
                 return pattern
             return None
-        pattern = self._build_pattern(MetaPattern.RP1, (hit,), types)
+        pattern = self._build_pattern(MetaPattern.RP1, ((hit, None),), types)
         if not self._validate(pattern, state):
             untyped = pattern.with_types({})
             if pattern.types and self._validate(untyped, state):
@@ -264,8 +271,9 @@ class Linker:
     ):
         """Longest leftmost unlinked content n-gram the explainer can define."""
         blocked = [t.span for t in elems.types] + [r.span for r in elems.relations]
+        # a window holds no pseudo-relation, so its tokens are the words
         for span in content_spans(tokens, blocked):
-            gram = " ".join(str(t) for t in tokens[span.start : span.end])
+            gram = " ".join(tokens[span.start : span.end])
             key = normalize_phrase(gram)
             if key in state.active or key in state.failed_nested:
                 continue
@@ -287,11 +295,17 @@ class Linker:
         """The first candidate the graph validates: the predicted shape,
         then the others in tie-break order (see ``patterns.plans``)."""
         kinds = (mp, *(k for k in DEFAULT_TIE_BREAK if k is not mp))
-        for kind, (a, b) in plans(kinds, first, second):
+        # a nested pattern's ends are the same in every plan
+        sides = [
+            (hit, _source_sink(hit.relation.pattern)
+             if isinstance(hit.relation, PseudoRelation) else None)
+            for hit in (first, second)
+        ]
+        for kind, (a, b) in plans(kinds, *sides):
             step = {
                 "step": "candidate",
                 "meta_pattern": kind.value,
-                "order": [_hit_name(a), _hit_name(b)],
+                "order": [_hit_name(a[0]), _hit_name(b[0])],
             }
             pattern = self._build_pattern(kind, (a, b), types)
             if pattern is None:
@@ -337,7 +351,7 @@ class Linker:
     def _build_pattern(
         self,
         kind: MetaPattern,
-        hits: tuple[RelationHit, ...],
+        sides: tuple[Side, ...],
         types: Sequence[TypeHit],
     ) -> Optional[SubgraphPattern]:
         """Instantiate a shape over its relation hits, splicing nested
@@ -347,33 +361,34 @@ class Linker:
         merged_types: dict[str, str] = {}
         fresh = itertools.count(1)
 
-        for slot, hit in zip(slots, hits):
+        for slot, (hit, ends) in zip(slots, sides):
             ref = hit.relation
             if isinstance(ref, PseudoRelation):
-                spliced = self._splice(slot, ref, fresh)
-                if spliced is None:
+                if ends is None:
                     return None
-                sub_edges, sub_types = spliced
+                sub_edges, sub_types = self._splice(slot, ref.pattern, ends, fresh)
                 edges.extend(sub_edges)
                 merged_types.update(sub_types)
             else:
                 edges.append(PatternEdge(slot[0], ref, slot[1]))
 
         pattern = SubgraphPattern(tuple(edges), tuple(merged_types.items()))
-        return self._attach_types(pattern, list(zip(hits, slots)), types)
+        hit_endpoints = [(hit, slot) for (hit, _), slot in zip(sides, slots)]
+        return self._attach_types(pattern, hit_endpoints, types)
 
     def _splice(
-        self, slot: tuple[str, str], pseudo: PseudoRelation, fresh: Iterator[int]
-    ) -> Optional[tuple[list[PatternEdge], dict[str, str]]]:
-        ends = _source_sink(pseudo.pattern)
-        if ends is None:
-            return None
+        self,
+        slot: tuple[str, str],
+        nested: SubgraphPattern,
+        ends: tuple[str, str],
+        fresh: Iterator[int],
+    ) -> tuple[list[PatternEdge], dict[str, str]]:
         source, sink = ends
         mapping = {source: slot[0], sink: slot[1]}
-        for var in pseudo.pattern.variables():
+        for var in nested.variables():
             if var not in mapping:
                 mapping[var] = f"v{next(fresh)}"
-        renamed = pseudo.pattern.rename(mapping)
+        renamed = nested.rename(mapping)
         return list(renamed.edges), renamed.type_map()
 
     def _attach_types(

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 from . import text
 from .explain import ExplanationService
-from .kg import DataError, KnowledgeGraph, read_json, read_lines
+from .kg import DataError, KnowledgeGraph, read_json, read_json_lines
 from .linking import (
     DEFAULT_THETA_REL,
     Lexicon,
@@ -122,15 +122,19 @@ def _token_features(tokens: Sequence[str], masks: Sequence[int]) -> dict[str, fl
     ``GENERIC_MASK``: one unigram, keyed right after the first mask's, and
     every bigram sees only that generic form. Key order is the order in
     which ``PatternClassifier.predict_features`` adds the weights."""
-    unigrams = [f"uni={tok}" for tok in tokens]
-    general = list(tokens)
-    if masks:
-        unigrams.insert(masks[0] + 1, f"uni={GENERIC_MASK}")
-        for i in masks:
-            general[i] = GENERIC_MASK
-    feats = dict.fromkeys(unigrams, 1.0)
-    for a, b in zip(general, general[1:]):
-        feats[f"bi={a}|{b}"] = 1.0
+    first_mask = masks[0] if masks else -1
+    feats: dict[str, float] = {}
+    for i, tok in enumerate(tokens):
+        feats[f"uni={tok}"] = 1.0
+        if i == first_mask:
+            feats[f"uni={GENERIC_MASK}"] = 1.0
+    prev = None
+    for i, tok in enumerate(tokens):
+        if i in masks:
+            tok = GENERIC_MASK
+        if prev is not None:
+            feats[f"bi={prev}|{tok}"] = 1.0
+        prev = tok
     return feats
 
 
@@ -221,25 +225,9 @@ def save_examples(examples: Iterable[TrainingExample], path: Union[str, Path]) -
 
 
 def load_examples(path: Union[str, Path]) -> list[TrainingExample]:
-    """Examples of a JSONL file, one per line (``kg.read_lines``); a bad
-    line raises ``TrainingDataError`` naming the file and the line."""
-    try:
-        lines = read_lines(path)
-    except DataError as exc:  # not UTF-8
-        raise TrainingDataError(str(exc)) from exc
-    out = []
-    try:
-        for line_no, line in enumerate(lines, start=1):
-            if line.strip():
-                data = json.loads(line)
-                if not isinstance(data, dict):
-                    raise TypeError("not a JSON object")
-                out.append(TrainingExample.from_json(data))
-    except KeyError as exc:
-        raise TrainingDataError(f"{path} line {line_no}: missing key {exc}") from exc
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise TrainingDataError(f"{path} line {line_no}: {exc}") from exc
-    return out
+    """Examples of a JSONL file, one per line (``kg.read_json_lines``); a
+    bad line raises ``TrainingDataError`` naming the file and the line."""
+    return read_json_lines(path, TrainingExample.from_json, TrainingDataError)
 
 
 def merge_review(

@@ -274,8 +274,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     linker = build_linker(cfg)
     try:
         gold = evaluate.load_gold(cfg.gold)
-    except (OSError, KeyError, TypeError, ValueError) as exc:
-        print(f"error: cannot load gold file {cfg.gold}: {exc}", file=sys.stderr)
+    except (OSError, ValueError) as exc:  # each names the file
+        print(f"error: cannot load gold file: {exc}", file=sys.stderr)
         return EXIT_DATA
     methods = args.methods.split(",") if args.methods else list(evaluate.METHODS)
     report = evaluate.evaluate(

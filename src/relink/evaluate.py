@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Union
 from . import text
 from .assemble import Linker, link_data_driven
 from .classify import TrainingExample, featurize, featurize_raw, fit, train
-from .kg import KnowledgeGraph, read_lines
+from .kg import KnowledgeGraph, read_json_lines
 from .linking import Lexicon, detect_elements, direct_match, link_simple
 from .patterns import MetaPattern, SubgraphPattern, instantiate
 
@@ -58,9 +58,9 @@ class GoldEntry:
 
 
 def load_gold(path: Union[str, Path]) -> list[GoldEntry]:
-    """Entries of a JSONL file, one per line (``kg.read_lines``)."""
-    lines = read_lines(path)
-    return [GoldEntry.from_json(json.loads(line)) for line in lines if line.strip()]
+    """Entries of a JSONL file, one per line (``kg.read_json_lines``); a
+    bad line raises ``DataError`` naming the file and the line."""
+    return read_json_lines(path, GoldEntry.from_json)
 
 
 def save_gold(entries: Sequence[GoldEntry], path: Union[str, Path]) -> None:

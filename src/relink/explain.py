@@ -59,12 +59,22 @@ class FixtureProvider:
                 )
         else:
             raw = dict(source)
+        keys: dict[str, str] = {}  # normalized phrase -> its key in ``raw``
+        self._entries: dict[str, str] = {}
         for k, v in raw.items():
             if not isinstance(v, str):
                 raise ValueError(
                     f"explanation for {k!r} must be a string, got {type(v).__name__}"
                 )
-        self._entries = {normalize_phrase(k): v for k, v in raw.items() if v.strip()}
+            phrase = normalize_phrase(k)
+            if phrase in keys:
+                raise ValueError(
+                    f"explanation keys {keys[phrase]!r} and {k!r}"
+                    f" both normalize to {phrase!r}"
+                )
+            keys[phrase] = k
+            if v.strip():
+                self._entries[phrase] = v
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -17,9 +17,11 @@ from dataclasses import FrozenInstanceError, dataclass, field
 from operator import attrgetter
 from pathlib import Path
 from types import MappingProxyType
-from typing import IO, Iterable, Iterator, KeysView, Mapping, Union
+from typing import IO, Callable, Iterable, Iterator, KeysView, Mapping, TypeVar, Union
 
 log = logging.getLogger(__name__)
+
+R = TypeVar("R")
 
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 
@@ -483,6 +485,33 @@ def read_lines(path: Union[str, Path]) -> list[str]:
     except UnicodeDecodeError as exc:
         raise DataError(f"{path} line {_line_of(data, exc)}: {exc}") from exc
     return text.removesuffix("\n").split("\n") if text else []
+
+
+def read_json_lines(
+    path: Union[str, Path],
+    parse: Callable[[dict], R],
+    error: type[DataError] = DataError,
+) -> list[R]:
+    """``parse`` of each non-blank line of a JSONL file (``read_lines``),
+    each line a JSON object; a bad line raises ``error`` naming the file
+    and the line."""
+    try:
+        lines = read_lines(path)
+    except DataError as exc:  # not UTF-8
+        raise error(str(exc)) from exc
+    out = []
+    try:
+        for line_no, line in enumerate(lines, start=1):
+            if line.strip():
+                data = json.loads(line)
+                if not isinstance(data, dict):
+                    raise TypeError("not a JSON object")
+                out.append(parse(data))
+    except KeyError as exc:
+        raise error(f"{path} line {line_no}: missing key {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise error(f"{path} line {line_no}: {exc}") from exc
+    return out
 
 
 def _newlines(text: str) -> str:

@@ -211,18 +211,17 @@ def link_simple(
     with the mention has Jaccard 0, so it scores at most ``EDIT_WEIGHT``:
     above that threshold the candidates are the lexicon targets and the
     graph's postings of the mention's tokens, in sorted IRI order as in
-    the full scan. A candidate's edit distance is computed only when it
-    could matter. The distance is at least the length difference, so the
-    blend with the edit similarity that difference allows bounds the
-    score from above; every float operation in the blend is monotone, so
-    the bound holds after rounding too. A label whose bound is below
-    ``theta_rel``, or no better than the best score so far, cannot be
-    chosen and is skipped.
+    the full scan, and with none of them there is no match. A
+    candidate's edit distance is computed only when it could matter. The
+    distance is at least the length difference, so the blend with the
+    edit similarity that difference allows bounds the score from above;
+    every float operation in the blend is monotone, so the bound holds
+    after rounding too. A label whose bound is below ``theta_rel``, or no
+    better than the best score so far, cannot be chosen and is skipped.
     """
     tokens = text.tokenize(phrase)
     if not tokens:
         return None
-    mention = " ".join(tokens)
     token_set = set(tokens)
     lex_targets = lex.get(tokens)
     labels = g.relation_labels()
@@ -232,7 +231,10 @@ def link_simple(
         shared = {iri for iri in lex_targets if iri in labels}
         for token in token_set:
             shared.update(postings.get(token, ()))
+        if not shared:
+            return None
         candidates = sorted(shared)
+    mention = " ".join(tokens)
 
     best: Optional[tuple[str, float]] = None
     for iri in candidates:
@@ -260,19 +262,25 @@ def content_spans(tokens: Sequence[Token], blocked: Sequence[Span] = ()) -> Iter
     leftmost.
 
     Windows that begin or end on one of ``text.default_stopwords()``, or
-    hold a pseudo-relation, are dropped first, by per-token tables;
-    windows overlapping a blocked span are skipped next, by their bounds.
+    hold a pseudo-relation or a token of a blocked span, are dropped, by
+    per-token tables. A blocked span may reach past either end of the
+    sentence but must not be empty: an empty span holds no token, so the
+    table could not block the windows that straddle it.
     """
     stopwords = text.default_stopwords()
     stop = [isinstance(t, str) and t in stopwords for t in tokens]
-    # pseudo[i]: the pseudo-relations among tokens[:i]
-    pseudo = [0, *accumulate(isinstance(t, PseudoRelation) for t in tokens)]
+    barred = [isinstance(t, PseudoRelation) for t in tokens]
+    for b in blocked:
+        if b.end <= b.start:
+            raise ValueError(f"blocked span must not be empty: {b}")
+        for i in range(max(b.start, 0), min(b.end, len(tokens))):
+            barred[i] = True
+    # barred_before[i]: the barred tokens among tokens[:i]
+    barred_before = [0, *accumulate(barred)]
     for length in range(min(MAX_MENTION_TOKENS, len(tokens)), 0, -1):
         for start in range(0, len(tokens) - length + 1):
             end = start + length
-            if stop[start] or stop[end - 1] or pseudo[end] != pseudo[start]:
-                continue
-            if any(start < b.end and b.start < end for b in blocked):
+            if stop[start] or stop[end - 1] or barred_before[end] != barred_before[start]:
                 continue
             yield Span(start, end)
 
@@ -329,9 +337,9 @@ def detect_relations(
         if isinstance(tok, PseudoRelation):
             scored.append(RelationHit(Span(i, i + 1), tok, 1.0))
 
+    # a window holds no pseudo-relation, so its tokens are the words
     for span in content_spans(tokens, type_spans):
-        mention = " ".join(str(t) for t in tokens[span.start : span.end])
-        hit = link_simple(mention, g, lex, theta_rel)
+        hit = link_simple(" ".join(tokens[span.start : span.end]), g, lex, theta_rel)
         if hit is None:
             continue
         scored.append(RelationHit(span, *hit))

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from relink import kg
+from relink import assemble, kg
 from relink.assemble import LinkConfig, Linker, link_data_driven
 from relink.explain import ExplanationService, FixtureProvider
 from relink.linking import MetaElements, RelationHit, Span
@@ -155,6 +155,30 @@ def test_link_co_sister_known_failure(linker):
     # the nested brother phrase itself resolved fine
     nested = [s for s in result.trace if s["step"] == "nested-phrase"]
     assert any(s["phrase"] == "brother" for s in nested)
+
+
+@pytest.mark.parametrize(
+    "phrase, nested_plans, ends", [("great-grandmother", 2, 1), ("co-sister", 8, 2)]
+)
+def test_nested_ends_found_once_per_pair(linker, monkeypatch, phrase, nested_plans, ends):
+    """The source and sink of a nested pattern are found once for each
+    pair that holds it, not once for each candidate plan of the pair.
+    great-grandmother tries the nested grandparent pattern in the two RP2
+    orders of one pair. co-sister tries the folded spouse pattern, which
+    has two sinks and so cannot be spliced, with the nested brother
+    pattern in all four plans of one pair."""
+    calls = []
+    real = assemble._source_sink
+
+    def counted(sp):
+        calls.append(sp)
+        return real(sp)
+
+    monkeypatch.setattr(assemble, "_source_sink", counted)
+    result = linker.link(phrase)
+    orders = [s["order"] for s in result.trace if s["step"] == "candidate"]
+    assert sum(name.startswith("nested:") for o in orders for name in o) == nested_plans
+    assert len(calls) == ends
 
 
 def test_recursion_depth_cap(family_graph, lexicon, classifier):

@@ -568,6 +568,24 @@ def test_eval_gold_line_not_an_object_data_error(capsys, tmp_path, line):
     assert "cannot load gold file" in err
 
 
+@pytest.mark.parametrize(
+    "line, reason",
+    [("{not json", "Expecting property name"),
+     ("[1]", "not a JSON object"),
+     ('{"phrase": "son"}', "missing key 'gold_pattern'"),
+     ('{"phrase": "son", "gold_pattern": {"edges": []}}', "at least one edge")],
+    ids=["not-json", "not-object", "missing-key", "no-edges"],
+)
+def test_eval_gold_bad_line_named(capsys, tmp_path, line, reason):
+    gold = tmp_path / "gold.jsonl"
+    first = data_path("gold.jsonl").read_text("utf-8").splitlines()[0]
+    gold.write_text(f"{first}\n\n{line}\n{first}\n")
+    code, out, err = run(capsys, "eval", "--methods", "keyword_match", str(gold))
+    assert (code, out) == (EXIT_DATA, "")
+    assert err.startswith(f"error: cannot load gold file: {gold} line 3: ")
+    assert reason in err
+
+
 def test_explanations_not_an_object_usage_error(capsys, tmp_path):
     explanations = tmp_path / "explanations.json"
     explanations.write_text('["son"]')
@@ -583,6 +601,14 @@ def test_explanation_not_a_string_usage_error(capsys, tmp_path, value):
     code, out, err = run(capsys, "--explanations", str(explanations), "link", "mother-in-law")
     assert (code, out) == (EXIT_USAGE, "")
     assert "explanation for 'mother-in-law' must be a string" in err
+
+
+def test_explanation_keys_colliding_usage_error(capsys, tmp_path):
+    explanations = tmp_path / "explanations.json"
+    explanations.write_text(json.dumps({"Mother": "a female parent", "mother ": "a parent"}))
+    code, out, err = run(capsys, "--explanations", str(explanations), "link", "son")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "'Mother'" in err and "'mother '" in err
 
 
 @pytest.mark.parametrize("surfaces", [["wife", "Wife"], ["in-law", "in law"]])

@@ -273,6 +273,24 @@ def test_gold_file_round_trip(tmp_path, gold_set):
     assert ev.load_gold(path) == gold_set
 
 
+@pytest.mark.parametrize(
+    "line, reason",
+    [(b"{not json", "Expecting"),
+     (b"[1]", "not a JSON object"),
+     (b'{"phrase": "son"}', "missing key 'gold_pattern'"),
+     (b'{"phrase": "son", "gold_pattern": {"edges": [{"src": "x"}]}}', "missing key 'rel'"),
+     (b'{"phrase": "son", "gold_pattern": {"edges": []}}', "at least one edge")],
+    ids=["not-json", "not-object", "missing-key", "missing-edge-key", "no-edges"],
+)
+def test_load_gold_names_file_and_line(tmp_path, gold_set, line, reason):
+    path = tmp_path / "gold.jsonl"
+    good = json.dumps(gold_set[0].to_json()).encode()
+    path.write_bytes(good + b"\n\n" + line + b"\n" + good + b"\n")
+    with pytest.raises(kg.DataError, match=reason) as err:
+        ev.load_gold(path)
+    assert str(err.value).startswith(f"{path} line 3: ")
+
+
 def test_timing_interleaves_methods(linker, monkeypatch):
     """One warm-up pass per method, then rounds that each run one pass of
     every method in the requested order, so a slow spell hits all alike."""

@@ -79,6 +79,16 @@ def test_fixture_value_must_be_a_string(value):
         FixtureProvider({"word": value})
 
 
+@pytest.mark.parametrize(
+    "keys", [["Mother", "mother "], ["son in law", "son  in\tlaw"], ["aunt", "AUNT"]]
+)
+def test_fixture_keys_normalizing_to_one_phrase_rejected(keys):
+    # whichever key came later would otherwise answer for both
+    with pytest.raises(ValueError) as err:
+        FixtureProvider({k: f"sentence for {k}" for k in keys})
+    assert all(repr(k) in str(err.value) for k in keys)
+
+
 def test_fixture_blank_value_is_absent():
     assert FixtureProvider({"word": "  ", "other": "a sentence"}).lookup("word") is None
 

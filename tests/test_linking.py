@@ -593,9 +593,19 @@ def _reference_content_spans(tokens, stopwords, blocked):
         ),
         max_size=9,
     ),
-    blocked=st.lists(st.tuples(st.integers(0, 9), st.integers(1, 3)), max_size=3),
+    # spans may start before the sentence or end past it
+    blocked=st.lists(st.tuples(st.integers(-3, 10), st.integers(1, 4)), max_size=3),
 )
 def test_content_spans_matches_reference_filter(tokens, blocked):
     blocked = [Span(s, s + n) for s, n in blocked]
     want = _reference_content_spans(tokens, text.default_stopwords(), blocked)
     assert list(content_spans(tokens, blocked)) == want
+
+
+@pytest.mark.parametrize("start, end", [(2, 2), (3, 1), (-1, -1)])
+def test_content_spans_empty_blocked_span_rejected(start, end):
+    # an empty span would block no token, yet overlaps the windows that
+    # straddle it: (2, 2) overlaps (1, 3)
+    tokens = tokenize("the mother of a person's spouse")
+    with pytest.raises(ValueError, match="must not be empty"):
+        list(content_spans(tokens, [Span(0, 1), Span(start, end)]))
