@@ -92,8 +92,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if args.config:
         try:
             raw = kg.read_json(args.config)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+        except (OSError, ValueError) as exc:  # each names the file
+            raise ConfigError(f"cannot read config: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(
                 f"config {args.config} must be a JSON object, got {type(raw).__name__}"
@@ -156,7 +156,11 @@ def build_linker(cfg: RunConfig) -> Linker:
         _existing_file(path_name, getattr(cfg, path_name))
     graph = kg.load(cfg.kg)
     try:
-        lexicon = linking.Lexicon.load(cfg.lexicon, graph)
+        raw = kg.read_json(cfg.lexicon)
+    except (OSError, ValueError) as exc:  # each names the file
+        raise ConfigError(f"cannot load lexicon: {exc}") from exc
+    try:
+        lexicon = linking.Lexicon.from_mapping(raw, graph)
     except Exception as exc:
         raise ConfigError(f"cannot load lexicon {cfg.lexicon}: {exc}") from exc
     explainer = explain.ExplanationService(_providers(cfg))

@@ -264,6 +264,8 @@ def evaluate(
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method: {method!r}")
+        if methods.count(method) > 1:
+            raise ValueError(f"method listed more than once: {method!r}")
 
     for entry in gold:  # warm the explanation cache
         linker.explainer.explain(entry.phrase)

@@ -252,16 +252,13 @@ class KnowledgeGraph:
 
     The constructor reads any iterable of triples once, a generator
     included, drops duplicates (the first triple seen is kept) and stores
-    them sorted by ``Triple.sort_key`` in ``triples``. Indexes cover every
-    bound-position lookup the pipeline needs, each keyed by predicate
-    first: ``sp[p][s]`` for (s, p, ?), ``po[p][o]`` for (?, p, o) and
-    ``p[p]`` for (?, p, ?). The keys of ``sp[p]`` and ``po[p]`` are the
-    predicate's subject and object sets, which ``predicate_subjects`` and
-    ``predicate_objects`` return as views. The ``p`` index holds the
-    stored ``Triple`` objects themselves, so each triple is kept once, and
-    equal index value sets are one ``frozenset``. ``sp`` and ``po`` are
-    grouped from each predicate's subject and object columns, and
-    ``entity_set`` and the type instance counts are read from their keys.
+    them sorted by ``Triple.sort_key`` in ``triples``, the one copy of each
+    triple. Two index families, keyed by predicate first, cover every
+    lookup: ``sp[p][s]`` for (s, p, ?) and ``po[p][o]`` for (?, p, o); a
+    (?, p, ?) scan walks ``sp[p]``. Their keys are the predicate's subject
+    and object sets (``predicate_subjects``, ``predicate_objects``), and
+    equal value sets are one ``frozenset``. ``entity_set``,
+    ``predicate_count`` and the type instance counts are read from them.
     A node's types are its IRI objects of ``type_predicate``. The
     constructor builds the indexes, the label, label-token and type
     dictionaries, and the type dictionary's first-token table; the graph
@@ -272,7 +269,6 @@ class KnowledgeGraph:
     type_predicate: str = RDF_TYPE
     _sp: dict = field(init=False, repr=False)
     _po: dict = field(init=False, repr=False)
-    _p: dict = field(init=False, repr=False)
     predicate_set: frozenset[str] = field(init=False)
     type_set: frozenset[str] = field(init=False)
     entity_set: frozenset[str] = field(init=False)
@@ -356,7 +352,6 @@ class KnowledgeGraph:
         put(self, "triples", ordered)
         put(self, "_sp", sp)
         put(self, "_po", po)
-        put(self, "_p", {k: tuple(v) for k, v in p_idx.items()})
         put(self, "predicate_set", frozenset(predicates))
         put(self, "type_set", frozenset(instances))
         put(self, "entity_set", frozenset(entities))
@@ -394,10 +389,6 @@ class KnowledgeGraph:
         view)."""
         return self._po.get(predicate, _NO_INDEX).keys()
 
-    def by_predicate(self, predicate: str) -> tuple[Triple, ...]:
-        """The stored triples of a predicate, in ``triples`` order."""
-        return self._p.get(predicate, ())
-
     def has_triple(self, subject: str, predicate: str, obj: Node) -> bool:
         return obj in self.objects(subject, predicate)
 
@@ -406,7 +397,7 @@ class KnowledgeGraph:
         return frozenset(o for o in types if not isinstance(o, Literal))
 
     def predicate_count(self, predicate: str) -> int:
-        return len(self._p.get(predicate, ()))
+        return sum(map(len, self._sp.get(predicate, _NO_INDEX).values()))
 
     # -- derived dictionaries --------------------------------------------
 
@@ -591,8 +582,12 @@ def type_key_starts(g: KnowledgeGraph) -> dict[str, tuple[int, ...]]:
 
 
 def read_json(path: Union[str, Path]):
-    """The JSON value of a UTF-8 file; a leading byte-order mark is dropped."""
-    return json.loads(Path(path).read_text("utf-8").removeprefix("\ufeff"))
+    """The JSON value of a UTF-8 file; a leading byte-order mark is dropped.
+    A file that is not UTF-8 or not JSON raises ``ValueError`` naming it."""
+    try:
+        return json.loads(Path(path).read_text("utf-8").removeprefix("\ufeff"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def load_prefixes(path: Union[str, Path]) -> dict[str, str]:

@@ -14,7 +14,7 @@ import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 from itertools import accumulate
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from . import text
 from .kg import (
@@ -298,7 +298,7 @@ def detect_types(tokens: Sequence[Token], g: KnowledgeGraph) -> list[TypeHit]:
     type_dict = type_dictionary(g)
     starts = type_key_starts(g)
     n = len(tokens)
-    found: list[tuple[int, int, str]] = []  # (-length, start, type IRI)
+    found: list[TypeHit] = []
     for start, tok in enumerate(tokens):
         if not isinstance(tok, str):
             continue
@@ -307,15 +307,8 @@ def detect_types(tokens: Sequence[Token], g: KnowledgeGraph) -> list[TypeHit]:
                 continue
             iri = type_dict.get(tuple(tokens[start : start + length]))
             if iri is not None:
-                found.append((-length, start, iri))
-    found.sort()
-    hits: list[TypeHit] = []
-    for neg_length, start, iri in found:
-        span = Span(start, start - neg_length)
-        if not any(span.overlaps(h.span) for h in hits):
-            hits.append(TypeHit(span, iri))
-    hits.sort(key=lambda h: h.span.start)
-    return hits
+                found.append(TypeHit(Span(start, start + length), iri))
+    return _non_overlapping(found, lambda h: (-len(h.span), h.span.start, h.type_iri))
 
 
 def detect_relations(
@@ -344,14 +337,18 @@ def detect_relations(
             continue
         scored.append(RelationHit(span, *hit))
 
-    scored.sort(key=lambda h: (-h.score, -len(h.span), h.span.start))
-    chosen: list[RelationHit] = []
-    for hit in scored:
-        if any(hit.span.overlaps(c.span) for c in chosen):
-            continue
-        chosen.append(hit)
-    chosen.sort(key=lambda h: h.span.start)
-    return chosen
+    return _non_overlapping(scored, lambda h: (-h.score, -len(h.span), h.span.start))
+
+
+def _non_overlapping(hits: Iterable, priority: Callable[..., tuple]) -> list:
+    """The type or relation hits a greedy pass in ``priority`` order keeps,
+    each one that overlaps none kept before it, in sentence order."""
+    kept = []
+    for hit in sorted(hits, key=priority):
+        if not any(hit.span.overlaps(k.span) for k in kept):
+            kept.append(hit)
+    kept.sort(key=lambda h: h.span.start)
+    return kept
 
 
 def detect_elements(

@@ -249,12 +249,12 @@ def _search(g: KnowledgeGraph, sp: SubgraphPattern):
     ``match_instances`` enumerates with it, and ``has_instance`` uses it
     for the patterns that are not trees (a cycle, or parallel edges).
 
-    The seed edge is the one with the fewest triples, and its stored
-    triples are the first candidates. Every later edge shares a bound
-    variable, and edges with both ends bound are checked before any edge
-    that binds a new variable, so no level enumerates a predicate's
-    triples independently of the bindings so far. Each binding is
-    yielded once, in the order of the stored triples and index sets;
+    The seed edge is the one with the fewest triples, and the first
+    candidates are its subjects, each with its objects, from the subject
+    index. Every later edge shares a bound variable, and edges with both
+    ends bound are checked before any edge that binds a new variable, so
+    no level enumerates a predicate's pairs independently of the bindings
+    so far. Each binding is yielded once, in the order of the index sets;
     that order is not part of the contract, because ``has_instance``
     returns only a bool and ``match_instances`` sorts the bindings.
     """
@@ -294,10 +294,11 @@ def _search(g: KnowledgeGraph, sp: SubgraphPattern):
 
     seed = sp.edges[order[0]]
     binding: dict[str, Node] = {}
-    for t in g.by_predicate(seed.rel):
-        if ok(seed.src, t.subject) and ok(seed.dst, t.object):
-            binding[seed.src], binding[seed.dst] = t.subject, t.object
-            yield from extend(1, binding)
+    for s in g.predicate_subjects(seed.rel):
+        for o in g.objects(s, seed.rel):
+            if ok(seed.src, s) and ok(seed.dst, o):
+                binding[seed.src], binding[seed.dst] = s, o
+                yield from extend(1, binding)
 
 
 def match_instances(
@@ -357,8 +358,8 @@ def _semijoin(
     over the intersection. The first empty set decides False. At the
     root the question is only whether the last edge's projection meets
     the candidates of the rest, so that intersection is not built: an
-    ``isdisjoint`` test stops at the first shared node. Only index keys
-    and lookups are read, never a predicate's triple list.
+    ``isdisjoint`` test stops at the first shared node. Like ``_search``,
+    it reads only index keys and lookups.
     """
     types = sp.type_map()
     incident: dict[str, list[PatternEdge]] = {v: [] for v in variables}

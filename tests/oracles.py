@@ -512,7 +512,7 @@ def reference_load(triples: set[Triple], type_predicate: str) -> dict:
         "triples": ordered,
         "objects": objects,
         "subjects": subjects,
-        "by_predicate": lambda p: tuple(t for t in ordered if t.predicate == p),
+        "predicate_count": lambda p: sum(t.predicate == p for t in ordered),
         "types_of": lambda n: frozenset(o for s, o in typing if s == n),
         "predicate_subjects": predicate_subjects,
         "predicate_objects": predicate_objects,

@@ -131,6 +131,33 @@ def test_json_input_with_byte_order_mark(capsys, tmp_path, monkeypatch, name, ar
     assert results[1] == results[0]
 
 
+@pytest.mark.parametrize(
+    "name, argv, prefix, code",
+    [("lexicon.json", ["--lexicon", "{path}", "link", "son"],
+      "config error: cannot load lexicon: ", EXIT_USAGE),
+     ("explanations.json", ["--explanations", "{path}", "link", "son"], "error: ", EXIT_USAGE),
+     ("model.json", ["--model", "{path}", "link", "son"], "error: ", EXIT_USAGE),
+     ("config.json", ["--config", "{path}", "link", "son"],
+      "config error: cannot read config: ", EXIT_USAGE),
+     ("review.json", ["train", "--review", "{path}", "--model-out", "{out}"], "error: ", EXIT_DATA),
+     ("prefixes.json", ["--output", "text", "link", "son"], "error: ", EXIT_USAGE)],
+    ids=["lexicon", "explanations", "model", "config", "review", "prefixes"],
+)
+def test_malformed_json_input_named(capsys, tmp_path, monkeypatch, name, argv, prefix, code):
+    # not JSON, or not UTF-8: the message names the file once
+    path = tmp_path / name
+    if name == "prefixes.json":
+        monkeypatch.setenv("RELINK_PREFIXES", str(path))
+    argv = [a.format(path=path, out=tmp_path / "m.json") for a in argv]
+    for payload, reason in [(b'{"son" 1}', f"{path}: Expecting ':' delimiter"),
+                            (b'{"\xff": 1}', f"{path}: 'utf-8' codec")]:
+        path.write_bytes(payload)
+        got, out, err = run(capsys, *argv)
+        assert (got, out) == (code, "")
+        assert err.startswith(prefix + reason)
+        assert err.count(str(path)) == 1
+
+
 def test_link_mother_in_law_json(capsys):
     code, out, _ = run(capsys, "link", "mother-in-law")
     assert code == EXIT_OK
@@ -243,6 +270,13 @@ def test_eval_missing_gold_file(capsys, tmp_path):
 def test_eval_unknown_method_usage_error(capsys):
     code, _, err = run(capsys, "eval", "--methods", "sorcery")
     assert code == EXIT_USAGE
+
+
+def test_eval_repeated_method_usage_error(capsys):
+    # one row and one timing per method
+    code, out, err = run(capsys, "eval", "--methods", "keyword_match,our_approach,keyword_match")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: method listed more than once: 'keyword_match'\n"
 
 
 @pytest.mark.parametrize("reps", ["0", "1", "-3"])
@@ -754,3 +788,21 @@ def test_model_shape_checked_at_load(capsys, tmp_path, corrupt):
     code, _, err = run(capsys, "--model", str(model), "link", "mother-in-law")
     assert code == EXIT_USAGE
     assert err.startswith("error: malformed model: ")
+
+
+def test_cli_defaults_equal_library_defaults():
+    # the CLI does not import the pipeline at start-up, so it writes the
+    # library's defaults out again; each pair must agree
+    import inspect
+
+    from relink import assemble, classify, explain, linking
+
+    cfg, link = RunConfig(), assemble.LinkConfig()
+    assert cfg.theta_rel == linking.DEFAULT_THETA_REL == link.theta_rel
+    assert cfg.max_depth == link.max_recursion_depth
+    assert cfg.validation == link.validation
+    assert cfg.seed == inspect.signature(classify.train).parameters["seed"].default
+    timeout = inspect.signature(explain.HttpProvider).parameters["timeout"].default
+    assert cfg.http_timeout == timeout
+    (validation,) = [a for a in make_parser()._actions if a.dest == "validation"]
+    assert tuple(validation.choices) == (assemble.STRICT, assemble.PERMISSIVE)

@@ -191,6 +191,11 @@ def test_evaluate_keyword_precision_near_zero(linker, gold_set):
     assert report.method("keyword_match").precision == 0.0
 
 
+def test_evaluate_rejects_repeated_method(linker, gold_set):
+    with pytest.raises(ValueError, match="method listed more than once: 'keyword_match'"):
+        ev.evaluate(gold_set, ["keyword_match", "keyword_match"], linker)
+
+
 def test_evaluate_empty_methods(linker, gold_set):
     report = ev.evaluate(gold_set, [], linker)
     assert report.methods == []

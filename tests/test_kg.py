@@ -5,6 +5,7 @@ import random
 import re
 import string
 import sys
+from collections import Counter
 from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
@@ -95,7 +96,6 @@ def test_load_is_deterministic(family_graph):
     assert g2.predicate_set == family_graph.predicate_set
     assert g2._sp == family_graph._sp
     assert g2._po == family_graph._po
-    assert g2._p == family_graph._p
     assert type_dictionary(g2) == type_dictionary(family_graph)
 
 
@@ -103,7 +103,6 @@ def test_index_round_trip(family_graph):
     for t in family_graph.triples:
         assert t.object in family_graph.objects(t.subject, t.predicate)
         assert t.subject in family_graph.subjects(t.predicate, t.object)
-        assert t in family_graph.by_predicate(t.predicate)
     # and the per-predicate indexes hold exactly the stored triples
     sp: dict = {}
     po: dict = {}
@@ -112,6 +111,9 @@ def test_index_round_trip(family_graph):
         po.setdefault(t.predicate, {}).setdefault(t.object, set()).add(t.subject)
     assert family_graph._sp == sp
     assert family_graph._po == po
+    # and predicate_count, read from sp, counts each predicate's triples
+    counts = Counter(t.predicate for t in family_graph.triples)
+    assert {p: family_graph.predicate_count(p) for p in sp} == counts
 
 
 def test_tokenize_name_rules():
@@ -348,7 +350,7 @@ def test_equal_iris_are_one_object(family_graph):
     iris += [n for index in by_key for n in index if isinstance(n, str)]
     iris += [n for index in by_key for v in index.values()
              for n in v if isinstance(n, str)]
-    iris += [*g._p, *g.predicate_set, *g.type_set, *g.entity_set]
+    iris += [*g.predicate_set, *g.type_set, *g.entity_set]
     assert len({id(n) for n in iris}) == len(set(iris))
     # and so are equal literals: one Literal per distinct value
     literals = [t.object for t in g.triples if isinstance(t.object, Literal)]
@@ -357,9 +359,6 @@ def test_equal_iris_are_one_object(family_graph):
     literals += [n for index in by_key for v in index.values()
                  for n in v if isinstance(n, Literal)]
     assert len({id(n) for n in literals}) == len(set(literals))
-    # the predicate index holds the stored triples, not copies
-    stored = {id(t) for t in g.triples}
-    assert all(id(t) in stored for p in g.predicate_set for t in g.by_predicate(p))
 
 
 def test_equal_index_value_sets_are_one_object(family_graph):
@@ -399,8 +398,7 @@ def _check_against_reference(g, triples, ref, round_):
     nodes |= {"http://t.example/absent", Literal("absent")}
     predicates = ref["predicate_set"] | {"http://t.example/absent"}
     for p in predicates:
-        assert g.by_predicate(p) == ref["by_predicate"](p)
-        assert g.predicate_count(p) == len(ref["by_predicate"](p))
+        assert g.predicate_count(p) == ref["predicate_count"](p)
         assert g.predicate_subjects(p) == ref["predicate_subjects"](p)
         assert g.predicate_objects(p) == ref["predicate_objects"](p)
         for n in nodes:
@@ -413,7 +411,7 @@ def _check_against_reference(g, triples, ref, round_):
         assert g.types_of(n) == ref["types_of"](n)
     assert g._sp == ref["sp"]
     assert g._po == ref["po"]
-    assert set(g._p) == ref["predicate_set"]
+    assert set(g._sp) == set(g._po) == ref["predicate_set"]
     assert {n for n in nodes if g.types_of(n)} == ref["typed_nodes"]
     assert g.predicate_set == ref["predicate_set"]
     assert g.type_set == ref["type_set"]

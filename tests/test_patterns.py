@@ -259,32 +259,36 @@ def test_match_oracle_with_type_restrictions():
 
 
 def test_has_instance_uncle_shape_reads_predicate_index_once(monkeypatch):
-    # relative < parent < gender by triple count, and the check fails:
-    # the only parent edges start at persons, never at the gender value
+    # a cycle seeds from its rarest predicate's subject index, once:
+    # relative < parent < gender by triple count, and the check fails,
+    # since the only parent edges start at persons, never at the gender value
     lines = [f"<{RES}p{i}> <{EX}relative> <{RES}p{i + 1}> ." for i in range(10)]
     lines += [f"<{RES}p{i}> <{EX}parent> <{RES}p{i + 2}> ." for i in range(30)]
     lines += [f"<{RES}p{i}> <{EX}gender> <{RES}male> ." for i in range(50)]
     g = kg.load(lines)
+    assert [g.predicate_count(EX + p) for p in ("relative", "parent", "gender")] == [10, 30, 50]
     calls = []
-    by_predicate = KnowledgeGraph.by_predicate
+    predicate_subjects = KnowledgeGraph.predicate_subjects
 
     def counting(self, predicate):
         calls.append(predicate)
-        return by_predicate(self, predicate)
+        return predicate_subjects(self, predicate)
 
-    monkeypatch.setattr(KnowledgeGraph, "by_predicate", counting)
-    # a tree is decided from index keys and lookups alone
+    monkeypatch.setattr(KnowledgeGraph, "predicate_subjects", counting)
+    search = patterns._search
+    monkeypatch.setattr(patterns, "_search", lambda g, sp: calls.append("search") or search(g, sp))
+    # a tree is decided by the semi-join, never by the search
     tree = SubgraphPattern.make(
         [("x", EX + "relative", "v1"), ("v1", EX + "gender", "z"), ("z", EX + "parent", "y")]
     )
     assert not has_instance(g, tree)
-    assert calls == []
-    # a cycle is searched, reading only its rarest predicate's triples, once
+    assert "search" not in calls
+    calls.clear()
     cycle = SubgraphPattern.make(
         [("x", EX + "relative", "v1"), ("v1", EX + "gender", "z"), ("x", EX + "parent", "z")]
     )
     assert not has_instance(g, cycle)
-    assert calls == [EX + "relative"]
+    assert calls == ["search", EX + "relative"]
 
 
 def test_has_instance_two_edge_root_builds_no_intersection(monkeypatch):
