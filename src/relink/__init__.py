@@ -16,10 +16,10 @@ _EXPORTS = {
     "Explanation": "explain", "ExplanationService": "explain",
     "FixtureProvider": "explain",
     "KnowledgeGraph": "kg", "Literal": "kg", "Triple": "kg", "load": "kg",
-    "type_dictionary": "kg",
-    "Lexicon": "linking", "MetaElements": "linking", "detect_elements": "linking",
-    "detect_relations": "linking", "detect_types": "linking",
-    "direct_match": "linking", "link_simple": "linking",
+    "GraphLabels": "linking", "Lexicon": "linking", "MetaElements": "linking",
+    "detect_elements": "linking", "detect_relations": "linking",
+    "detect_types": "linking", "direct_match": "linking", "link_simple": "linking",
+    "type_dictionary": "linking",
     "MetaPattern": "patterns", "PatternEdge": "patterns",
     "SubgraphPattern": "patterns", "adjacent_instantiations": "patterns",
     "has_instance": "patterns", "instantiate": "patterns",

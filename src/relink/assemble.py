@@ -22,6 +22,7 @@ from .explain import ExplanationService, normalize_phrase
 from .kg import KnowledgeGraph
 from .linking import (
     DEFAULT_THETA_REL,
+    GraphLabels,
     Lexicon,
     MetaElements,
     PseudoRelation,
@@ -113,7 +114,7 @@ Side = tuple[RelationHit, Optional[tuple[str, str]]]
 
 
 class Linker:
-    """Binds the graph, explainer, lexicon, classifier, and config together."""
+    """Binds the graph, its ``labels``, explainer, lexicon, classifier, and config."""
 
     def __init__(
         self,
@@ -124,6 +125,7 @@ class Linker:
         config: Optional[LinkConfig] = None,
     ):
         self.g = g
+        self.labels = GraphLabels.of(g)
         self.explainer = explainer
         self.lexicon = lexicon
         self.classifier = classifier
@@ -138,7 +140,7 @@ class Linker:
         key = normalize_phrase(phrase)
         state = _LinkState(trace=trace, active={key})
 
-        hit = direct_match(phrase, self.g, self.lexicon)
+        hit = direct_match(phrase, self.labels, self.lexicon)
         if hit is not None and hit.category == "relation":
             pattern = instantiate(MetaPattern.RP1, [hit.iri])
             trace.append({"step": "direct-match", "relation": hit.iri})
@@ -170,7 +172,7 @@ class Linker:
             return None
         state.max_depth = max(state.max_depth, depth)
 
-        elems = detect_elements(tokens, self.g, self.lexicon, self.config.theta_rel)
+        elems = detect_elements(tokens, self.labels, self.lexicon, self.config.theta_rel)
         state.trace.append(_elements_step(tokens, elems, depth))
 
         substituted = self._resolve_nested(tokens, elems, depth, state)
@@ -261,7 +263,7 @@ class Linker:
                 continue
             pseudo = PseudoRelation(gram, sub_pattern)
             tokens = tokens[: span.start] + [pseudo] + tokens[span.end :]
-            elems = detect_elements(tokens, self.g, self.lexicon, self.config.theta_rel)
+            elems = detect_elements(tokens, self.labels, self.lexicon, self.config.theta_rel)
             state.trace.append(_elements_step(tokens, elems, depth, resubstituted=True))
             changed = True
         return (tokens, elems) if changed else None

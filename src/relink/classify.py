@@ -24,6 +24,7 @@ from .explain import ExplanationService
 from .kg import DataError, KnowledgeGraph, read_json, read_json_lines
 from .linking import (
     DEFAULT_THETA_REL,
+    GraphLabels,
     Lexicon,
     MetaElements,
     PseudoRelation,
@@ -397,7 +398,11 @@ class PatternClassifier:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "PatternClassifier":
-        return cls.from_json(read_json(path))
+        data = read_json(path)
+        try:
+            return cls.from_json(data)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 def fit(
@@ -519,6 +524,7 @@ def harvest(
     """
     if kappa <= 0:
         raise ValueError("kappa must be positive")
+    labels = GraphLabels.of(g)
     examples: list[TrainingExample] = []
     skipped: list[HarvestSkip] = []
 
@@ -532,7 +538,7 @@ def harvest(
             continue
         if len(examples) >= kappa:
             break
-        hit = direct_match(phrase, g, lexicon)
+        hit = direct_match(phrase, labels, lexicon)
         if hit is not None:
             skip(phrase, f"direct {hit.category} match: {hit.iri}")
             continue
@@ -541,7 +547,7 @@ def harvest(
             skip(phrase, "no explanation")
             continue
         tokens = text.tokenize(explanation.sentence)
-        elems = detect_elements(tokens, g, lexicon, theta_rel)
+        elems = detect_elements(tokens, labels, lexicon, theta_rel)
         relations = [
             h.relation for h in elems.relations if not isinstance(h.relation, PseudoRelation)
         ]

@@ -22,8 +22,8 @@ from typing import Optional, Sequence, Union
 from . import text
 from .assemble import Linker, link_data_driven
 from .classify import TrainingExample, featurize, featurize_raw, fit, train
-from .kg import KnowledgeGraph, read_json_lines
-from .linking import Lexicon, detect_elements, direct_match, link_simple
+from .kg import read_json_lines
+from .linking import GraphLabels, Lexicon, detect_elements, direct_match, link_simple
 from .patterns import MetaPattern, SubgraphPattern, instantiate
 
 log = logging.getLogger(__name__)
@@ -119,17 +119,17 @@ def exact_match(predicted: Optional[SubgraphPattern], gold: SubgraphPattern) -> 
 # -- baselines ---------------------------------------------------------------
 
 
-def keyword_match(phrase: str, g: KnowledgeGraph) -> Optional[SubgraphPattern]:
+def keyword_match(phrase: str, labels: GraphLabels) -> Optional[SubgraphPattern]:
     """Single edge for a predicate whose label tokens equal the phrase tokens."""
-    hit = direct_match(phrase, g, Lexicon())
+    hit = direct_match(phrase, labels, Lexicon())
     if hit is None or hit.category != "relation":
         return None
     return instantiate(MetaPattern.RP1, [hit.iri])
 
 
-def similarity_search(phrase: str, g: KnowledgeGraph) -> Optional[SubgraphPattern]:
+def similarity_search(phrase: str, labels: GraphLabels) -> Optional[SubgraphPattern]:
     """Single edge for the argmax-similarity predicate (no threshold)."""
-    hit = link_simple(phrase, g, Lexicon(), 0.0)
+    hit = link_simple(phrase, labels, Lexicon(), 0.0)
     return None if hit is None else instantiate(MetaPattern.RP1, [hit[0]])
 
 
@@ -140,7 +140,7 @@ def data_driven(phrase: str, linker: Linker) -> Optional[SubgraphPattern]:
         return None
     tokens = text.tokenize(explanation.sentence)
     elems = detect_elements(
-        tokens, linker.g, linker.lexicon, linker.config.theta_rel
+        tokens, linker.labels, linker.lexicon, linker.config.theta_rel
     )
     return link_data_driven(elems, linker.g)
 
@@ -149,9 +149,9 @@ def run_baseline(
     method: str, phrase: str, linker: Linker
 ) -> Optional[SubgraphPattern]:
     if method == "keyword_match":
-        return keyword_match(phrase, linker.g)
+        return keyword_match(phrase, linker.labels)
     if method == "similarity_search":
-        return similarity_search(phrase, linker.g)
+        return similarity_search(phrase, linker.labels)
     if method == "data_driven":
         return data_driven(phrase, linker)
     if method == "our_approach":

@@ -55,7 +55,8 @@ class FixtureProvider:
             raw = read_json(source)
             if not isinstance(raw, dict):
                 raise ValueError(
-                    f"explanation fixture must be a JSON object, got {type(raw).__name__}"
+                    f"{source}: explanation fixture must be a JSON object,"
+                    f" got {type(raw).__name__}"
                 )
         else:
             raw = dict(source)

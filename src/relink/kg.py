@@ -142,14 +142,6 @@ _set_predicate = Triple.predicate.__set__
 _set_object = Triple.object.__set__
 
 
-@dataclass(frozen=True)
-class RelationLabel:
-    """A predicate IRI with its tokenized local name."""
-
-    relation: str
-    tokens: tuple[str, ...]
-
-
 # The characters \s matches, which are those str.isspace accepts.
 _SPACES = (r"\t\n\x0b\x0c\r\x1c-\x20\x85\xa0\u1680"
            r"\u2000-\u200a\u2028\u2029\u202f\u205f\u3000")
@@ -257,12 +249,12 @@ class KnowledgeGraph:
     lookup: ``sp[p][s]`` for (s, p, ?) and ``po[p][o]`` for (?, p, o); a
     (?, p, ?) scan walks ``sp[p]``. Their keys are the predicate's subject
     and object sets (``predicate_subjects``, ``predicate_objects``), and
-    equal value sets are one ``frozenset``. ``entity_set``,
-    ``predicate_count`` and the type instance counts are read from them.
-    A node's types are its IRI objects of ``type_predicate``. The
-    constructor builds the indexes, the label, label-token and type
-    dictionaries, and the type dictionary's first-token table; the graph
-    is shared across threads, so no lazy population happens later.
+    equal value sets are one ``frozenset``. ``entity_set`` and the type
+    set are read from them; ``predicate_count`` reads a per-predicate
+    triple count taken when the triples are grouped. A node's types are
+    its IRI objects of ``type_predicate``. The constructor builds every
+    index; the graph is shared across threads, so no lazy population
+    happens later.
     """
 
     triples: tuple[Triple, ...]
@@ -272,12 +264,7 @@ class KnowledgeGraph:
     predicate_set: frozenset[str] = field(init=False)
     type_set: frozenset[str] = field(init=False)
     entity_set: frozenset[str] = field(init=False)
-    _relation_labels: dict = field(init=False, repr=False)
-    _relation_postings: dict = field(init=False, repr=False)
-    _relation_keys: dict = field(init=False, repr=False)
-    _entity_labels: dict = field(init=False, repr=False)
-    _type_dict: dict = field(init=False, repr=False)
-    _type_starts: dict = field(init=False, repr=False)
+    _counts: dict = field(init=False, repr=False)  # predicate -> its number of triples
 
     def __post_init__(self):
         type_predicate = self.type_predicate
@@ -343,30 +330,16 @@ class KnowledgeGraph:
         for p, index in po.items():
             if p != type_predicate:
                 entities.update(o for o in index if not isinstance(o, Literal))
-        predicates = p_idx.keys()
-        # type IRI -> number of nodes typed with it
-        instances = {o: len(nodes) for o, nodes in po.get(type_predicate, {}).items()
-                     if not isinstance(o, Literal)}
+        types = (o for o in po.get(type_predicate, ()) if not isinstance(o, Literal))
 
         put = object.__setattr__  # the dataclass is frozen
         put(self, "triples", ordered)
         put(self, "_sp", sp)
         put(self, "_po", po)
-        put(self, "predicate_set", frozenset(predicates))
-        put(self, "type_set", frozenset(instances))
+        put(self, "predicate_set", frozenset(p_idx))
+        put(self, "type_set", frozenset(types))
         put(self, "entity_set", frozenset(entities))
-        relation_labels = {
-            p: RelationLabel(p, tokenize_name(local_name(p)))
-            for p in sorted(predicates)
-            if p != type_predicate
-        }
-        put(self, "_relation_labels", relation_labels)
-        put(self, "_relation_postings", _postings(relation_labels.values()))
-        put(self, "_relation_keys", _first_by_key(relation_labels))
-        put(self, "_entity_labels", _first_by_key(entities))
-        type_dict = _type_dictionary(instances)
-        put(self, "_type_dict", type_dict)
-        put(self, "_type_starts", _key_starts(type_dict))
+        put(self, "_counts", {p: len(ts) for p, ts in p_idx.items()})
 
     def __len__(self) -> int:
         return len(self.triples)
@@ -397,27 +370,7 @@ class KnowledgeGraph:
         return frozenset(o for o in types if not isinstance(o, Literal))
 
     def predicate_count(self, predicate: str) -> int:
-        return sum(map(len, self._sp.get(predicate, _NO_INDEX).values()))
-
-    # -- derived dictionaries --------------------------------------------
-
-    def relation_labels(self) -> dict[str, RelationLabel]:
-        """Tokenized labels for every predicate except the type predicate."""
-        return self._relation_labels
-
-    def relation_postings(self) -> dict[str, tuple[str, ...]]:
-        """Label token -> the sorted IRIs of the ``relation_labels`` that
-        hold it."""
-        return self._relation_postings
-
-    def relation_keys(self) -> dict[tuple[str, ...], str]:
-        """Token-sequence index over ``relation_labels``: the first IRI in
-        sorted order for each label (exact-match lookups)."""
-        return self._relation_keys
-
-    def entity_labels(self) -> dict[tuple[str, ...], str]:
-        """Token-sequence index over entity local names (exact-match lookups)."""
-        return self._entity_labels
+        return self._counts.get(predicate, 0)
 
 
 def load(
@@ -515,72 +468,6 @@ def _line_of(data: bytes, exc: UnicodeDecodeError) -> int:
     return _newlines(data[: exc.start].decode("utf-8")).count("\n") + 1
 
 
-def _first_by_key(iris: Iterable[str]) -> dict[tuple[str, ...], str]:
-    """First IRI in sorted order for each token key of a local name."""
-    out: dict[tuple[str, ...], str] = {}
-    for iri in sorted(iris):
-        key = tokenize_name(local_name(iri))
-        if key and key not in out:
-            out[key] = iri
-    return out
-
-
-def _postings(labels: Iterable[RelationLabel]) -> dict[str, tuple[str, ...]]:
-    """Token -> the relations of ``labels`` whose tokens hold it, in the
-    order of ``labels``."""
-    out: defaultdict[str, list[str]] = defaultdict(list)
-    for label in labels:
-        for token in dict.fromkeys(label.tokens):  # each relation once per token
-            out[token].append(label.relation)
-    return {token: tuple(iris) for token, iris in out.items()}
-
-
-def _type_dictionary(instance_counts: Mapping[str, int]) -> dict[tuple[str, ...], str]:
-    """Map tokenized type local names to type IRIs.
-
-    ``instance_counts`` maps each type IRI to its number of instances.
-    When two type IRIs share a token key, the one with more instances in
-    the graph wins and the loser is logged.
-    """
-    out: dict[tuple[str, ...], str] = {}
-    for type_iri in sorted(instance_counts):
-        key = tokenize_name(local_name(type_iri))
-        if not key:
-            continue
-        if key in out:
-            incumbent = out[key]
-            if instance_counts[type_iri] > instance_counts[incumbent]:
-                log.info("type dictionary: %s displaces %s for key %s",
-                         type_iri, incumbent, key)
-                out[key] = type_iri
-            else:
-                log.info("type dictionary: discarding %s (key %s taken by %s)",
-                         type_iri, key, incumbent)
-        else:
-            out[key] = type_iri
-    return out
-
-
-def _key_starts(keys: Iterable[tuple[str, ...]]) -> dict[str, tuple[int, ...]]:
-    """First token -> the distinct lengths of the keys that begin with it,
-    longest first."""
-    out: defaultdict[str, set[int]] = defaultdict(set)
-    for key in keys:
-        out[key[0]].add(len(key))
-    return {token: tuple(sorted(lengths, reverse=True)) for token, lengths in out.items()}
-
-
-def type_dictionary(g: KnowledgeGraph) -> dict[tuple[str, ...], str]:
-    """Tokenized type local names -> type IRIs, as built with the graph."""
-    return g._type_dict
-
-
-def type_key_starts(g: KnowledgeGraph) -> dict[str, tuple[int, ...]]:
-    """Each ``type_dictionary`` key's first token -> the lengths of the
-    keys that begin with it, longest first, as built with the graph."""
-    return g._type_starts
-
-
 def read_json(path: Union[str, Path]):
     """The JSON value of a UTF-8 file; a leading byte-order mark is dropped.
     A file that is not UTF-8 or not JSON raises ``ValueError`` naming it."""
@@ -594,7 +481,9 @@ def load_prefixes(path: Union[str, Path]) -> dict[str, str]:
     """Prefix table (prefix -> IRI base), used only for display."""
     table = read_json(path)
     if not isinstance(table, dict):
-        raise ValueError("prefix table must be a JSON object")
+        raise ValueError(
+            f"{path}: prefix table must be a JSON object, got {type(table).__name__}"
+        )
     return {str(k): str(v) for k, v in table.items()}
 
 

@@ -1,6 +1,7 @@
 """Meta-element detection: type mentions and relation mentions in a sentence.
 
-Types are matched greedily (longest span first) against the graph's type
+The graph's label tables, ``GraphLabels``, are built once, with the
+linker. Types are matched greedily (longest span first) against the type
 dictionary. Relation mentions are candidate n-grams scored against the
 predicate labels through a tiered scorer: a lexicon hit is worth 1.0,
 otherwise a blend of token-set overlap and edit similarity. Nested
@@ -11,21 +12,14 @@ tokens that stand for an already-linked pattern.
 from __future__ import annotations
 
 import logging
+from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from . import text
-from .kg import (
-    KnowledgeGraph,
-    RelationLabel,
-    _frozen,
-    local_name,
-    read_json,
-    type_dictionary,
-    type_key_starts,
-)
+from .kg import KnowledgeGraph, _frozen, local_name, read_json, tokenize_name
 from .patterns import SubgraphPattern
 
 log = logging.getLogger(__name__)
@@ -142,6 +136,8 @@ class Lexicon:
     def from_mapping(
         cls, raw: Mapping[str, list[str]], g: Optional[KnowledgeGraph] = None
     ) -> "Lexicon":
+        if not isinstance(raw, Mapping):
+            raise LexiconError(f"lexicon must be a JSON object, got {type(raw).__name__}")
         entries: dict[tuple[str, ...], frozenset[str]] = {}
         surfaces: dict[tuple[str, ...], str] = {}
         for surface, iris in raw.items():
@@ -178,6 +174,97 @@ class Lexicon:
         return self.entries.get(tuple(tokens), frozenset())
 
 
+@dataclass(frozen=True)
+class RelationLabel:
+    """A predicate IRI with its tokenized local name."""
+
+    relation: str
+    tokens: tuple[str, ...]
+
+
+@_frozen
+@dataclass(frozen=True, slots=True)
+class GraphLabels:
+    """A graph's predicate, entity and type names as token sequences: the
+    vocabulary mention detection and direct matching read.
+
+    ``GraphLabels.of(g)`` builds every table at once; the ``Linker``
+    keeps the value as ``labels`` and shares it across threads.
+    """
+
+    # every predicate but the type predicate, in sorted IRI order
+    relation_labels: dict[str, RelationLabel]
+    # label token -> the sorted IRIs of the relation labels that hold it
+    relation_postings: dict[str, tuple[str, ...]]
+    # label tokens -> the first IRI in sorted order with that label
+    relation_keys: dict[tuple[str, ...], str]
+    # entity local-name tokens -> the first IRI in sorted order
+    entity_labels: dict[tuple[str, ...], str]
+    type_dictionary: dict[tuple[str, ...], str]
+    # a type key's first token -> the lengths of the keys it begins, longest first
+    type_key_starts: dict[str, tuple[int, ...]]
+
+    @classmethod
+    def of(cls, g: KnowledgeGraph) -> "GraphLabels":
+        relations = {
+            p: RelationLabel(p, tokenize_name(local_name(p)))
+            for p in sorted(g.predicate_set)
+            if p != g.type_predicate
+        }
+        postings: defaultdict[str, list[str]] = defaultdict(list)
+        for label in relations.values():
+            for token in dict.fromkeys(label.tokens):  # each relation once per token
+                postings[token].append(label.relation)
+        types = type_dictionary(g)
+        starts: defaultdict[str, set[int]] = defaultdict(set)
+        for key in types:
+            starts[key[0]].add(len(key))
+        return cls(
+            relations,
+            {token: tuple(iris) for token, iris in postings.items()},
+            _first_by_key(relations),
+            _first_by_key(g.entity_set),
+            types,
+            {token: tuple(sorted(lengths, reverse=True)) for token, lengths in starts.items()},
+        )
+
+
+def _first_by_key(iris: Iterable[str]) -> dict[tuple[str, ...], str]:
+    """First IRI in sorted order for each token key of a local name."""
+    out: dict[tuple[str, ...], str] = {}
+    for iri in sorted(iris):
+        key = tokenize_name(local_name(iri))
+        if key and key not in out:
+            out[key] = iri
+    return out
+
+
+def type_dictionary(g: KnowledgeGraph) -> dict[tuple[str, ...], str]:
+    """Map tokenized type local names to type IRIs.
+
+    When two type IRIs share a token key, the one with more instances in
+    the graph wins and the loser is logged.
+    """
+    instances = {t: len(g.subjects(g.type_predicate, t)) for t in g.type_set}
+    out: dict[tuple[str, ...], str] = {}
+    for type_iri in sorted(instances):
+        key = tokenize_name(local_name(type_iri))
+        if not key:
+            continue
+        if key in out:
+            incumbent = out[key]
+            if instances[type_iri] > instances[incumbent]:
+                log.info("type dictionary: %s displaces %s for key %s",
+                         type_iri, incumbent, key)
+                out[key] = type_iri
+            else:
+                log.info("type dictionary: discarding %s (key %s taken by %s)",
+                         type_iri, key, incumbent)
+        else:
+            out[key] = type_iri
+    return out
+
+
 def _label_text(label: RelationLabel) -> str:
     return " ".join(label.tokens)
 
@@ -197,7 +284,7 @@ def mention_score(mention_tokens: Sequence[str], label: RelationLabel) -> float:
 
 def link_simple(
     phrase: str,
-    g: KnowledgeGraph,
+    labels: GraphLabels,
     lex: Lexicon,
     theta_rel: float = DEFAULT_THETA_REL,
 ) -> Optional[tuple[str, float]]:
@@ -210,7 +297,7 @@ def link_simple(
     could reach ``theta_rel`` are scored. A label that shares no token
     with the mention has Jaccard 0, so it scores at most ``EDIT_WEIGHT``:
     above that threshold the candidates are the lexicon targets and the
-    graph's postings of the mention's tokens, in sorted IRI order as in
+    postings of the mention's tokens, in sorted IRI order as in
     the full scan, and with none of them there is no match. A
     candidate's edit distance is computed only when it could matter. The
     distance is at least the length difference, so the blend with the
@@ -224,11 +311,11 @@ def link_simple(
         return None
     token_set = set(tokens)
     lex_targets = lex.get(tokens)
-    labels = g.relation_labels()
-    candidates: Iterable[str] = labels
+    relations = labels.relation_labels
+    candidates: Iterable[str] = relations
     if theta_rel > EDIT_WEIGHT:
-        postings = g.relation_postings()
-        shared = {iri for iri in lex_targets if iri in labels}
+        postings = labels.relation_postings
+        shared = {iri for iri in lex_targets if iri in relations}
         for token in token_set:
             shared.update(postings.get(token, ()))
         if not shared:
@@ -238,7 +325,7 @@ def link_simple(
 
     best: Optional[tuple[str, float]] = None
     for iri in candidates:
-        label = labels[iri]
+        label = relations[iri]
         if iri in lex_targets:
             score = 1.0
         else:
@@ -285,7 +372,7 @@ def content_spans(tokens: Sequence[Token], blocked: Sequence[Span] = ()) -> Iter
             yield Span(start, end)
 
 
-def detect_types(tokens: Sequence[Token], g: KnowledgeGraph) -> list[TypeHit]:
+def detect_types(tokens: Sequence[Token], labels: GraphLabels) -> list[TypeHit]:
     """Greedy longest-span-first matching against the type dictionary.
 
     A window can match only if its first token begins a key, so the
@@ -295,8 +382,8 @@ def detect_types(tokens: Sequence[Token], g: KnowledgeGraph) -> list[TypeHit]:
     window would meet them, so the result is the same. A window holding
     a pseudo-relation never equals a key, whose tokens are strings.
     """
-    type_dict = type_dictionary(g)
-    starts = type_key_starts(g)
+    type_dict = labels.type_dictionary
+    starts = labels.type_key_starts
     n = len(tokens)
     found: list[TypeHit] = []
     for start, tok in enumerate(tokens):
@@ -313,7 +400,7 @@ def detect_types(tokens: Sequence[Token], g: KnowledgeGraph) -> list[TypeHit]:
 
 def detect_relations(
     tokens: Sequence[Token],
-    g: KnowledgeGraph,
+    labels: GraphLabels,
     lex: Lexicon,
     theta_rel: float = DEFAULT_THETA_REL,
     type_spans: Sequence[Span] = (),
@@ -332,7 +419,7 @@ def detect_relations(
 
     # a window holds no pseudo-relation, so its tokens are the words
     for span in content_spans(tokens, type_spans):
-        hit = link_simple(" ".join(tokens[span.start : span.end]), g, lex, theta_rel)
+        hit = link_simple(" ".join(tokens[span.start : span.end]), labels, lex, theta_rel)
         if hit is None:
             continue
         scored.append(RelationHit(span, *hit))
@@ -353,13 +440,13 @@ def _non_overlapping(hits: Iterable, priority: Callable[..., tuple]) -> list:
 
 def detect_elements(
     tokens: Sequence[Token],
-    g: KnowledgeGraph,
+    labels: GraphLabels,
     lex: Lexicon,
     theta_rel: float = DEFAULT_THETA_REL,
 ) -> MetaElements:
     """Run type detection, then relation detection outside the type spans."""
-    types = detect_types(tokens, g)
-    relations = detect_relations(tokens, g, lex, theta_rel, [t.span for t in types])
+    types = detect_types(tokens, labels)
+    relations = detect_relations(tokens, labels, lex, theta_rel, [t.span for t in types])
     return MetaElements(tuple(types), tuple(relations))
 
 
@@ -369,7 +456,7 @@ class DirectHit:
     iri: str
 
 
-def direct_match(phrase: str, g: KnowledgeGraph, lex: Lexicon) -> Optional[DirectHit]:
+def direct_match(phrase: str, labels: GraphLabels, lex: Lexicon) -> Optional[DirectHit]:
     """Does the phrase name a relation, type, or entity of the graph outright?
 
     Only the exact tier applies for relations (no similarity fallback):
@@ -383,13 +470,13 @@ def direct_match(phrase: str, g: KnowledgeGraph, lex: Lexicon) -> Optional[Direc
     lex_targets = lex.get(key)
     if lex_targets:
         return DirectHit("relation", sorted(lex_targets)[0])
-    rel = g.relation_keys().get(key)
+    rel = labels.relation_keys.get(key)
     if rel is not None:
         return DirectHit("relation", rel)
-    type_dict = type_dictionary(g)
-    if key in type_dict:
-        return DirectHit("type", type_dict[key])
-    entity = g.entity_labels().get(key)
+    type_iri = labels.type_dictionary.get(key)
+    if type_iri is not None:
+        return DirectHit("type", type_iri)
+    entity = labels.entity_labels.get(key)
     if entity is not None:
         return DirectHit("entity", entity)
     return None

@@ -32,12 +32,17 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 from relink.assemble import LinkConfig, Linker
 from relink.cli import data_path
 from relink.explain import ExplanationService, FixtureProvider
-from relink.linking import Lexicon
+from relink.linking import GraphLabels, Lexicon
 
 
 @pytest.fixture(scope="session")
 def family_graph():
     return kg.load(data_path("family_geo.nt"))
+
+
+@pytest.fixture(scope="session")
+def family_labels(family_graph):
+    return GraphLabels.of(family_graph)
 
 
 @pytest.fixture(scope="session")

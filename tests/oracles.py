@@ -19,13 +19,20 @@ from relink.kg import (
     KnowledgeGraph,
     Literal,
     ParseError,
-    RelationLabel,
     Triple,
     local_name,
     node_key,
-    type_dictionary,
 )
-from relink.linking import Lexicon, PseudoRelation, Span, Token, TypeHit, mention_score
+from relink.linking import (
+    GraphLabels,
+    Lexicon,
+    PseudoRelation,
+    RelationLabel,
+    Span,
+    Token,
+    TypeHit,
+    mention_score,
+)
 from relink.patterns import (
     CLASSES,
     DEFAULT_TIE_BREAK,
@@ -171,7 +178,7 @@ def reference_levenshtein(a: str, b: str) -> int:
 
 
 def reference_link_simple(
-    phrase: str, g: KnowledgeGraph, lex: Lexicon, theta_rel: float
+    phrase: str, labels: GraphLabels, lex: Lexicon, theta_rel: float
 ) -> Optional[tuple[str, float]]:
     """Best predicate for a mention by scoring every label in full with
     ``mention_score``, with no pruning."""
@@ -180,7 +187,7 @@ def reference_link_simple(
         return None
     best = None
     lex_targets = lex.get(tokens)
-    for iri, label in g.relation_labels().items():
+    for iri, label in labels.relation_labels.items():
         score = mention_score(tokens, label)
         if iri in lex_targets:
             score = 1.0
@@ -189,11 +196,11 @@ def reference_link_simple(
     return best
 
 
-def reference_detect_types(tokens: list[Token], g: KnowledgeGraph) -> list[TypeHit]:
+def reference_detect_types(tokens: list[Token], labels: GraphLabels) -> list[TypeHit]:
     """Type mentions by scanning every window, longest first, then
     leftmost, and taking each one the type dictionary holds that
     overlaps no window taken before it."""
-    type_dict = type_dictionary(g)
+    type_dict = labels.type_dictionary
     if not type_dict:
         return []
     max_len = max(len(k) for k in type_dict)

@@ -44,7 +44,7 @@ def patterns_equal_up_to_renaming(a: SubgraphPattern, b: SubgraphPattern) -> boo
     )
 
 
-def test_c1_worked_example_fidelity(linker, family_graph, lexicon, classifier):
+def test_c1_worked_example_fidelity(linker, family_labels, lexicon, classifier):
     started = time.perf_counter()
     expected = {
         "mother-in-law": instantiate(MetaPattern.RP2, [EX + "spouse", EX + "mother"]),
@@ -68,7 +68,7 @@ def test_c1_worked_example_fidelity(linker, family_graph, lexicon, classifier):
 
     # masking and classification of "a male child"
     tokens = tokenize("a male child")
-    elems = detect_elements(tokens, family_graph, lexicon)
+    elems = detect_elements(tokens, family_labels, lexicon)
     masked = classify.mask(tokens, elems)
     assert list(masked.tokens) == ["a", "*gender", "*child"]
     assert classifier.predict(masked)[0] is MetaPattern.RP2
@@ -77,7 +77,7 @@ def test_c1_worked_example_fidelity(linker, family_graph, lexicon, classifier):
     assert elapsed < 1.0, f"worked examples took {elapsed:.3f}s"
 
 
-def test_c2_harvest_against_oracle(family_graph, explainer, lexicon):
+def test_c2_harvest_against_oracle(family_graph, family_labels, explainer, lexicon):
     phrases = data_path("phrases.txt").read_text("utf-8").splitlines()
     phrases = [p for p in phrases if p.strip()]
     assert len(phrases) == 30
@@ -92,20 +92,20 @@ def test_c2_harvest_against_oracle(family_graph, explainer, lexicon):
 
     # every phrase that names something in the graph was skipped
     for phrase in phrases:
-        if direct_match(phrase, family_graph, lexicon) is not None:
+        if direct_match(phrase, family_labels, lexicon) is not None:
             assert phrase in skipped and "direct" in skipped[phrase], phrase
 
     # oracle cross-check: a phrase with exactly two detected relations is
     # emitted iff precisely one shape instantiates over its pair
     emitted = {e.phrase for e in result.examples}
     for phrase in phrases:
-        if direct_match(phrase, family_graph, lexicon) is not None:
+        if direct_match(phrase, family_labels, lexicon) is not None:
             continue
         explanation = explainer.explain(phrase)
         if explanation is None:
             assert phrase in skipped, phrase
             continue
-        elems = detect_elements(tokenize(explanation.sentence), family_graph, lexicon)
+        elems = detect_elements(tokenize(explanation.sentence), family_labels, lexicon)
         relations = [h.relation for h in elems.relations if isinstance(h.relation, str)]
         if len(elems.relations) != 2 or len(relations) != 2:
             assert phrase in skipped, phrase

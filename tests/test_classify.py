@@ -31,20 +31,20 @@ EX = "http://example.org/ontology/"
 FOAF = "http://xmlns.com/foaf/0.1/"
 
 
-def _mask_sentence(sentence, family_graph, lexicon):
+def _mask_sentence(sentence, labels, lexicon):
     tokens = tokenize(sentence)
-    elems = detect_elements(tokens, family_graph, lexicon)
+    elems = detect_elements(tokens, labels, lexicon)
     return mask(tokens, elems), elems
 
 
-def test_mask_a_male_child(family_graph, lexicon):
-    ms, _ = _mask_sentence("a male child", family_graph, lexicon)
+def test_mask_a_male_child(family_labels, lexicon):
+    ms, _ = _mask_sentence("a male child", family_labels, lexicon)
     assert list(ms.tokens) == ["a", "*gender", "*child"]
     assert ms.relation_count == 2
 
 
-def test_mask_mother_in_law_explanation(family_graph, lexicon):
-    ms, elems = _mask_sentence("the mother of a person's spouse", family_graph, lexicon)
+def test_mask_mother_in_law_explanation(family_labels, lexicon):
+    ms, elems = _mask_sentence("the mother of a person's spouse", family_labels, lexicon)
     assert list(ms.tokens) == ["the", "*mother", "of", "a", "person", "*spouse"]
     assert ms.relation_count == 2
     # mask names line up 1:1 with the linked relation local names, in order
@@ -54,16 +54,16 @@ def test_mask_mother_in_law_explanation(family_graph, lexicon):
     assert masked_names == [local_name(r.relation) for r in elems.relations]
 
 
-def test_mask_no_relations_lowercases(family_graph, lexicon):
+def test_mask_no_relations_lowercases(family_labels, lexicon):
     tokens = tokenize("The Quick Brown Fox")
-    elems = detect_elements(tokens, family_graph, lexicon)
+    elems = detect_elements(tokens, family_labels, lexicon)
     ms = mask(tokens, elems)
     assert list(ms.tokens) == ["the", "quick", "brown", "fox"]
     assert ms.relation_count == 0
 
 
-def test_mask_multiword_mention_collapses(family_graph, lexicon):
-    ms, _ = _mask_sentence("who is married to a person", family_graph, lexicon)
+def test_mask_multiword_mention_collapses(family_labels, lexicon):
+    ms, _ = _mask_sentence("who is married to a person", family_labels, lexicon)
     assert "*spouse" in ms.tokens
     assert "married" not in ms.tokens
 

@@ -158,6 +158,29 @@ def test_malformed_json_input_named(capsys, tmp_path, monkeypatch, name, argv, p
         assert err.count(str(path)) == 1
 
 
+@pytest.mark.parametrize(
+    "name, payload, argv, message",
+    [("lexicon.json", "[]", ["--lexicon", "{path}", "link", "son"],
+      "config error: cannot load lexicon {path}: lexicon must be a JSON object, got list"),
+     ("explanations.json", '["son"]', ["--explanations", "{path}", "link", "son"],
+      "error: {path}: explanation fixture must be a JSON object, got list"),
+     ("model.json", '{"format": "x"}', ["--model", "{path}", "link", "son"],
+      "error: {path}: unsupported model format: 'x'"),
+     ("prefixes.json", "[1]", ["--output", "text", "link", "son"],  # via RELINK_PREFIXES
+      "error: {path}: prefix table must be a JSON object, got list")],
+    ids=["lexicon", "explanations", "model", "prefixes"],
+)
+def test_json_input_of_wrong_shape_named(capsys, tmp_path, monkeypatch, name, payload, argv,
+                                         message):
+    # valid JSON of the wrong shape: the message names the file
+    path = tmp_path / name
+    path.write_text(payload, "utf-8")
+    if name == "prefixes.json":
+        monkeypatch.setenv("RELINK_PREFIXES", str(path))
+    got = run(capsys, *[a.format(path=path) for a in argv])
+    assert got == (EXIT_USAGE, "", message.format(path=path) + "\n")
+
+
 def test_link_mother_in_law_json(capsys):
     code, out, _ = run(capsys, "link", "mother-in-law")
     assert code == EXIT_OK
@@ -787,7 +810,7 @@ def test_model_shape_checked_at_load(capsys, tmp_path, corrupt):
     model.write_text(json.dumps(payload))
     code, _, err = run(capsys, "--model", str(model), "link", "mother-in-law")
     assert code == EXIT_USAGE
-    assert err.startswith("error: malformed model: ")
+    assert err.startswith(f"error: {model}: malformed model: ")
 
 
 def test_cli_defaults_equal_library_defaults():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from relink import classify, evaluate as ev, kg
 from relink.cli import data_path
+from relink.linking import GraphLabels
 from relink.patterns import MetaPattern, SubgraphPattern, instantiate
 from relink.text import tokenize
 
@@ -81,24 +82,24 @@ def test_score_wrong_shape_partial_credit():
 # -- baselines -----------------------------------------------------------------
 
 
-def test_keyword_match_compound_misses(family_graph):
-    assert ev.keyword_match("mother-in-law", family_graph) is None
+def test_keyword_match_compound_misses(family_labels):
+    assert ev.keyword_match("mother-in-law", family_labels) is None
 
 
-def test_keyword_match_simple_hits(family_graph):
-    sp = ev.keyword_match("founder", family_graph)
+def test_keyword_match_simple_hits(family_labels):
+    sp = ev.keyword_match("founder", family_labels)
     assert [(e.rel) for e in sp.edges] == [EX + "founder"]
 
 
 def test_keyword_match_wordless_phrase_misses():
     # the predicate's local name "_" tokenizes to no words, like "?!"
     g = kg.load(["<http://x.org/a> <http://x.org/_> <http://x.org/b> ."])
-    assert ev.keyword_match("?!", g) is None
+    assert ev.keyword_match("?!", GraphLabels.of(g)) is None
 
 
-def _keyword_reference(phrase, g):
+def _keyword_reference(phrase, labels):
     """RP1 over the predicate whose label tokens equal the phrase's."""
-    iri = g.relation_keys().get(tuple(tokenize(phrase)))
+    iri = labels.relation_keys.get(tuple(tokenize(phrase)))
     return None if iri is None else instantiate(MetaPattern.RP1, [iri])
 
 
@@ -116,16 +117,16 @@ def _corpus_phrases() -> list[str]:
     return sorted(phrases)
 
 
-def test_keyword_match_is_label_lookup_on_corpus(family_graph):
+def test_keyword_match_is_label_lookup_on_corpus(family_labels):
     phrases = _corpus_phrases()
-    for label in family_graph.relation_labels().values():
+    for label in family_labels.relation_labels.values():
         phrases.append(" ".join(label.tokens))
     hits = 0
     for phrase in phrases:
-        want = _keyword_reference(phrase, family_graph)
-        assert ev.keyword_match(phrase, family_graph) == want, phrase
+        want = _keyword_reference(phrase, family_labels)
+        assert ev.keyword_match(phrase, family_labels) == want, phrase
         hits += want is not None
-    assert hits >= len(family_graph.relation_labels())
+    assert hits >= len(family_labels.relation_labels)
 
 
 @settings(max_examples=300, deadline=None)
@@ -138,12 +139,12 @@ def test_keyword_match_is_label_lookup_on_corpus(family_graph):
         max_size=4,
     ).map(" ".join)
 )
-def test_keyword_match_is_label_lookup(family_graph, phrase):
-    assert ev.keyword_match(phrase, family_graph) == _keyword_reference(phrase, family_graph)
+def test_keyword_match_is_label_lookup(family_labels, phrase):
+    assert ev.keyword_match(phrase, family_labels) == _keyword_reference(phrase, family_labels)
 
 
-def test_similarity_search_always_answers(family_graph):
-    sp = ev.similarity_search("mother-in-law", family_graph)
+def test_similarity_search_always_answers(family_labels):
+    sp = ev.similarity_search("mother-in-law", family_labels)
     assert sp is not None and len(sp.edges) == 1
     # highest token overlap is the single-edge mother predicate
     assert sp.edges[0].rel == EX + "mother"

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from relink import evaluate, kg
 from relink.assemble import LinkConfig, Linker, link_data_driven
 from relink.cli import data_path
-from relink.linking import Lexicon, MetaElements, RelationHit, Span
+from relink.linking import Lexicon, MetaElements, RelationHit, Span, type_dictionary
 from relink.kg import (
     RDF_TYPE,
     Literal,
@@ -23,7 +23,6 @@ from relink.kg import (
     Triple,
     local_name,
     tokenize_name,
-    type_dictionary,
 )
 
 from .oracles import (
@@ -111,7 +110,7 @@ def test_index_round_trip(family_graph):
         po.setdefault(t.predicate, {}).setdefault(t.object, set()).add(t.subject)
     assert family_graph._sp == sp
     assert family_graph._po == po
-    # and predicate_count, read from sp, counts each predicate's triples
+    # and predicate_count counts each predicate's triples
     counts = Counter(t.predicate for t in family_graph.triples)
     assert {p: family_graph.predicate_count(p) for p in sp} == counts
 
@@ -416,18 +415,14 @@ def _check_against_reference(g, triples, ref, round_):
     assert g.predicate_set == ref["predicate_set"]
     assert g.type_set == ref["type_set"]
     assert g.entity_set == ref["entity_set"]
-    assert list(g.relation_labels().items()) == ref["relation_labels"]
-    assert g.relation_postings() == ref["relation_postings"]
-    assert g.relation_keys() == ref["relation_keys"]
-    assert list(g.entity_labels().items()) == list(ref["entity_labels"].items())
-    assert (list(type_dictionary(g).items())
-            == list(ref["type_dictionary"].items())), round_
-    starts: dict = {}
-    for key in ref["type_dictionary"]:
-        starts.setdefault(key[0], set()).add(len(key))
-    assert kg.type_key_starts(g) == {
-        token: tuple(sorted(lengths, reverse=True)) for token, lengths in starts.items()
-    }, round_
+
+
+def test_graph_store_fields():
+    # the graph store holds the graph and its indexes, no label table
+    assert [f.name for f in fields(kg.KnowledgeGraph)] == [
+        "triples", "type_predicate", "_sp", "_po",
+        "predicate_set", "type_set", "entity_set", "_counts",
+    ]
 
 
 def test_constructed_graph_validates_as_loaded():

@@ -19,6 +19,7 @@ from relink.linking import (
     DEFAULT_THETA_REL,
     EDIT_WEIGHT,
     MAX_MENTION_TOKENS,
+    GraphLabels,
     Lexicon,
     LexiconError,
     PseudoRelation,
@@ -40,9 +41,11 @@ from .oracles import (
     LETTERS,
     disjoint_triples,
     near_miss,
+    random_load_graph,
     reference_detect_types,
     reference_levenshtein,
     reference_link_simple,
+    reference_load,
     reference_tokenize,
     shared_token_triples,
 )
@@ -137,20 +140,51 @@ def test_levenshtein_matches_reference(a, b):
     assert d <= max(len(a), len(b))
 
 
-def test_link_simple_exact_match_scores_one(family_graph, lexicon):
-    hit = link_simple("mother", family_graph, lexicon)
+def test_graph_labels_oracle_on_random_graphs():
+    rng = random.Random(7)
+    for round_ in range(60):
+        triples = random_load_graph(rng)
+        type_predicate = kg.RDF_TYPE if round_ % 3 else "http://t.example/p0"
+        ref = reference_load(triples, type_predicate)
+        labels = GraphLabels.of(kg.KnowledgeGraph(triples, type_predicate))
+        assert list(labels.relation_labels.items()) == ref["relation_labels"], round_
+        assert labels.relation_postings == ref["relation_postings"], round_
+        assert labels.relation_keys == ref["relation_keys"], round_
+        assert list(labels.entity_labels.items()) == list(ref["entity_labels"].items())
+        assert (list(labels.type_dictionary.items())
+                == list(ref["type_dictionary"].items())), round_
+        starts: dict = {}
+        for key in ref["type_dictionary"]:
+            starts.setdefault(key[0], set()).add(len(key))
+        assert labels.type_key_starts == {
+            token: tuple(sorted(lengths, reverse=True)) for token, lengths in starts.items()
+        }, round_
+
+
+def test_graph_labels_built_once_by_the_linker(linker, family_labels):
+    assert linker.labels == family_labels
+    assert linker.labels.type_dictionary == linking.type_dictionary(linker.g)
+    with pytest.raises(FrozenInstanceError):
+        linker.labels.relation_labels = {}
+    with pytest.raises(FrozenInstanceError):
+        linker.labels.other = {}
+
+
+def test_link_simple_exact_match_scores_one(family_labels, lexicon):
+    hit = link_simple("mother", family_labels, lexicon)
     assert hit == (EX + "mother", 1.0)
 
 
-def test_link_simple_lexicon_hit(family_graph, lexicon):
-    hit = link_simple("married to", family_graph, lexicon)
+def test_link_simple_lexicon_hit(family_labels, lexicon):
+    hit = link_simple("married to", family_labels, lexicon)
     assert hit == (EX + "spouse", 1.0)
 
 
 def test_link_simple_rejects_near_string_false_friend():
     # oracle: compute the two tier scores by hand and check the threshold
     g = kg.load([f"<{RES}a> <{EX}attitude> <{RES}b> ."])
-    label = g.relation_labels()[EX + "attitude"]
+    labels = GraphLabels.of(g)
+    label = labels.relation_labels[EX + "attitude"]
     jac = jaccard(["latitude"], label.tokens)
     edit = edit_similarity("latitude", "attitude")
     assert jac == 0.0
@@ -159,18 +193,18 @@ def test_link_simple_rejects_near_string_false_friend():
     assert combined == pytest.approx(0.225)
     assert combined < 0.6
     assert mention_score(["latitude"], label) == pytest.approx(combined)
-    assert link_simple("latitude", g, Lexicon()) is None
+    assert link_simple("latitude", labels, Lexicon()) is None
 
 
-def test_link_simple_score_in_unit_interval(family_graph, lexicon):
+def test_link_simple_score_in_unit_interval(family_labels, lexicon):
     for phrase in ("mother", "married to", "country", "zzz", "birth place"):
-        hit = link_simple(phrase, family_graph, lexicon, theta_rel=0.0)
+        hit = link_simple(phrase, family_labels, lexicon, theta_rel=0.0)
         if hit is not None:
             assert 0.0 <= hit[1] <= 1.0
 
 
-def test_link_simple_deterministic(family_graph, lexicon):
-    runs = {link_simple("mother", family_graph, lexicon) for _ in range(5)}
+def test_link_simple_deterministic(family_labels, lexicon):
+    runs = {link_simple("mother", family_labels, lexicon) for _ in range(5)}
     assert len(runs) == 1
 
 
@@ -214,7 +248,8 @@ def _scoring_cases(draw):
     g = kg.KnowledgeGraph(triples + [kg.Triple(RES + "a", kg.RDF_TYPE, EX + "Thing")])
     targets = draw(st.sets(st.sampled_from(sorted(predicates) + [kg.RDF_TYPE]), max_size=2))
     lex = Lexicon({tuple(tokens): frozenset(targets)})
-    scores = sorted({mention_score(tokens, label) for label in g.relation_labels().values()})
+    labels = GraphLabels.of(g)
+    scores = sorted({mention_score(tokens, label) for label in labels.relation_labels.values()})
     theta = draw(
         st.one_of(
             st.sampled_from([0.0, EDIT_WEIGHT, math.nextafter(EDIT_WEIGHT, 1.0),
@@ -222,15 +257,16 @@ def _scoring_cases(draw):
             st.sampled_from(scores),
         )
     )
-    return " ".join(mention), g, lex, theta
+    return " ".join(mention), labels, lex, theta
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=_scoring_cases())
 def test_link_simple_matches_full_scan(case):
-    phrase, g, lex, theta = case
+    phrase, labels, lex, theta = case
     # tuple equality: the same IRI and the same float, bit for bit
-    assert link_simple(phrase, g, lex, theta) == reference_link_simple(phrase, g, lex, theta)
+    assert (link_simple(phrase, labels, lex, theta)
+            == reference_link_simple(phrase, labels, lex, theta))
 
 
 def _bench_phrases() -> list[str]:
@@ -287,7 +323,7 @@ def test_warm_pass_labels_scored(family_graph, explainer, lexicon, classifier, m
         random.Random(7), vocabulary, sorted(family_graph.entity_set), 1000, 2000
     )
     wide = kg.KnowledgeGraph(family_graph.triples + tuple(extra))
-    assert len(wide.relation_labels()) >= 1000
+    assert len(GraphLabels.of(wide).relation_labels) >= 1000
     counts = [
         _warm_pass_calls(
             Linker(g, explainer, lexicon, classifier, LinkConfig()),
@@ -299,7 +335,7 @@ def test_warm_pass_labels_scored(family_graph, explainer, lexicon, classifier, m
 
 
 def test_warm_pass_scored_with_shared_tokens(
-    family_graph, explainer, lexicon, classifier, monkeypatch
+    family_graph, family_labels, explainer, lexicon, classifier, monkeypatch
 ):
     """Labels scored and edit distances computed by one warm pass over the
     gold and phrases.txt phrases, on the bundled graph plus about 1,000
@@ -308,13 +344,13 @@ def test_warm_pass_scored_with_shared_tokens(
     labels, and the length bound leaves 36 edit distances, as many as on
     the bundled graph; without the bound the pass computes one per label
     scored, 2,084. The links are those of the bundled graph."""
-    label_tokens = {t for label in family_graph.relation_labels().values() for t in label.tokens}
+    label_tokens = {t for label in family_labels.relation_labels.values() for t in label.tokens}
     extra = shared_token_triples(
         random.Random(1), label_tokens, sorted(family_graph.entity_set), 1000, 2000
     )
     wide = kg.KnowledgeGraph(family_graph.triples + tuple(extra))
-    assert len(wide.relation_labels()) >= 1000
     linker = Linker(wide, explainer, lexicon, classifier, LinkConfig())
+    assert len(linker.labels.relation_labels) >= 1000
     counts = [
         _warm_pass_calls(linker, monkeypatch, module, name)
         for module, name in ((linking, "_label_text"), (text, "levenshtein"))
@@ -325,16 +361,16 @@ def test_warm_pass_scored_with_shared_tokens(
         assert linker.link(phrase).pattern == bundled.link(phrase).pattern
 
 
-def test_detect_types_person_span(family_graph):
+def test_detect_types_person_span(family_labels):
     tokens = tokenize("the mother of a person's spouse")
-    hits = detect_types(tokens, family_graph)
+    hits = detect_types(tokens, family_labels)
     assert [(h.span.start, h.span.end, h.type_iri) for h in hits] == [
         (4, 5, EX + "Person")
     ]
 
 
-def test_detect_types_no_hits(family_graph):
-    assert detect_types(tokenize("the quick brown fox"), family_graph) == []
+def test_detect_types_no_hits(family_labels):
+    assert detect_types(tokenize("the quick brown fox"), family_labels) == []
 
 
 def test_detect_types_prefers_longer_span():
@@ -343,7 +379,7 @@ def test_detect_types_prefers_longer_span():
         f"<{RES}b> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <{EX}Player> .",
     ]
     g = kg.load(lines)
-    hits = detect_types(tokenize("a soccer player who runs"), g)
+    hits = detect_types(tokenize("a soccer player who runs"), GraphLabels.of(g))
     assert [(h.span.start, h.span.end, h.type_iri) for h in hits] == [
         (1, 3, EX + "SoccerPlayer")
     ]
@@ -389,41 +425,42 @@ def _typed_graph(keys):
 @example(keys=[["soccer", "player"], ["player", "of", "the"]], parts=[0, "of", "the"])
 def test_detect_types_matches_reference(keys, parts):
     g = _typed_graph(keys)
-    assert len(kg.type_dictionary(g)) == len({tuple(k) for k in keys})
+    labels = GraphLabels.of(g)
+    assert len(labels.type_dictionary) == len({tuple(k) for k in keys})
     tokens = []
     for part in parts:
         if not isinstance(part, int):
             tokens.append(part)
         elif keys:
             tokens += keys[part % len(keys)]
-    assert detect_types(tokens, g) == reference_detect_types(tokens, g)
+    assert detect_types(tokens, labels) == reference_detect_types(tokens, labels)
 
 
-def test_detect_relations_mother_spouse_order(family_graph, lexicon):
+def test_detect_relations_mother_spouse_order(family_labels, lexicon):
     tokens = tokenize("the mother of a person's spouse")
-    types = detect_types(tokens, family_graph)
+    types = detect_types(tokens, family_labels)
     hits = detect_relations(
-        tokens, family_graph, lexicon, type_spans=[t.span for t in types]
+        tokens, family_labels, lexicon, type_spans=[t.span for t in types]
     )
     assert [h.relation for h in hits] == [EX + "mother", EX + "spouse"]
     assert [h.span.start for h in hits] == [1, 5]
 
 
-def test_detect_relations_male_child(family_graph, lexicon):
-    hits = detect_relations(tokenize("a male child"), family_graph, lexicon)
+def test_detect_relations_male_child(family_labels, lexicon):
+    hits = detect_relations(tokenize("a male child"), family_labels, lexicon)
     assert [h.relation for h in hits] == [
         "http://xmlns.com/foaf/0.1/gender",
         EX + "child",
     ]
 
 
-def test_detect_relations_all_stopwords(family_graph, lexicon):
-    assert detect_relations(tokenize("of the and a"), family_graph, lexicon) == []
+def test_detect_relations_all_stopwords(family_labels, lexicon):
+    assert detect_relations(tokenize("of the and a"), family_labels, lexicon) == []
 
 
-def test_detect_relations_longer_span_wins_tie(family_graph, lexicon):
+def test_detect_relations_longer_span_wins_tie(family_labels, lexicon):
     # "plays sport" (lexicon, 1.0) and "sport" (exact, 1.0) overlap
-    hits = detect_relations(tokenize("a man who plays sport"), family_graph, lexicon)
+    hits = detect_relations(tokenize("a man who plays sport"), family_labels, lexicon)
     spans = [(h.span.start, h.span.end) for h in hits]
     assert (3, 5) in spans  # the two-token mention was kept
     assert [h.relation for h in hits] == [
@@ -432,17 +469,19 @@ def test_detect_relations_longer_span_wins_tie(family_graph, lexicon):
     ]
 
 
-def test_detect_relations_never_returns_type_predicate(family_graph, lexicon):
-    hits = detect_relations(tokenize("the type of a thing"), family_graph, lexicon)
+def test_detect_relations_never_returns_type_predicate(
+    family_graph, family_labels, lexicon
+):
+    hits = detect_relations(tokenize("the type of a thing"), family_labels, lexicon)
     assert all(h.relation != family_graph.type_predicate for h in hits)
     # nor when the lexicon names it: the type predicate has no label to score
     naming = Lexicon.from_mapping({"kind": [kg.RDF_TYPE]}, family_graph)
-    assert link_simple("kind", family_graph, naming, theta_rel=0.0)[0] != kg.RDF_TYPE
-    hits = detect_relations(tokenize("the kind of her mother"), family_graph, naming)
+    assert link_simple("kind", family_labels, naming, theta_rel=0.0)[0] != kg.RDF_TYPE
+    hits = detect_relations(tokenize("the kind of her mother"), family_labels, naming)
     assert [h.relation for h in hits] == [EX + "mother"]
 
 
-def test_elements_spans_do_not_overlap(family_graph, lexicon):
+def test_elements_spans_do_not_overlap(family_labels, lexicon):
     sentences = [
         "the mother of a person's spouse",
         "a woman from your own country",
@@ -450,7 +489,7 @@ def test_elements_spans_do_not_overlap(family_graph, lexicon):
         "a person from the same family",
     ]
     for sentence in sentences:
-        elems = detect_elements(tokenize(sentence), family_graph, lexicon)
+        elems = detect_elements(tokenize(sentence), family_labels, lexicon)
         spans = [t.span for t in elems.types] + [r.span for r in elems.relations]
         for i, a in enumerate(spans):
             for b in spans[i + 1 :]:
@@ -460,29 +499,29 @@ def test_elements_spans_do_not_overlap(family_graph, lexicon):
         assert starts == sorted(starts)
 
 
-def test_direct_match_relation(family_graph, lexicon):
-    hit = direct_match("founder", family_graph, lexicon)
+def test_direct_match_relation(family_labels, lexicon):
+    hit = direct_match("founder", family_labels, lexicon)
     assert hit is not None and (hit.category, hit.iri) == ("relation", EX + "founder")
 
 
-def test_direct_match_relation_via_lexicon(family_graph, lexicon):
-    hit = direct_match("wife", family_graph, lexicon)
+def test_direct_match_relation_via_lexicon(family_labels, lexicon):
+    hit = direct_match("wife", family_labels, lexicon)
     assert hit is not None and (hit.category, hit.iri) == ("relation", EX + "spouse")
 
 
-def test_direct_match_type(family_graph, lexicon):
-    hit = direct_match("person", family_graph, lexicon)
+def test_direct_match_type(family_labels, lexicon):
+    hit = direct_match("person", family_labels, lexicon)
     assert hit is not None and (hit.category, hit.iri) == ("type", EX + "Person")
 
 
-def test_direct_match_entity(family_graph, lexicon):
-    hit = direct_match("Ludwig van Beethoven", family_graph, lexicon)
+def test_direct_match_entity(family_labels, lexicon):
+    hit = direct_match("Ludwig van Beethoven", family_labels, lexicon)
     assert hit is not None and hit.category == "entity"
     assert hit.iri == RES + "LudwigVanBeethoven"
 
 
-def test_direct_match_compound_phrase_misses(family_graph, lexicon):
-    assert direct_match("mother-in-law", family_graph, lexicon) is None
+def test_direct_match_compound_phrase_misses(family_labels, lexicon):
+    assert direct_match("mother-in-law", family_labels, lexicon) is None
 
 
 def test_lexicon_validates_targets(family_graph):
@@ -506,10 +545,10 @@ def test_lexicon_surfaces_that_tokenize_alike_collide():
     assert "'wife'" in str(err.value) and "'Wife'" in str(err.value)
 
 
-def test_lexicon_hit_dominates_similarity(family_graph):
+def test_lexicon_hit_dominates_similarity(family_graph, family_labels):
     # "mothers" scores below 1.0 on similarity; a lexicon entry pins it to spouse
     lex = Lexicon.from_mapping({"mothers": [EX + "spouse"]}, family_graph)
-    hit = link_simple("mothers", family_graph, lex)
+    hit = link_simple("mothers", family_labels, lex)
     assert hit == (EX + "spouse", 1.0)
 
 
