@@ -237,8 +237,10 @@ def merge_review(
     """Apply an accept/reject/relabel review file to harvested examples.
 
     Relabeling re-instantiates the pattern template under the new label,
-    keeping the relation order, so the shape/label invariant holds.
+    keeping the relation order, so the shape/label invariant holds. Any
+    other verdict, or a label not in ``CLASSES``, raises ``TrainingDataError``.
     """
+    labels = [c.value for c in CLASSES]  # a list: `in` compares, so a list value cannot raise
     out: list[TrainingExample] = []
     for ex in examples:
         verdict = review.get(ex.phrase, "accept")
@@ -246,7 +248,7 @@ def merge_review(
             out.append(ex)
         elif verdict == "reject":
             continue
-        elif isinstance(verdict, dict) and "relabel" in verdict:
+        elif isinstance(verdict, dict) and verdict.get("relabel") in labels:
             label = MetaPattern(verdict["relabel"])
             pattern = instantiate(label, ex.pattern.relations())
             out.append(
@@ -255,7 +257,7 @@ def merge_review(
                 )
             )
         else:
-            raise ValueError(f"bad review verdict for {ex.phrase!r}: {verdict!r}")
+            raise TrainingDataError(f"bad review verdict for {ex.phrase!r}: {verdict!r}")
     return out
 
 
@@ -398,7 +400,7 @@ class PatternClassifier:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "PatternClassifier":
-        data = read_json(path)
+        data = read_json(path, "model")
         try:
             return cls.from_json(data)
         except ValueError as exc:

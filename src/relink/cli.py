@@ -90,14 +90,7 @@ def _apply_env(cfg: RunConfig) -> None:
 def build_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if args.config:
-        try:
-            raw = kg.read_json(args.config)
-        except (OSError, ValueError) as exc:  # each names the file
-            raise ConfigError(f"cannot read config: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError(
-                f"config {args.config} must be a JSON object, got {type(raw).__name__}"
-            )
+        raw = kg.read_json(_existing_file("config", args.config), "config")
         defaults = {f.name: f.default for f in fields(RunConfig)}
         for key, value in raw.items():
             if key not in defaults:
@@ -155,14 +148,7 @@ def build_linker(cfg: RunConfig) -> Linker:
     for path_name in ("kg", "lexicon", "explanations", "model" if cfg.model else "training"):
         _existing_file(path_name, getattr(cfg, path_name))
     graph = kg.load(cfg.kg)
-    try:
-        raw = kg.read_json(cfg.lexicon)
-    except (OSError, ValueError) as exc:  # each names the file
-        raise ConfigError(f"cannot load lexicon: {exc}") from exc
-    try:
-        lexicon = linking.Lexicon.from_mapping(raw, graph)
-    except Exception as exc:
-        raise ConfigError(f"cannot load lexicon {cfg.lexicon}: {exc}") from exc
+    lexicon = linking.Lexicon.load(cfg.lexicon, graph)
     explainer = explain.ExplanationService(_providers(cfg))
     if cfg.model:
         classifier = classify.PatternClassifier.load(cfg.model)
@@ -207,9 +193,7 @@ def cmd_link(args: argparse.Namespace) -> int:
     if cfg.output == "json":
         print(json.dumps(payload, sort_keys=True))
     else:
-        prefixes = {}
-        if Path(cfg.prefixes).exists():
-            prefixes = kg.load_prefixes(cfg.prefixes)
+        prefixes = kg.load_prefixes(_existing_file("prefixes", cfg.prefixes))
         if result.pattern is None:
             print(f"{result.phrase}: no match")
         else:
@@ -247,14 +231,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = build_config(args)
     examples = classify.load_examples(cfg.training)
     if args.review:
-        try:
-            review = kg.read_json(args.review)
-            if not isinstance(review, dict):
-                raise ValueError(f"review file {args.review} must be a JSON object")
-            examples = classify.merge_review(examples, review)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_DATA
+        review = kg.read_json(args.review, "review", kg.DataError)
+        examples = classify.merge_review(examples, review)
     classifier, report = classify.train(examples, cfg.seed)
     classifier.save(args.model_out)
     print(
@@ -276,11 +254,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     cfg = build_config(args)
     linker = build_linker(cfg)
-    try:
-        gold = evaluate.load_gold(cfg.gold)
-    except (OSError, ValueError) as exc:  # each names the file
-        print(f"error: cannot load gold file: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    gold = evaluate.load_gold(cfg.gold)
     methods = args.methods.split(",") if args.methods else list(evaluate.METHODS)
     report = evaluate.evaluate(
         gold, methods, linker, timing=args.timing, timing_reps=args.timing_reps

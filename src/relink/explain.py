@@ -52,12 +52,7 @@ class FixtureProvider:
     def __init__(self, source: Union[str, Path, Mapping[str, str]], id: str = "fixture"):
         self.id = id
         if isinstance(source, (str, Path)):
-            raw = read_json(source)
-            if not isinstance(raw, dict):
-                raise ValueError(
-                    f"{source}: explanation fixture must be a JSON object,"
-                    f" got {type(raw).__name__}"
-                )
+            raw = read_json(source, "explanation fixture")
         else:
             raw = dict(source)
         keys: dict[str, str] = {}  # normalized phrase -> its key in ``raw``

@@ -468,23 +468,31 @@ def _line_of(data: bytes, exc: UnicodeDecodeError) -> int:
     return _newlines(data[: exc.start].decode("utf-8")).count("\n") + 1
 
 
-def read_json(path: Union[str, Path]):
-    """The JSON value of a UTF-8 file; a leading byte-order mark is dropped.
-    A file that is not UTF-8 or not JSON raises ``ValueError`` naming it."""
+def read_json(
+    path: Union[str, Path], what: str, error: type[ValueError] = ValueError
+) -> dict:
+    """The JSON object of a UTF-8 file (``what`` names it in errors); a
+    leading byte-order mark is dropped. A file that is not UTF-8, not JSON
+    or not a JSON object raises ``error`` naming the file."""
     try:
-        return json.loads(Path(path).read_text("utf-8").removeprefix("\ufeff"))
+        data = json.loads(Path(path).read_text("utf-8").removeprefix("\ufeff"))
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        raise error(f"{path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise error(f"{path}: {what} must be a JSON object, got {type(data).__name__}")
+    return data
 
 
 def load_prefixes(path: Union[str, Path]) -> dict[str, str]:
     """Prefix table (prefix -> IRI base), used only for display."""
-    table = read_json(path)
-    if not isinstance(table, dict):
-        raise ValueError(
-            f"{path}: prefix table must be a JSON object, got {type(table).__name__}"
-        )
-    return {str(k): str(v) for k, v in table.items()}
+    table = read_json(path, "prefix table")
+    for prefix, base in table.items():
+        if not isinstance(base, str):
+            raise ValueError(
+                f"{path}: prefix table value for {prefix!r} must be a string,"
+                f" got {type(base).__name__}"
+            )
+    return table
 
 
 def shorten(iri: str, prefixes: Mapping[str, str]) -> str:

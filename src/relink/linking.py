@@ -168,7 +168,11 @@ class Lexicon:
     def load(
         cls, path: Union[str, Path], g: Optional[KnowledgeGraph] = None
     ) -> "Lexicon":
-        return cls.from_mapping(read_json(path), g)
+        raw = read_json(path, "lexicon", LexiconError)
+        try:
+            return cls.from_mapping(raw, g)
+        except LexiconError as exc:
+            raise LexiconError(f"{path}: {exc}") from exc
 
     def get(self, tokens: Sequence[str]) -> frozenset[str]:
         return self.entries.get(tuple(tokens), frozenset())

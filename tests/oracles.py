@@ -450,7 +450,9 @@ def random_load_graph(rng: random.Random) -> set[Triple]:
     spaces = ["http://t.example/", "http://u.example/ns#"]
     entities = [ns + f"e{i}" for ns in spaces for i in range(3)]
     types = [ns + name for ns in spaces for name in ("Person", "person", "SoccerPlayer")]
-    predicates = [spaces[0] + "p0", spaces[0] + "hasPart", spaces[1] + "has_part", RDF_TYPE]
+    # partOfPart's label repeats a token, which the label postings hold once
+    predicates = [spaces[0] + "p0", spaces[0] + "hasPart", spaces[1] + "has_part",
+                  spaces[1] + "partOfPart", RDF_TYPE]
     literals = [Literal("red"), Literal("Person"), Literal(""), Literal(entities[0])]
     triples: set[Triple] = set()
     for _ in range(rng.randrange(40)):

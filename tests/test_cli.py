@@ -133,13 +133,12 @@ def test_json_input_with_byte_order_mark(capsys, tmp_path, monkeypatch, name, ar
 
 @pytest.mark.parametrize(
     "name, argv, prefix, code",
-    [("lexicon.json", ["--lexicon", "{path}", "link", "son"],
-      "config error: cannot load lexicon: ", EXIT_USAGE),
+    [("lexicon.json", ["--lexicon", "{path}", "link", "son"], "error: ", EXIT_USAGE),
      ("explanations.json", ["--explanations", "{path}", "link", "son"], "error: ", EXIT_USAGE),
      ("model.json", ["--model", "{path}", "link", "son"], "error: ", EXIT_USAGE),
-     ("config.json", ["--config", "{path}", "link", "son"],
-      "config error: cannot read config: ", EXIT_USAGE),
-     ("review.json", ["train", "--review", "{path}", "--model-out", "{out}"], "error: ", EXIT_DATA),
+     ("config.json", ["--config", "{path}", "link", "son"], "error: ", EXIT_USAGE),
+     ("review.json", ["train", "--review", "{path}", "--model-out", "{out}"],
+      "data error: ", EXIT_DATA),
      ("prefixes.json", ["--output", "text", "link", "son"], "error: ", EXIT_USAGE)],
     ids=["lexicon", "explanations", "model", "config", "review", "prefixes"],
 )
@@ -159,26 +158,36 @@ def test_malformed_json_input_named(capsys, tmp_path, monkeypatch, name, argv, p
 
 
 @pytest.mark.parametrize(
-    "name, payload, argv, message",
+    "name, payload, argv, message, code",
     [("lexicon.json", "[]", ["--lexicon", "{path}", "link", "son"],
-      "config error: cannot load lexicon {path}: lexicon must be a JSON object, got list"),
+      "error: {path}: lexicon must be a JSON object, got list", EXIT_USAGE),
      ("explanations.json", '["son"]', ["--explanations", "{path}", "link", "son"],
-      "error: {path}: explanation fixture must be a JSON object, got list"),
+      "error: {path}: explanation fixture must be a JSON object, got list", EXIT_USAGE),
      ("model.json", '{"format": "x"}', ["--model", "{path}", "link", "son"],
-      "error: {path}: unsupported model format: 'x'"),
+      "error: {path}: unsupported model format: 'x'", EXIT_USAGE),
+     ("model.json", "[1]", ["--model", "{path}", "link", "son"],
+      "error: {path}: model must be a JSON object, got list", EXIT_USAGE),
+     ("config.json", "[1]", ["--config", "{path}", "link", "son"],
+      "error: {path}: config must be a JSON object, got list", EXIT_USAGE),
+     ("review.json", "[1]", ["train", "--review", "{path}", "--model-out", "{out}"],
+      "data error: {path}: review must be a JSON object, got list", EXIT_DATA),
      ("prefixes.json", "[1]", ["--output", "text", "link", "son"],  # via RELINK_PREFIXES
-      "error: {path}: prefix table must be a JSON object, got list")],
-    ids=["lexicon", "explanations", "model", "prefixes"],
+      "error: {path}: prefix table must be a JSON object, got list", EXIT_USAGE),
+     ("prefixes.json", '{"ex": 1, "foaf": ["x"]}', ["--output", "text", "link", "son"],
+      "error: {path}: prefix table value for 'ex' must be a string, got int", EXIT_USAGE)],
+    ids=["lexicon", "explanations", "model", "model-shape", "config", "review", "prefixes",
+         "prefix-value"],
 )
 def test_json_input_of_wrong_shape_named(capsys, tmp_path, monkeypatch, name, payload, argv,
-                                         message):
-    # valid JSON of the wrong shape: the message names the file
+                                         message, code):
+    # valid JSON of the wrong shape: the message names the file, once
     path = tmp_path / name
     path.write_text(payload, "utf-8")
     if name == "prefixes.json":
         monkeypatch.setenv("RELINK_PREFIXES", str(path))
-    got = run(capsys, *[a.format(path=path) for a in argv])
-    assert got == (EXIT_USAGE, "", message.format(path=path) + "\n")
+    got = run(capsys, *[a.format(path=path, out=tmp_path / "m.json") for a in argv])
+    assert got == (code, "", message.format(path=path) + "\n")
+    assert got[2].count(str(path)) == 1
 
 
 def test_link_mother_in_law_json(capsys):
@@ -622,7 +631,7 @@ def test_eval_gold_line_not_an_object_data_error(capsys, tmp_path, line):
     gold.write_text(data_path("gold.jsonl").read_text("utf-8") + line + "\n")
     code, _, err = run(capsys, "eval", "--methods", "keyword_match", str(gold))
     assert code == EXIT_DATA
-    assert "cannot load gold file" in err
+    assert err.startswith(f"data error: {gold} line ")
 
 
 @pytest.mark.parametrize(
@@ -639,7 +648,7 @@ def test_eval_gold_bad_line_named(capsys, tmp_path, line, reason):
     gold.write_text(f"{first}\n\n{line}\n{first}\n")
     code, out, err = run(capsys, "eval", "--methods", "keyword_match", str(gold))
     assert (code, out) == (EXIT_DATA, "")
-    assert err.startswith(f"error: cannot load gold file: {gold} line 3: ")
+    assert err.startswith(f"data error: {gold} line 3: ")
     assert reason in err
 
 
@@ -741,7 +750,7 @@ def test_env_value_of_wrong_type_usage_error(capsys, monkeypatch):
     assert "RELINK_MAX_DEPTH" in err
 
 
-@pytest.mark.parametrize("verdict", [5, {"relabel": "RP9"}])
+@pytest.mark.parametrize("verdict", [5, {"relabel": "RP9"}, {"relabel": "RP1"}, {"relabel": []}])
 def test_train_bad_review_verdict_data_error(capsys, tmp_path, verdict):
     review = tmp_path / "review.json"
     review.write_text(json.dumps({"mother-in-law": verdict}))
@@ -749,18 +758,29 @@ def test_train_bad_review_verdict_data_error(capsys, tmp_path, verdict):
         capsys, "train", "--review", str(review), "--model-out", str(tmp_path / "m.json")
     )
     assert code == EXIT_DATA
-    assert err.startswith("error: ")
+    assert err == f"data error: bad review verdict for 'mother-in-law': {verdict!r}\n"
 
 
 @pytest.mark.parametrize(
     "argv",
     [["--explanations", "{d}", "link", "son"], ["--model", "{d}", "link", "son"],
-     ["--kg", "{d}", "link", "son"], ["--lexicon", "{d}", "link", "son"]],
+     ["--kg", "{d}", "link", "son"], ["--lexicon", "{d}", "link", "son"],
+     ["--config", "{d}", "link", "son"],
+     ["--output", "text", "link", "son"]],  # the prefixes path, via RELINK_PREFIXES
 )
-def test_directory_for_input_file_usage_error(capsys, tmp_path, argv):
-    code, _, err = run(capsys, *[a.format(d=tmp_path) for a in argv])
-    assert code == EXIT_USAGE
-    assert "file not found" in err
+def test_directory_for_input_file_usage_error(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.setenv("RELINK_PREFIXES", str(tmp_path))  # read by text output only
+    name = argv[0].removeprefix("--") if "{d}" in argv else "prefixes"
+    got = run(capsys, *[a.format(d=tmp_path) for a in argv])
+    assert got == (EXIT_USAGE, "", f"config error: {name} file not found: {tmp_path}\n")
+
+
+def test_missing_prefixes_file_usage_error(capsys, tmp_path, monkeypatch):
+    # a prefixes path that is set but missing is an error, not an empty table
+    path = tmp_path / "missing.json"
+    monkeypatch.setenv("RELINK_PREFIXES", str(path))
+    got = run(capsys, "--output", "text", "link", "son")
+    assert got == (EXIT_USAGE, "", f"config error: prefixes file not found: {path}\n")
 
 
 def test_missing_training_file_usage_error(capsys, tmp_path, monkeypatch):
