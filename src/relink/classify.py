@@ -227,7 +227,8 @@ def save_examples(examples: Iterable[TrainingExample], path: Union[str, Path]) -
 
 def load_examples(path: Union[str, Path]) -> list[TrainingExample]:
     """Examples of a JSONL file, one per line (``kg.read_json_lines``); a
-    bad line raises ``TrainingDataError`` naming the file and the line."""
+    bad line, or a file with no entry, raises ``TrainingDataError``
+    naming the file."""
     return read_json_lines(path, TrainingExample.from_json, TrainingDataError)
 
 

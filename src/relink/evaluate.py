@@ -59,7 +59,8 @@ class GoldEntry:
 
 def load_gold(path: Union[str, Path]) -> list[GoldEntry]:
     """Entries of a JSONL file, one per line (``kg.read_json_lines``); a
-    bad line raises ``DataError`` naming the file and the line."""
+    bad line, or a file with no entry, raises ``DataError`` naming the
+    file."""
     return read_json_lines(path, GoldEntry.from_json)
 
 
@@ -129,7 +130,7 @@ def keyword_match(phrase: str, labels: GraphLabels) -> Optional[SubgraphPattern]
 
 def similarity_search(phrase: str, labels: GraphLabels) -> Optional[SubgraphPattern]:
     """Single edge for the argmax-similarity predicate (no threshold)."""
-    hit = link_simple(phrase, labels, Lexicon(), 0.0)
+    hit = link_simple(text.tokenize(phrase), labels, Lexicon(), 0.0)
     return None if hit is None else instantiate(MetaPattern.RP1, [hit[0]])
 
 

@@ -53,19 +53,20 @@ class FixtureProvider:
         self.id = id
         if isinstance(source, (str, Path)):
             raw = read_json(source, "explanation fixture")
+            where = f"{source}: "
         else:
-            raw = dict(source)
+            raw, where = dict(source), ""
         keys: dict[str, str] = {}  # normalized phrase -> its key in ``raw``
         self._entries: dict[str, str] = {}
         for k, v in raw.items():
             if not isinstance(v, str):
                 raise ValueError(
-                    f"explanation for {k!r} must be a string, got {type(v).__name__}"
+                    f"{where}explanation for {k!r} must be a string, got {type(v).__name__}"
                 )
             phrase = normalize_phrase(k)
             if phrase in keys:
                 raise ValueError(
-                    f"explanation keys {keys[phrase]!r} and {k!r}"
+                    f"{where}explanation keys {keys[phrase]!r} and {k!r}"
                     f" both normalize to {phrase!r}"
                 )
             keys[phrase] = k

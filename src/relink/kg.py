@@ -33,11 +33,14 @@ class DataError(ValueError):
 
 
 class ParseError(DataError):
-    """Raised for a malformed triple line; carries the 1-based line number."""
+    """Raised for a malformed triple line; carries the 1-based line number
+    and names the file, when there is one, before it."""
 
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
+    def __init__(self, line_no: int, message: str, path: Union[str, Path, None] = None):
+        where = f"line {line_no}" if path is None else f"{path} line {line_no}"
+        super().__init__(f"{where}: {message}")
         self.line_no = line_no
+        self.reason = message
 
 
 class UnknownPredicateError(KeyError):
@@ -93,30 +96,6 @@ def local_name(iri: str) -> str:
     """Substring after the last '#' or '/'."""
     cut = max(iri.rfind("#"), iri.rfind("/"))
     return iri[cut + 1 :]
-
-
-_CAMEL_RE = re.compile(r"(?<=[a-z0-9])(?=[A-Z])|(?<=[A-Z])(?=[A-Z][a-z])")
-_CHUNK_RE = re.compile(r"\d+|[^\d_\-]+")
-
-
-def tokenize_name(name: str) -> tuple[str, ...]:
-    """Split a local name on camelCase, '_', '-', and digit boundaries;
-    lowercase each token.
-
-    The chunks are the maximal runs of digits and of other characters
-    that are neither '_' nor '-'. A camelCase boundary lies before an
-    ASCII capital that is not a chunk's first character, and ``lower``
-    changes every such capital, so a chunk whose characters after the
-    first ``lower`` leaves as they are is one token.
-    """
-    parts = []
-    for chunk in _CHUNK_RE.findall(name):
-        lowered = chunk.lower()
-        if chunk[1:] == lowered[1:]:
-            parts.append(lowered)
-        else:
-            parts += [p.lower() for p in _CAMEL_RE.split(chunk) if p]
-    return tuple(parts)
 
 
 @_frozen
@@ -379,20 +358,20 @@ def load(
 ) -> KnowledgeGraph:
     """Parse and index a triple stream; duplicates are dropped silently.
 
-    A file may start with a UTF-8 byte-order mark. One that is not UTF-8
-    raises ``ParseError`` for the line holding its first undecodable
-    byte; an open text handle, which cannot be read again, for the first
-    line not yet read (see ``iter_triples``).
+    A file may start with a UTF-8 byte-order mark, and its ``ParseError``
+    names it. One that is not UTF-8 raises ``ParseError`` for the line
+    holding its first undecodable byte; an open text handle, which cannot
+    be read again, for the first line not yet read (see ``iter_triples``).
     """
     if isinstance(source, (str, Path)):
         with open(source, encoding="utf-8-sig") as fh:
             try:
                 g = KnowledgeGraph(iter_triples(fh), type_predicate)
             except ParseError as exc:
-                if not isinstance(exc.__cause__, UnicodeDecodeError):
-                    raise
-                # None if the file changed after it was read
-                raise (_decode_error(source) or exc) from None
+                if isinstance(exc.__cause__, UnicodeDecodeError):
+                    # None if the file changed after it was read
+                    exc = _decode_error(source) or exc
+                raise ParseError(exc.line_no, exc.reason, source) from None
     else:
         g = KnowledgeGraph(iter_triples(source), type_predicate)
     log.info(
@@ -437,8 +416,8 @@ def read_json_lines(
     error: type[DataError] = DataError,
 ) -> list[R]:
     """``parse`` of each non-blank line of a JSONL file (``read_lines``),
-    each line a JSON object; a bad line raises ``error`` naming the file
-    and the line."""
+    each line a JSON object; a bad line, or a file with no entry, raises
+    ``error`` naming the file (and the line)."""
     try:
         lines = read_lines(path)
     except DataError as exc:  # not UTF-8
@@ -455,6 +434,8 @@ def read_json_lines(
         raise error(f"{path} line {line_no}: missing key {exc}") from exc
     except (AttributeError, TypeError, ValueError) as exc:
         raise error(f"{path} line {line_no}: {exc}") from exc
+    if not out:
+        raise error(f"{path}: no entries")
     return out
 
 

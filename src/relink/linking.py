@@ -19,7 +19,7 @@ from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from . import text
-from .kg import KnowledgeGraph, _frozen, local_name, read_json, tokenize_name
+from .kg import KnowledgeGraph, _frozen, local_name, read_json
 from .patterns import SubgraphPattern
 
 log = logging.getLogger(__name__)
@@ -178,14 +178,6 @@ class Lexicon:
         return self.entries.get(tuple(tokens), frozenset())
 
 
-@dataclass(frozen=True)
-class RelationLabel:
-    """A predicate IRI with its tokenized local name."""
-
-    relation: str
-    tokens: tuple[str, ...]
-
-
 @_frozen
 @dataclass(frozen=True, slots=True)
 class GraphLabels:
@@ -196,8 +188,8 @@ class GraphLabels:
     keeps the value as ``labels`` and shares it across threads.
     """
 
-    # every predicate but the type predicate, in sorted IRI order
-    relation_labels: dict[str, RelationLabel]
+    # every predicate but the type predicate, in sorted order -> its label tokens
+    relation_labels: dict[str, tuple[str, ...]]
     # label token -> the sorted IRIs of the relation labels that hold it
     relation_postings: dict[str, tuple[str, ...]]
     # label tokens -> the first IRI in sorted order with that label
@@ -211,14 +203,14 @@ class GraphLabels:
     @classmethod
     def of(cls, g: KnowledgeGraph) -> "GraphLabels":
         relations = {
-            p: RelationLabel(p, tokenize_name(local_name(p)))
+            p: text.tokenize_name(local_name(p))
             for p in sorted(g.predicate_set)
             if p != g.type_predicate
         }
         postings: defaultdict[str, list[str]] = defaultdict(list)
-        for label in relations.values():
-            for token in dict.fromkeys(label.tokens):  # each relation once per token
-                postings[token].append(label.relation)
+        for iri, label in relations.items():
+            for token in dict.fromkeys(label):  # each relation once per token
+                postings[token].append(iri)
         types = type_dictionary(g)
         starts: defaultdict[str, set[int]] = defaultdict(set)
         for key in types:
@@ -237,7 +229,7 @@ def _first_by_key(iris: Iterable[str]) -> dict[tuple[str, ...], str]:
     """First IRI in sorted order for each token key of a local name."""
     out: dict[tuple[str, ...], str] = {}
     for iri in sorted(iris):
-        key = tokenize_name(local_name(iri))
+        key = text.tokenize_name(local_name(iri))
         if key and key not in out:
             out[key] = iri
     return out
@@ -252,7 +244,7 @@ def type_dictionary(g: KnowledgeGraph) -> dict[tuple[str, ...], str]:
     instances = {t: len(g.subjects(g.type_predicate, t)) for t in g.type_set}
     out: dict[tuple[str, ...], str] = {}
     for type_iri in sorted(instances):
-        key = tokenize_name(local_name(type_iri))
+        key = text.tokenize_name(local_name(type_iri))
         if not key:
             continue
         if key in out:
@@ -269,8 +261,8 @@ def type_dictionary(g: KnowledgeGraph) -> dict[tuple[str, ...], str]:
     return out
 
 
-def _label_text(label: RelationLabel) -> str:
-    return " ".join(label.tokens)
+def _label_text(label: tuple[str, ...]) -> str:
+    return " ".join(label)
 
 
 def _blend(jac: float, edit: float) -> float:
@@ -279,20 +271,20 @@ def _blend(jac: float, edit: float) -> float:
     return JACCARD_WEIGHT * jac + EDIT_WEIGHT * edit
 
 
-def mention_score(mention_tokens: Sequence[str], label: RelationLabel) -> float:
+def mention_score(mention_tokens: Sequence[str], label: tuple[str, ...]) -> float:
     """Similarity blend used below the lexicon tier."""
-    jac = text.jaccard(mention_tokens, label.tokens)
+    jac = text.jaccard(mention_tokens, label)
     edit = text.edit_similarity(" ".join(mention_tokens), _label_text(label))
     return _blend(jac, edit)
 
 
 def link_simple(
-    phrase: str,
+    tokens: Sequence[str],
     labels: GraphLabels,
     lex: Lexicon,
     theta_rel: float = DEFAULT_THETA_REL,
 ) -> Optional[tuple[str, float]]:
-    """Best-scoring predicate for a mention, or None below the threshold.
+    """Best-scoring predicate for a mention's tokens, or None below the threshold.
 
     A lexicon hit scores a flat 1.0 and dominates the similarity blend.
     Ties break on the lexically smallest IRI for reproducibility.
@@ -310,7 +302,6 @@ def link_simple(
     after rounding too. A label whose bound is below ``theta_rel``, or no
     better than the best score so far, cannot be chosen and is skipped.
     """
-    tokens = text.tokenize(phrase)
     if not tokens:
         return None
     token_set = set(tokens)
@@ -334,9 +325,7 @@ def link_simple(
             score = 1.0
         else:
             # text.jaccard with the mention's token set built once
-            jac = len(token_set.intersection(label.tokens)) / len(
-                token_set.union(label.tokens)
-            )
+            jac = len(token_set.intersection(label)) / len(token_set.union(label))
             label_text = _label_text(label)
             longest = max(len(mention), len(label_text))
             bound = _blend(jac, 1.0 - abs(len(mention) - len(label_text)) / longest)
@@ -423,7 +412,7 @@ def detect_relations(
 
     # a window holds no pseudo-relation, so its tokens are the words
     for span in content_spans(tokens, type_spans):
-        hit = link_simple(" ".join(tokens[span.start : span.end]), labels, lex, theta_rel)
+        hit = link_simple(tokens[span.start : span.end], labels, lex, theta_rel)
         if hit is None:
             continue
         scored.append(RelationHit(span, *hit))

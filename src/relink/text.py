@@ -29,6 +29,30 @@ def tokenize(text: str) -> list[str]:
     return tokens
 
 
+_CAMEL_RE = re.compile(r"(?<=[a-z0-9])(?=[A-Z])|(?<=[A-Z])(?=[A-Z][a-z])")
+_CHUNK_RE = re.compile(r"\d+|[^\d_\-]+")
+
+
+def tokenize_name(name: str) -> tuple[str, ...]:
+    """Split a local name on camelCase, '_', '-', and digit boundaries;
+    lowercase each token.
+
+    The chunks are the maximal runs of digits and of other characters
+    that are neither '_' nor '-'. A camelCase boundary lies before an
+    ASCII capital that is not a chunk's first character, and ``lower``
+    changes every such capital, so a chunk whose characters after the
+    first ``lower`` leaves as they are is one token.
+    """
+    parts = []
+    for chunk in _CHUNK_RE.findall(name):
+        lowered = chunk.lower()
+        if chunk[1:] == lowered[1:]:
+            parts.append(lowered)
+        else:
+            parts += [p.lower() for p in _CAMEL_RE.split(chunk) if p]
+    return tuple(parts)
+
+
 @lru_cache(maxsize=1)
 def default_stopwords() -> frozenset[str]:
     data = resources.files("relink.data").joinpath("stopwords.txt").read_text("utf-8")

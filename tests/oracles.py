@@ -27,7 +27,6 @@ from relink.linking import (
     GraphLabels,
     Lexicon,
     PseudoRelation,
-    RelationLabel,
     Span,
     Token,
     TypeHit,
@@ -40,7 +39,6 @@ from relink.patterns import (
     PatternEdge,
     SubgraphPattern,
 )
-from relink.text import tokenize
 
 if TYPE_CHECKING:
     import numpy as np
@@ -178,11 +176,10 @@ def reference_levenshtein(a: str, b: str) -> int:
 
 
 def reference_link_simple(
-    phrase: str, labels: GraphLabels, lex: Lexicon, theta_rel: float
+    tokens: list[str], labels: GraphLabels, lex: Lexicon, theta_rel: float
 ) -> Optional[tuple[str, float]]:
-    """Best predicate for a mention by scoring every label in full with
-    ``mention_score``, with no pruning."""
-    tokens = tokenize(phrase)
+    """Best predicate for a mention, given as its tokens, by scoring every
+    label in full with ``mention_score``, with no pruning."""
     if not tokens:
         return None
     best = None
@@ -500,10 +497,10 @@ def reference_load(triples: set[Triple], type_predicate: str) -> dict:
         }
 
     relation_labels = [
-        (p, RelationLabel(p, reference_tokenize_name(local_name(p))))
+        (p, reference_tokenize_name(local_name(p)))
         for p in sorted(predicates - {type_predicate})
     ]
-    label_tokens = {token for _, label in relation_labels for token in label.tokens}
+    label_tokens = {token for _, label in relation_labels for token in label}
 
     def objects(s, p):
         return frozenset(t.object for t in triples if (t.subject, t.predicate) == (s, p))
@@ -535,14 +532,14 @@ def reference_load(triples: set[Triple], type_predicate: str) -> dict:
         "relation_labels": relation_labels,
         # every token of a label -> the labelled predicates holding it, sorted
         "relation_postings": {
-            token: tuple(p for p, label in relation_labels if token in label.tokens)
+            token: tuple(p for p, label in relation_labels if token in label)
             for token in label_tokens
         },
         # every non-empty label -> the least predicate with exactly that label
         "relation_keys": {
-            label.tokens: min(p for p, other in relation_labels if other.tokens == label.tokens)
+            label: min(p for p, other in relation_labels if other == label)
             for _, label in relation_labels
-            if label.tokens
+            if label
         },
         "entity_labels": best_per_key(entities, lambda e: e),
         "type_dictionary": best_per_key(types, lambda ty: (-instances[ty], ty)),

@@ -44,7 +44,7 @@ def test_detection_takes_the_graph_labels(graph):
 
     labels, lex = relink.GraphLabels.of(graph), relink.Lexicon()
     tokens = ["the", "mother", "of", "a", "person", "spouse"]
-    assert relink.link_simple("mother", labels, lex) == (EX + "mother", 1.0)
+    assert relink.link_simple(["mother"], labels, lex) == (EX + "mother", 1.0)
     types = relink.detect_types(tokens, labels)
     assert [(h.span.start, h.type_iri) for h in types] == [(4, EX + "Person")]
     relations = relink.detect_relations(tokens, labels, lex)

@@ -49,7 +49,7 @@ def test_ingest_malformed_reports_line(capsys, tmp_path):
     path.write_text("<http://x/a> <http://x/p> <http://x/b> .\nnot a triple\n")
     code, _, err = run(capsys, "ingest", str(path))
     assert code == EXIT_DATA
-    assert err.startswith("data error: line 2")
+    assert err.startswith(f"data error: {path} line 2: not a valid triple")
     # the same message as any other command that loads the graph
     assert run(capsys, "--kg", str(path), "link", "son") == (EXIT_DATA, "", err)
 
@@ -163,6 +163,12 @@ def test_malformed_json_input_named(capsys, tmp_path, monkeypatch, name, argv, p
       "error: {path}: lexicon must be a JSON object, got list", EXIT_USAGE),
      ("explanations.json", '["son"]', ["--explanations", "{path}", "link", "son"],
       "error: {path}: explanation fixture must be a JSON object, got list", EXIT_USAGE),
+     ("explanations.json", '{"mother-in-law": 3}', ["--explanations", "{path}", "link", "son"],
+      "error: {path}: explanation for 'mother-in-law' must be a string, got int", EXIT_USAGE),
+     ("explanations.json", '{"Mother": "a", "mother ": "b"}',
+      ["--explanations", "{path}", "link", "son"],
+      "error: {path}: explanation keys 'Mother' and 'mother ' both normalize to 'mother'",
+      EXIT_USAGE),
      ("model.json", '{"format": "x"}', ["--model", "{path}", "link", "son"],
       "error: {path}: unsupported model format: 'x'", EXIT_USAGE),
      ("model.json", "[1]", ["--model", "{path}", "link", "son"],
@@ -175,8 +181,8 @@ def test_malformed_json_input_named(capsys, tmp_path, monkeypatch, name, argv, p
       "error: {path}: prefix table must be a JSON object, got list", EXIT_USAGE),
      ("prefixes.json", '{"ex": 1, "foaf": ["x"]}', ["--output", "text", "link", "son"],
       "error: {path}: prefix table value for 'ex' must be a string, got int", EXIT_USAGE)],
-    ids=["lexicon", "explanations", "model", "model-shape", "config", "review", "prefixes",
-         "prefix-value"],
+    ids=["lexicon", "explanations", "explanation-value", "explanation-keys", "model",
+         "model-shape", "config", "review", "prefixes", "prefix-value"],
 )
 def test_json_input_of_wrong_shape_named(capsys, tmp_path, monkeypatch, name, payload, argv,
                                          message, code):
@@ -623,6 +629,20 @@ def test_positional_path_wins_over_environment(capsys, tmp_path, monkeypatch, en
     code, out, err = run(capsys, *argv)
     assert (code, err) == (EXIT_OK, "")
     assert "missing.jsonl" not in out
+
+
+@pytest.mark.parametrize(
+    "argv", [["eval", "{path}"], ["train", "{path}", "--model-out", "{out}"]],
+    ids=["gold", "training"],
+)
+@pytest.mark.parametrize("content", ["", "\n \n"], ids=["empty", "blank-lines"])
+def test_data_file_without_entries_named(capsys, tmp_path, argv, content):
+    path = tmp_path / "data.jsonl"
+    path.write_text(content, "utf-8")
+    out_file = tmp_path / "m.json"
+    got = run(capsys, *[a.format(path=path, out=out_file) for a in argv])
+    assert got == (EXIT_DATA, "", f"data error: {path}: no entries\n")
+    assert not out_file.exists()
 
 
 @pytest.mark.parametrize("line", ["[1]", '"son"', "3"])

@@ -120,7 +120,7 @@ def _corpus_phrases() -> list[str]:
 def test_keyword_match_is_label_lookup_on_corpus(family_labels):
     phrases = _corpus_phrases()
     for label in family_labels.relation_labels.values():
-        phrases.append(" ".join(label.tokens))
+        phrases.append(" ".join(label))
     hits = 0
     for phrase in phrases:
         want = _keyword_reference(phrase, family_labels)

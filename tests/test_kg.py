@@ -22,8 +22,8 @@ from relink.kg import (
     ParseError,
     Triple,
     local_name,
-    tokenize_name,
 )
+from relink.text import tokenize_name
 
 from .oracles import (
     ntriples_line,

@@ -69,8 +69,9 @@ def test_tokenize_keeps_unicode_words():
 
 
 # no token match can hold a space, so tokenizing the joined parts gives
-# each part's own tokens: tokenizing each token of a span on its own is
-# exact where the span's joined string is tokenized today
+# each part's own tokens. Tokenizing a token again need not give it back
+# (the token "i̇stanbul" of "İstanbul" splits at its combining dot), so
+# mention detection scores a window's own tokens and never joins them
 _TOKEN_CHAR = st.sampled_from("aZ İ'_-s ") | st.characters()
 
 
@@ -171,12 +172,12 @@ def test_graph_labels_built_once_by_the_linker(linker, family_labels):
 
 
 def test_link_simple_exact_match_scores_one(family_labels, lexicon):
-    hit = link_simple("mother", family_labels, lexicon)
+    hit = link_simple(tokenize("mother"), family_labels, lexicon)
     assert hit == (EX + "mother", 1.0)
 
 
 def test_link_simple_lexicon_hit(family_labels, lexicon):
-    hit = link_simple("married to", family_labels, lexicon)
+    hit = link_simple(tokenize("married to"), family_labels, lexicon)
     assert hit == (EX + "spouse", 1.0)
 
 
@@ -185,7 +186,7 @@ def test_link_simple_rejects_near_string_false_friend():
     g = kg.load([f"<{RES}a> <{EX}attitude> <{RES}b> ."])
     labels = GraphLabels.of(g)
     label = labels.relation_labels[EX + "attitude"]
-    jac = jaccard(["latitude"], label.tokens)
+    jac = jaccard(["latitude"], label)
     edit = edit_similarity("latitude", "attitude")
     assert jac == 0.0
     assert edit == 1 - 2 / 8
@@ -193,18 +194,18 @@ def test_link_simple_rejects_near_string_false_friend():
     assert combined == pytest.approx(0.225)
     assert combined < 0.6
     assert mention_score(["latitude"], label) == pytest.approx(combined)
-    assert link_simple("latitude", labels, Lexicon()) is None
+    assert link_simple(tokenize("latitude"), labels, Lexicon()) is None
 
 
 def test_link_simple_score_in_unit_interval(family_labels, lexicon):
     for phrase in ("mother", "married to", "country", "zzz", "birth place"):
-        hit = link_simple(phrase, family_labels, lexicon, theta_rel=0.0)
+        hit = link_simple(tokenize(phrase), family_labels, lexicon, theta_rel=0.0)
         if hit is not None:
             assert 0.0 <= hit[1] <= 1.0
 
 
 def test_link_simple_deterministic(family_labels, lexicon):
-    runs = {link_simple("mother", family_labels, lexicon) for _ in range(5)}
+    runs = {link_simple(tokenize("mother"), family_labels, lexicon) for _ in range(5)}
     assert len(runs) == 1
 
 
@@ -257,16 +258,16 @@ def _scoring_cases(draw):
             st.sampled_from(scores),
         )
     )
-    return " ".join(mention), labels, lex, theta
+    return tokens, labels, lex, theta
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=_scoring_cases())
 def test_link_simple_matches_full_scan(case):
-    phrase, labels, lex, theta = case
+    tokens, labels, lex, theta = case
     # tuple equality: the same IRI and the same float, bit for bit
-    assert (link_simple(phrase, labels, lex, theta)
-            == reference_link_simple(phrase, labels, lex, theta))
+    assert (link_simple(tokens, labels, lex, theta)
+            == reference_link_simple(tokens, labels, lex, theta))
 
 
 def _bench_phrases() -> list[str]:
@@ -344,7 +345,7 @@ def test_warm_pass_scored_with_shared_tokens(
     labels, and the length bound leaves 36 edit distances, as many as on
     the bundled graph; without the bound the pass computes one per label
     scored, 2,084. The links are those of the bundled graph."""
-    label_tokens = {t for label in family_labels.relation_labels.values() for t in label.tokens}
+    label_tokens = {t for label in family_labels.relation_labels.values() for t in label}
     extra = shared_token_triples(
         random.Random(1), label_tokens, sorted(family_graph.entity_set), 1000, 2000
     )
@@ -476,9 +477,61 @@ def test_detect_relations_never_returns_type_predicate(
     assert all(h.relation != family_graph.type_predicate for h in hits)
     # nor when the lexicon names it: the type predicate has no label to score
     naming = Lexicon.from_mapping({"kind": [kg.RDF_TYPE]}, family_graph)
-    assert link_simple("kind", family_labels, naming, theta_rel=0.0)[0] != kg.RDF_TYPE
+    assert link_simple(["kind"], family_labels, naming, theta_rel=0.0)[0] != kg.RDF_TYPE
     hits = detect_relations(tokenize("the kind of her mother"), family_labels, naming)
     assert [h.relation for h in hits] == [EX + "mother"]
+
+
+def test_detect_relations_scores_window_tokens_as_they_are():
+    # "İ" lowercases to "i" and a combining dot, which is not a word
+    # character: the token "i̇zmir" would split in two if tokenized again
+    g = kg.load([f"<{RES}a> <{EX}İzmir> <{RES}b> ."])
+    labels = GraphLabels.of(g)
+    assert direct_match("İzmir", labels, Lexicon()).iri == EX + "İzmir"
+    hits = detect_relations(tokenize("the İzmir of a person"), labels, Lexicon())
+    assert [(h.span.start, h.relation, h.score) for h in hits] == [(1, EX + "İzmir", 1.0)]
+
+
+# words of the letters of _APOSTROPHE_TEXT, and stopwords, which end windows
+_DETECT_WORD = st.text(st.sampled_from("'sSİſ\u212aΣa"), min_size=1, max_size=4)
+
+
+@st.composite
+def _detection_cases(draw):
+    """A sentence's tokens, a graph whose predicate labels are its tokens
+    alone or in pairs and other words of the same letters, a lexicon
+    entry for a window of the sentence, and a threshold."""
+    words = draw(st.lists(_DETECT_WORD | st.sampled_from(["of", "the"]), max_size=6))
+    tokens = tokenize(" ".join(words))
+    word = st.sampled_from(tokens) | _DETECT_WORD if tokens else _DETECT_WORD
+    names = draw(st.lists(st.lists(word, min_size=1, max_size=2), min_size=1, max_size=6))
+    predicates = sorted({EX + "_".join(name) for name in names})
+    g = kg.KnowledgeGraph([kg.Triple(RES + "a", p, RES + "b") for p in predicates])
+    lex = Lexicon()
+    if tokens:
+        start = draw(st.integers(0, len(tokens) - 1))
+        key = tuple(tokens[start : start + draw(st.integers(1, 2))])
+        lex = Lexicon({key: frozenset([draw(st.sampled_from(predicates))])})
+    theta = draw(st.sampled_from([0.0, EDIT_WEIGHT, DEFAULT_THETA_REL, 1.0]))
+    return tokens, GraphLabels.of(g), lex, theta
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_detection_cases())
+def test_detect_relations_matches_reference(case):
+    # each window's own tokens scored in full, then the greedy non-overlap
+    tokens, labels, lex, theta = case
+    scored = []
+    for span in _reference_content_spans(tokens, text.default_stopwords(), []):
+        hit = reference_link_simple(tokens[span.start : span.end], labels, lex, theta)
+        if hit is not None:
+            scored.append(RelationHit(span, *hit))
+    kept: list[RelationHit] = []
+    for hit in sorted(scored, key=lambda h: (-h.score, -len(h.span), h.span.start)):
+        if not any(hit.span.overlaps(k.span) for k in kept):
+            kept.append(hit)
+    kept.sort(key=lambda h: h.span.start)
+    assert detect_relations(tokens, labels, lex, theta) == kept
 
 
 def test_elements_spans_do_not_overlap(family_labels, lexicon):
@@ -548,7 +601,7 @@ def test_lexicon_surfaces_that_tokenize_alike_collide():
 def test_lexicon_hit_dominates_similarity(family_graph, family_labels):
     # "mothers" scores below 1.0 on similarity; a lexicon entry pins it to spouse
     lex = Lexicon.from_mapping({"mothers": [EX + "spouse"]}, family_graph)
-    hit = link_simple("mothers", family_labels, lex)
+    hit = link_simple(tokenize("mothers"), family_labels, lex)
     assert hit == (EX + "spouse", 1.0)
 
 

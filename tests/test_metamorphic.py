@@ -62,7 +62,7 @@ def test_disjoint_predicates_do_not_change_results(tmp_path, bundled_results):
     }
     bundled = kg.load(data_path("family_geo.nt"))
     extra = disjoint_triples(random.Random(7), vocabulary, sorted(bundled.entity_set), 300, 600)
-    labels = {kg.tokenize_name(kg.local_name(t.predicate)) for t in extra}
+    labels = {text.tokenize_name(kg.local_name(t.predicate)) for t in extra}
     tokens = {token for label in labels for token in label}
     assert len(labels) >= 290 and tokens.isdisjoint(vocabulary)
     assert any(text.edit_similarity(t, w) >= 0.8 for t in tokens for w in vocabulary)
