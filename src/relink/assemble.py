@@ -97,22 +97,6 @@ def _span_gap(a: Span, b: Span) -> int:
     return max(0, b.start - a.end)
 
 
-def _source_sink(sp: SubgraphPattern) -> Optional[tuple[str, str]]:
-    """The unique source and sink variables, if the pattern has them."""
-    tails = {e.src for e in sp.edges}
-    heads = {e.dst for e in sp.edges}
-    sources = tails - heads
-    sinks = heads - tails
-    if len(sources) == 1 and len(sinks) == 1:
-        return sources.pop(), sinks.pop()
-    return None
-
-
-# a relation hit with the source and sink of its nested pattern, if it
-# has one (see _source_sink)
-Side = tuple[RelationHit, Optional[tuple[str, str]]]
-
-
 class Linker:
     """Binds the graph, its ``labels``, explainer, lexicon, classifier, and config."""
 
@@ -208,16 +192,15 @@ class Linker:
         state: "_LinkState",
     ) -> Optional[SubgraphPattern]:
         if isinstance(hit.relation, PseudoRelation):
-            # identity substitution: the nested pattern is the answer
+            # identity substitution: the nested pattern is the answer, and
+            # the graph accepted it when it was linked
             pattern = hit.relation.pattern
-            if self._validate(pattern, state):
-                state.trace.append(
-                    {"step": "single-relation", "nested": hit.relation.phrase,
-                     "pattern": pattern.to_json()}
-                )
-                return pattern
-            return None
-        pattern = self._build_pattern(MetaPattern.RP1, ((hit, None),), types)
+            state.trace.append(
+                {"step": "single-relation", "nested": hit.relation.phrase,
+                 "pattern": pattern.to_json()}
+            )
+            return pattern
+        pattern = self._build_pattern(MetaPattern.RP1, (hit,), types)
         if not self._validate(pattern, state):
             untyped = pattern.with_types({})
             if pattern.types and self._validate(untyped, state):
@@ -297,17 +280,11 @@ class Linker:
         """The first candidate the graph validates: the predicted shape,
         then the others in tie-break order (see ``patterns.plans``)."""
         kinds = (mp, *(k for k in DEFAULT_TIE_BREAK if k is not mp))
-        # a nested pattern's ends are the same in every plan
-        sides = [
-            (hit, _source_sink(hit.relation.pattern)
-             if isinstance(hit.relation, PseudoRelation) else None)
-            for hit in (first, second)
-        ]
-        for kind, (a, b) in plans(kinds, *sides):
+        for kind, (a, b) in plans(kinds, first, second):
             step = {
                 "step": "candidate",
                 "meta_pattern": kind.value,
-                "order": [_hit_name(a[0]), _hit_name(b[0])],
+                "order": [_hit_name(a), _hit_name(b)],
             }
             pattern = self._build_pattern(kind, (a, b), types)
             if pattern is None:
@@ -353,7 +330,7 @@ class Linker:
     def _build_pattern(
         self,
         kind: MetaPattern,
-        sides: tuple[Side, ...],
+        hits: Sequence[RelationHit],
         types: Sequence[TypeHit],
     ) -> Optional[SubgraphPattern]:
         """Instantiate a shape over its relation hits, splicing nested
@@ -363,40 +340,39 @@ class Linker:
         merged_types: dict[str, str] = {}
         fresh = itertools.count(1)
 
-        for slot, (hit, ends) in zip(slots, sides):
+        for slot, hit in zip(slots, hits):
             ref = hit.relation
             if isinstance(ref, PseudoRelation):
-                if ends is None:
+                if ref.ends is None:
                     return None
-                sub_edges, sub_types = self._splice(slot, ref.pattern, ends, fresh)
+                sub_edges, sub_types = self._splice(slot, ref, fresh)
                 edges.extend(sub_edges)
                 merged_types.update(sub_types)
             else:
                 edges.append(PatternEdge(slot[0], ref, slot[1]))
 
         pattern = SubgraphPattern(tuple(edges), tuple(merged_types.items()))
-        hit_endpoints = [(hit, slot) for (hit, _), slot in zip(sides, slots)]
-        return self._attach_types(pattern, hit_endpoints, types)
+        return self._attach_types(pattern, hits, slots, types)
 
     def _splice(
         self,
         slot: tuple[str, str],
-        nested: SubgraphPattern,
-        ends: tuple[str, str],
+        nested: PseudoRelation,
         fresh: Iterator[int],
     ) -> tuple[list[PatternEdge], dict[str, str]]:
-        source, sink = ends
+        source, sink = nested.ends
         mapping = {source: slot[0], sink: slot[1]}
-        for var in nested.variables():
+        for var in nested.pattern.variables():
             if var not in mapping:
                 mapping[var] = f"v{next(fresh)}"
-        renamed = nested.rename(mapping)
+        renamed = nested.pattern.rename(mapping)
         return list(renamed.edges), renamed.type_map()
 
     def _attach_types(
         self,
         pattern: SubgraphPattern,
-        hit_endpoints: Sequence[tuple[RelationHit, tuple[str, str]]],
+        hits: Sequence[RelationHit],
+        slots: Sequence[tuple[str, str]],
         types: Sequence[TypeHit],
     ) -> SubgraphPattern:
         """A type mention restricts the object variable of each relation
@@ -405,7 +381,7 @@ class Linker:
         merged = pattern.type_map()
         best_gap: dict[str, int] = {}
         for type_hit in types:
-            for rel_hit, (_, obj_var) in hit_endpoints:
+            for rel_hit, (_, obj_var) in zip(hits, slots):
                 gap = _span_gap(type_hit.span, rel_hit.span)
                 if gap > TYPE_WINDOW:
                     continue

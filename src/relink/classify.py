@@ -27,7 +27,6 @@ from .linking import (
     GraphLabels,
     Lexicon,
     MetaElements,
-    PseudoRelation,
     Token,
     detect_elements,
     direct_match,
@@ -527,6 +526,8 @@ def harvest(
     """
     if kappa <= 0:
         raise ValueError("kappa must be positive")
+    if not 0.0 <= theta_rel <= 1.0:
+        raise ValueError(f"theta_rel must be in [0, 1], got {theta_rel!r}")
     labels = GraphLabels.of(g)
     examples: list[TrainingExample] = []
     skipped: list[HarvestSkip] = []
@@ -551,11 +552,9 @@ def harvest(
             continue
         tokens = text.tokenize(explanation.sentence)
         elems = detect_elements(tokens, labels, lexicon, theta_rel)
-        relations = [
-            h.relation for h in elems.relations if not isinstance(h.relation, PseudoRelation)
-        ]
-        if len(elems.relations) != 2 or len(relations) != 2:
-            skip(phrase, f"{len(elems.relations)} relations detected, need exactly 2")
+        relations = [h.relation for h in elems.relations]
+        if len(relations) != 2:
+            skip(phrase, f"{len(relations)} relations detected, need exactly 2")
             continue
         uses = adjacent_instantiations(g, relations[0], relations[1])
         if len(uses) != 1:

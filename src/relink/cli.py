@@ -142,14 +142,22 @@ def _providers(cfg: RunConfig):
     return providers
 
 
-def build_linker(cfg: RunConfig) -> Linker:
-    from . import assemble, classify, explain, linking
+def _load_sources(cfg: RunConfig, *more: str):
+    """The graph, lexicon and explainer. Their files, and the files of
+    the settings named in ``more``, must exist before any of them loads."""
+    from . import explain, linking
 
-    for path_name in ("kg", "lexicon", "explanations", "model" if cfg.model else "training"):
+    for path_name in ("kg", "lexicon", "explanations", *more):
         _existing_file(path_name, getattr(cfg, path_name))
     graph = kg.load(cfg.kg)
     lexicon = linking.Lexicon.load(cfg.lexicon, graph)
-    explainer = explain.ExplanationService(_providers(cfg))
+    return graph, lexicon, explain.ExplanationService(_providers(cfg))
+
+
+def build_linker(cfg: RunConfig) -> Linker:
+    from . import assemble, classify
+
+    graph, lexicon, explainer = _load_sources(cfg, "model" if cfg.model else "training")
     if cfg.model:
         classifier = classify.PatternClassifier.load(cfg.model)
     else:
@@ -212,11 +220,10 @@ def cmd_collect(args: argparse.Namespace) -> int:
     from . import classify
 
     cfg = build_config(args)
-    linker = build_linker(cfg)
+    graph, lexicon, explainer = _load_sources(cfg)
     phrases = kg.read_lines(args.phrases)
     result = classify.harvest(
-        phrases, linker.g, linker.explainer, linker.lexicon,
-        kappa=args.kappa, theta_rel=cfg.theta_rel,
+        phrases, graph, explainer, lexicon, kappa=args.kappa, theta_rel=cfg.theta_rel
     )
     classify.save_examples(result.examples, args.out)
     print(f"collected {len(result.examples)} examples -> {args.out}")
@@ -232,7 +239,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     examples = classify.load_examples(cfg.training)
     if args.review:
         review = kg.read_json(args.review, "review", kg.DataError)
-        examples = classify.merge_review(examples, review)
+        try:
+            examples = classify.merge_review(examples, review)
+        except classify.TrainingDataError as exc:  # a verdict: name its file
+            raise classify.TrainingDataError(f"{args.review}: {exc}") from exc
     classifier, report = classify.train(examples, cfg.seed)
     classifier.save(args.model_out)
     print(

@@ -41,6 +41,11 @@ class ParseError(DataError):
         super().__init__(f"{where}: {message}")
         self.line_no = line_no
         self.reason = message
+        self.path = path
+
+    def __reduce__(self):
+        # the default rebuilds from ``args``, the formatted message alone
+        return type(self), (self.line_no, self.reason, self.path)
 
 
 class UnknownPredicateError(KeyError):

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Un
 
 from . import text
 from .kg import KnowledgeGraph, _frozen, local_name, read_json
-from .patterns import SubgraphPattern
+from .patterns import SubgraphPattern, source_sink
 
 log = logging.getLogger(__name__)
 
@@ -37,6 +37,12 @@ class PseudoRelation:
 
     phrase: str
     pattern: SubgraphPattern
+    # the variables through which assembly splices the pattern into a
+    # larger one; None when it has no unique source and sink
+    ends: Optional[tuple[str, str]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "ends", source_sink(self.pattern))
 
     @property
     def mask_name(self) -> str:

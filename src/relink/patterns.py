@@ -218,6 +218,17 @@ def shape_of(sp: SubgraphPattern) -> MetaPattern | str:
     return COMPLEX
 
 
+def source_sink(sp: SubgraphPattern) -> Optional[tuple[str, str]]:
+    """The unique source and sink variables, if the pattern has them."""
+    tails = {e.src for e in sp.edges}
+    heads = {e.dst for e in sp.edges}
+    sources = tails - heads
+    sinks = heads - tails
+    if len(sources) == 1 and len(sinks) == 1:
+        return sources.pop(), sinks.pop()
+    return None
+
+
 def _join_order(g: KnowledgeGraph, sp: SubgraphPattern) -> list[int]:
     """Edge indexes in search order: rarest seed, then connected edges.
 

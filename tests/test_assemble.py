@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import pytest
 
-from relink import assemble, kg
+from relink import kg, linking
 from relink.assemble import LinkConfig, Linker, link_data_driven
+from relink.cli import data_path
 from relink.explain import ExplanationService, FixtureProvider
-from relink.linking import MetaElements, RelationHit, Span
-from relink.patterns import MetaPattern, SubgraphPattern, has_instance
+from relink.linking import MetaElements, PseudoRelation, RelationHit, Span
+from relink.patterns import MetaPattern, SubgraphPattern, has_instance, source_sink
 
 EX = "http://example.org/ontology/"
 FOAF = "http://xmlns.com/foaf/0.1/"
@@ -162,23 +163,38 @@ def test_link_co_sister_known_failure(linker):
 )
 def test_nested_ends_found_once_per_pair(linker, monkeypatch, phrase, nested_plans, ends):
     """The source and sink of a nested pattern are found once for each
-    pair that holds it, not once for each candidate plan of the pair.
-    great-grandmother tries the nested grandparent pattern in the two RP2
-    orders of one pair. co-sister tries the folded spouse pattern, which
-    has two sinks and so cannot be spliced, with the nested brother
-    pattern in all four plans of one pair."""
+    nested pattern, when its pseudo-relation is made, not once for each
+    candidate plan that holds it. great-grandmother tries the nested
+    grandparent pattern in the two RP2 orders of one pair. co-sister tries
+    the folded spouse pattern, which has two sinks and so cannot be
+    spliced, with the nested brother pattern in all four plans of one
+    pair."""
     calls = []
-    real = assemble._source_sink
+    real = linking.source_sink
 
     def counted(sp):
         calls.append(sp)
         return real(sp)
 
-    monkeypatch.setattr(assemble, "_source_sink", counted)
+    monkeypatch.setattr(linking, "source_sink", counted)
     result = linker.link(phrase)
     orders = [s["order"] for s in result.trace if s["step"] == "candidate"]
     assert sum(name.startswith("nested:") for o in orders for name in o) == nested_plans
     assert len(calls) == ends
+
+
+def test_pseudo_relation_ends_leave_equality_alone(linker):
+    grandparent = linker.link("grandparent").pattern
+    a = PseudoRelation("grandparent", grandparent)
+    b = PseudoRelation("grandparent", SubgraphPattern.from_json(grandparent.to_json()))
+    assert a == b and hash(a) == hash(b)
+    assert a.ends == source_sink(grandparent) == ("x", "y")
+    assert "ends" not in repr(a)
+    # co-sister's fold is two spouse edges from one subject: two sinks
+    fold = next(s for s in linker.link("co-sister").trace if s["step"] == "fold")
+    folded = SubgraphPattern.from_json(fold["pattern"])
+    assert source_sink(folded) is None
+    assert PseudoRelation("(fold)", folded).ends is None
 
 
 def test_recursion_depth_cap(family_graph, lexicon, classifier):
@@ -218,6 +234,26 @@ def test_permissive_mode_waives_validation(family_graph, lexicon, classifier):
     assert result.matched
     assert edges_of(result.pattern)[0][1] == EX + "mother"
     assert any(s["step"] == "validation-waived" for s in result.trace)
+
+
+def test_permissive_identity_substitution_waives_once(family_graph, lexicon, classifier):
+    """A sentence whose only relation is a nested pattern returns that
+    pattern as linked: it is not validated again, so the permissive trace
+    waives it once, in the nested link."""
+    explainer = ExplanationService(
+        [FixtureProvider({"elder": "a grandparent"}),
+         FixtureProvider(data_path("explanations.json"))]
+    )
+    linker = Linker(
+        family_graph, explainer, lexicon, classifier,
+        LinkConfig(validation="permissive"),
+    )
+    result = linker.link("elder")
+    assert [e[1] for e in edges_of(result.pattern)] == [EX + "parent", EX + "parent"]
+    steps = [s["step"] for s in result.trace]
+    assert steps.count("validation-waived") == 1
+    assert steps[-2:] == ["elements", "single-relation"]
+    assert result.trace[-1]["nested"] == "grandparent"
 
 
 def test_fallback_rescues_misclassification(family_graph, lexicon, classifier):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -379,6 +380,15 @@ def test_config_theta_out_of_range_usage_error(capsys, tmp_path):
     code, _, err = run(capsys, "--config", str(config), "link", "mother-in-law")
     assert code == EXIT_USAGE
     assert "theta_rel" in err
+    # collect-training builds no linker: harvesting checks the setting itself
+    out_file = tmp_path / "o.jsonl"
+    code, _, err = run(
+        capsys, "--config", str(config), "collect-training", str(data_path("phrases.txt")),
+        "--out", str(out_file),
+    )
+    assert code == EXIT_USAGE
+    assert "theta_rel must be in [0, 1], got 7" in err
+    assert not out_file.exists()
 
 
 def test_link_blank_phrase_usage_error(capsys):
@@ -574,21 +584,34 @@ _ONE_MASK_LINE = (
     "argv",
     [["train", "{training}", "--model-out", "{out}"],
      ["link", "aunt"],
-     ["eval", "--methods", "keyword_match"],
-     ["collect-training", "{phrases}", "--out", "{out}"]],
-    ids=["train", "link", "eval", "collect-training"],
+     ["eval", "--methods", "keyword_match"]],
+    ids=["train", "link", "eval"],
 )
 def test_malformed_training_line_data_error(capsys, tmp_path, monkeypatch, argv, line):
     training = tmp_path / "training.jsonl"
     first = data_path("training.jsonl").read_text("utf-8").splitlines()[0]
     training.write_bytes(f"{first}\n".encode() + line)
     monkeypatch.setenv("RELINK_TRAINING", str(training))
-    argv = [a.format(training=training, out=tmp_path / "out", phrases=data_path("phrases.txt"))
-            for a in argv]
+    argv = [a.format(training=training, out=tmp_path / "out") for a in argv]
     code, _, err = run(capsys, *argv)
     assert code == EXIT_DATA
     assert err.startswith("data error: ") and str(training) in err
     assert "line 2" in err
+
+
+@pytest.mark.parametrize("training", ["missing.jsonl", "malformed.jsonl"])
+def test_collect_training_reads_no_training_file(capsys, tmp_path, monkeypatch, training):
+    # harvesting writes training data; it neither reads any nor trains
+    (tmp_path / "malformed.jsonl").write_bytes(b"{not json")
+    monkeypatch.setenv("RELINK_TRAINING", str(tmp_path / training))
+    out_file = tmp_path / "h.jsonl"
+    code, out, _ = run(
+        capsys, "collect-training", str(data_path("phrases.txt")),
+        "--out", str(out_file), "--kappa", "10",
+    )
+    assert (code, out.splitlines()[0]) == (EXIT_OK, f"collected 9 examples -> {out_file}")
+    golden = Path(__file__).parent / "golden" / "harvest_k10.jsonl"
+    assert out_file.read_bytes() == golden.read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -778,7 +801,7 @@ def test_train_bad_review_verdict_data_error(capsys, tmp_path, verdict):
         capsys, "train", "--review", str(review), "--model-out", str(tmp_path / "m.json")
     )
     assert code == EXIT_DATA
-    assert err == f"data error: bad review verdict for 'mother-in-law': {verdict!r}\n"
+    assert err == f"data error: {review}: bad review verdict for 'mother-in-law': {verdict!r}\n"
 
 
 @pytest.mark.parametrize(

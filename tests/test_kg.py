@@ -72,6 +72,15 @@ def test_malformed_line_reports_line_number():
     assert err.value.line_no == 2
 
 
+@pytest.mark.parametrize("path", [None, "graph.nt"])
+def test_parse_error_survives_pickling(path):
+    err = ParseError(2, "not a valid triple", path)
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is ParseError
+    assert (back.line_no, back.reason) == (2, "not a valid triple")
+    assert str(back) == ("line 2" if path is None else "graph.nt line 2") + ": not a valid triple"
+
+
 def test_duplicates_are_dropped():
     line = "<http://x.org/a> <http://x.org/p> <http://x.org/b> ."
     g = kg.load([line, line, line])
