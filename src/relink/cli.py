@@ -3,7 +3,8 @@
 Paths default to the bundled fixture data so the tool works out of the
 box; a JSON config file, RELINK_* environment variables, and flags
 override them in that order. Exit codes: 0 success, 2 usage or config
-error, 3 no match, 4 data error.
+error, 3 no match (``link`` finds no pattern, ``collect-training`` no
+example), 4 data error.
 """
 
 from __future__ import annotations
@@ -225,10 +226,14 @@ def cmd_collect(args: argparse.Namespace) -> int:
     result = classify.harvest(
         phrases, graph, explainer, lexicon, kappa=args.kappa, theta_rel=cfg.theta_rel
     )
-    classify.save_examples(result.examples, args.out)
-    print(f"collected {len(result.examples)} examples -> {args.out}")
+    if result.examples:  # an empty file would be training data `train` rejects
+        classify.save_examples(result.examples, args.out)
+        print(f"collected {len(result.examples)} examples -> {args.out}")
     for skip in result.skipped:
         print(f"skip {skip.phrase!r}: {skip.reason}")
+    if not result.examples:
+        print(f"no examples collected from {args.phrases}", file=sys.stderr)
+        return EXIT_NO_MATCH
     return EXIT_OK
 
 

@@ -3,8 +3,10 @@
 The store ingests line-oriented triples (an N-Triples subset: IRIs in
 angle brackets, plain literals in double quotes, terminating dot) and
 builds subject/predicate/object indexes; types are the objects of a
-configurable type predicate. Graphs are immutable once loaded and safe
-to share across threads.
+configurable type predicate. A load turns each line straight into a
+plain key tuple, drops duplicate keys, and makes one ``Triple`` per
+distinct triple. Graphs are immutable once loaded and safe to share
+across threads.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import FrozenInstanceError, dataclass, field
 from operator import attrgetter
 from pathlib import Path
 from types import MappingProxyType
-from typing import IO, Callable, Iterable, Iterator, KeysView, Mapping, TypeVar, Union
+from typing import IO, Callable, Iterable, KeysView, Mapping, TypeVar, Union
 
 log = logging.getLogger(__name__)
 
@@ -154,30 +156,42 @@ def parse_line(
     iris: dict[str, str] | None = None,
     literals: dict[str, Literal] | None = None,
 ) -> Triple:
-    """Parse one triple line.
+    """Parse one triple line: its key (``_line_key``) as a ``Triple``.
 
-    The line pattern reads each IRI term up to its first '>'. ``iris`` and
-    ``literals`` are the intern tables of one load: an IRI is checked by
-    ``valid_iri`` when first seen and stored, a literal value gets its
-    ``Literal`` when first seen, and every later occurrence reuses the
-    stored object. A line with '<' or whitespace in any IRI term is not a
-    valid triple; only a line without one reports an empty local name.
+    ``iris`` and ``literals`` are the intern tables of one load: an IRI is
+    checked by ``valid_iri`` when first seen and stored, a literal value
+    gets its ``Literal`` when first seen, and every later occurrence reuses
+    the stored object.
+    """
+    subject, predicate, kind, obj = _line_key(line, line_no, {} if iris is None else iris)
+    if kind:
+        if literals is None:
+            literals = {}
+        obj = literals.get(obj) or literals.setdefault(obj, Literal(obj))
+    return Triple(subject, predicate, obj)
+
+
+def _line_key(line: str, line_no: int, iris: dict[str, str]) -> tuple:
+    """The key of one triple line: ``(s, p, 0, iri)`` for an IRI object,
+    ``(s, p, 1, value)`` for a literal. It orders as ``Triple.sort_key``
+    and compares in C.
+
+    The line pattern reads each IRI term up to its first '>'. ``iris`` is
+    the intern table of one load: an IRI is checked by ``valid_iri`` when
+    first seen and stored, and every later occurrence reuses the stored
+    string. A line with '<' or whitespace in any IRI term is not a valid
+    triple; only a line without one reports an empty local name.
     """
     m = _LINE_RE.match(line)
     if not m:
         raise _not_a_triple(line, line_no)
-    if iris is None:
-        iris = {}
     subject, predicate, obj_iri, obj_lit = m.groups()
     subject = iris.get(subject) or _intern(iris, subject, "subject", m, line_no)
     predicate = iris.get(predicate) or _intern(iris, predicate, "predicate", m, line_no)
     if obj_iri is None:
-        if literals is None:
-            literals = {}
-        obj = literals.get(obj_lit) or literals.setdefault(obj_lit, Literal(obj_lit))
-        return Triple(subject, predicate, obj)
+        return (subject, predicate, 1, obj_lit)
     obj_iri = iris.get(obj_iri) or _intern(iris, obj_iri, "object", m, line_no)
-    return Triple(subject, predicate, obj_iri)
+    return (subject, predicate, 0, obj_iri)
 
 
 def _intern(iris: dict[str, str], iri: str, role: str, m: re.Match, line_no: int) -> str:
@@ -199,27 +213,56 @@ def _not_a_triple(line: str, line_no: int) -> ParseError:
     return ParseError(line_no, f"not a valid triple: {line.strip()!r}")
 
 
-def iter_triples(lines: Iterable[str]) -> Iterator[Triple]:
-    """Triples of a line stream; equal IRIs come out as one string object
-    and equal literals as one ``Literal``.
+def _line_keys(lines: Iterable[str]) -> list[tuple]:
+    """The keys (``_line_key``) of a line stream's triples, in line order,
+    duplicates included; equal IRIs come out as one string object. Blank
+    lines and lines whose first non-space character is '#' are skipped.
 
     A stream that fails to decode raises ``ParseError`` for the first
     line not yet read. Text mode decodes in chunks, so the bad byte is
     at or after that line.
     """
     iris: dict[str, str] = {}
-    literals: dict[str, Literal] = {}
+    keys: list[tuple] = []
+    add = keys.append
     line_no = 0
     try:
         for line_no, line in enumerate(lines, start=1):
             head = line.lstrip()
             if not head or head[0] == "#":
                 continue
-            yield parse_line(line, line_no, iris, literals)
+            add(_line_key(line, line_no, iris))
     except UnicodeDecodeError as exc:
         raise ParseError(
             line_no + 1, f"not valid UTF-8 at or after this line: {exc.reason}"
         ) from exc
+    return keys
+
+
+def _sorted_triples(keys: list[tuple]) -> tuple[Triple, ...]:
+    """One ``Triple`` per distinct key, in key order, which is
+    ``Triple.sort_key`` order, with one ``Literal`` per distinct value.
+
+    Sorting puts equal keys side by side, so a key equal to the one before
+    it is a duplicate. The sort is a copy, so ``keys`` keeps its line
+    order, the order its tuples were allocated in, and freeing it frees
+    them in that order; freed in sorted order (a set, or a list sorted in
+    place) they left memory scattered that the indexes could not reuse,
+    and the load ran slower and peaked higher.
+    """
+    literals: dict[str, Literal] = {}
+    triples = []
+    append = triples.append
+    last = None
+    for key in sorted(keys):
+        if key == last:
+            continue
+        last = key
+        subject, predicate, kind, obj = key
+        if kind:
+            obj = literals.get(obj) or literals.setdefault(obj, Literal(obj))
+        append(Triple(subject, predicate, obj))
+    return tuple(triples)
 
 
 @dataclass(frozen=True)
@@ -237,8 +280,9 @@ class KnowledgeGraph:
     set are read from them; ``predicate_count`` reads a per-predicate
     triple count taken when the triples are grouped. A node's types are
     its IRI objects of ``type_predicate``. The constructor builds every
-    index; the graph is shared across threads, so no lazy population
-    happens later.
+    index, with the one indexer ``load`` also uses on its sorted triples;
+    the graph is shared across threads, so no lazy population happens
+    later.
     """
 
     triples: tuple[Triple, ...]
@@ -251,7 +295,6 @@ class KnowledgeGraph:
     _counts: dict = field(init=False, repr=False)  # predicate -> its number of triples
 
     def __post_init__(self):
-        type_predicate = self.type_predicate
         # a plain key tuple per triple, (s, p, 0, iri) or (s, p, 1, value),
         # orders as Triple.sort_key and hashes and compares in C; the
         # first triple seen for each key is the one kept
@@ -266,7 +309,21 @@ class KnowledgeGraph:
                 first[key] = t
         ordered = tuple(map(first.__getitem__, sorted(first)))
         del first  # frees the keys before the indexes grow
+        self._index(ordered)
 
+    @classmethod
+    def _of_sorted(cls, ordered: tuple[Triple, ...], type_predicate: str) -> KnowledgeGraph:
+        """The graph of ``ordered``, distinct triples sorted by
+        ``Triple.sort_key``, built without keying them again."""
+        g = cls.__new__(cls)
+        object.__setattr__(g, "type_predicate", type_predicate)
+        g._index(ordered)
+        return g
+
+    def _index(self, ordered: tuple[Triple, ...]) -> None:
+        """Store ``ordered`` as ``triples`` and build every index from it;
+        ``ordered`` holds distinct triples sorted by ``Triple.sort_key``."""
+        type_predicate = self.type_predicate
         p_idx: defaultdict[str, list[Triple]] = defaultdict(list)
         for t in ordered:
             p_idx[t.predicate].append(t)
@@ -363,22 +420,28 @@ def load(
 ) -> KnowledgeGraph:
     """Parse and index a triple stream; duplicates are dropped silently.
 
-    A file may start with a UTF-8 byte-order mark, and its ``ParseError``
-    names it. One that is not UTF-8 raises ``ParseError`` for the line
-    holding its first undecodable byte; an open text handle, which cannot
-    be read again, for the first line not yet read (see ``iter_triples``).
+    Each line becomes one key tuple (``_line_key``), never a ``Triple``;
+    the keys are sorted once, and each distinct key gets one ``Triple``,
+    with one ``Literal`` per distinct value (``_sorted_triples``). A file may start with a UTF-8
+    byte-order mark, and its ``ParseError`` names it. One that is not
+    UTF-8 raises ``ParseError`` for the line holding its first
+    undecodable byte; an open text handle, which cannot be read again,
+    for the first line not yet read (see ``_line_keys``).
     """
     if isinstance(source, (str, Path)):
         with open(source, encoding="utf-8-sig") as fh:
             try:
-                g = KnowledgeGraph(iter_triples(fh), type_predicate)
+                keys = _line_keys(fh)
             except ParseError as exc:
                 if isinstance(exc.__cause__, UnicodeDecodeError):
                     # None if the file changed after it was read
                     exc = _decode_error(source) or exc
                 raise ParseError(exc.line_no, exc.reason, source) from None
     else:
-        g = KnowledgeGraph(iter_triples(source), type_predicate)
+        keys = _line_keys(source)
+    ordered = _sorted_triples(keys)
+    del keys  # frees the keys before the indexes grow
+    g = KnowledgeGraph._of_sorted(ordered, type_predicate)
     log.info(
         "loaded graph: %d triples, %d predicates, %d types, %d entities",
         len(g.triples), len(g.predicate_set), len(g.type_set), len(g.entity_set),

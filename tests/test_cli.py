@@ -255,16 +255,27 @@ def test_collect_training_kappa_cap(capsys, tmp_path):
 
 
 def test_collect_training_only_direct_matches(capsys, tmp_path):
+    # no phrase yields an example: no match (exit 3), and --out is left
+    # alone, neither created nor truncated
     phrases = tmp_path / "phrases.txt"
     phrases.write_text("founder\nmother\nspouse\n")
     out_path = tmp_path / "collected.jsonl"
-    code, out, _ = run(
+    code, out, err = run(
         capsys, "collect-training", str(phrases), "--kappa", "5",
         "--out", str(out_path),
     )
-    assert code == EXIT_OK
-    assert out_path.read_text() == ""
+    assert code == EXIT_NO_MATCH
+    assert not out_path.exists()
     assert out.count("skip") == 3
+    assert "collected" not in out
+    assert err == f"no examples collected from {phrases}\n"
+    out_path.write_text("kept\n")
+    code, _, _ = run(
+        capsys, "collect-training", str(phrases), "--kappa", "5",
+        "--out", str(out_path),
+    )
+    assert code == EXIT_NO_MATCH
+    assert out_path.read_text() == "kept\n"
 
 
 def test_train_writes_model_and_report(capsys, tmp_path):
@@ -510,10 +521,10 @@ def test_collect_phrases_split_only_at_line_endings(capsys, tmp_path, sep):
     phrases.write_text(f"son{sep}uncle\r\nmother\rspouse\n", encoding="utf-8")
     out_file = tmp_path / "o.jsonl"
     code, out, _ = run(capsys, "collect-training", str(phrases), "--out", str(out_file))
-    assert code == EXIT_OK
-    skipped = [line.split(":")[0] for line in out.splitlines()[1:]]
+    assert code == EXIT_NO_MATCH  # no phrase yields an example
+    skipped = [line.split(":")[0] for line in out.splitlines()]
     assert skipped == [f"skip {f'son{sep}uncle'!r}", "skip 'mother'", "skip 'spouse'"]
-    assert out_file.read_text() == ""
+    assert not out_file.exists()
 
 
 def test_env_override(capsys, tmp_path, monkeypatch):

@@ -426,6 +426,91 @@ def _check_against_reference(g, triples, ref, round_):
     assert g.entity_set == ref["entity_set"]
 
 
+def test_index_keys_follow_triple_order(family_graph):
+    # _search seeds from predicate_subjects and match_instances(limit=k)
+    # follows that order, so dict equality, which ignores it, is not enough:
+    # a predicate's subjects come in sorted-triple order and its objects in
+    # order of first appearance there
+    rng = random.Random(5)
+    graphs = [family_graph, kg.KnowledgeGraph(reversed(family_graph.triples))]
+    for _ in range(20):
+        triples = list(random_load_graph(rng))
+        rng.shuffle(triples)
+        lines = [ntriples_line(t) for t in triples]
+        graphs += [kg.load(lines), kg.KnowledgeGraph(triples)]
+    for g in graphs:
+        for p in g.predicate_set:
+            ts = [t for t in g.triples if t.predicate == p]
+            assert list(g._sp[p]) == list(dict.fromkeys(t.subject for t in ts))
+            assert list(g._sp[p]) == sorted(g._sp[p])
+            assert list(g._po[p]) == list(dict.fromkeys(t.object for t in ts))
+
+
+_SOURCE_LINES = [
+    "# a comment",
+    '<http://x/a> <http://x/name> "Ann" .',
+    "",
+    "<http://x/a> <http://x/knows> <http://x/b> .",
+    "   ",
+    "  <http://x/b> <http://x/knows> <http://x/a>\t.  ",
+    '<http://x/b> <http://x/name> "Ann" .',
+    "<http://x/a> <http://x/knows> <http://x/b> .",
+    "\t# an indented comment",
+    '  <http://x/b> <http://x/name> "Ann" .',
+]
+
+
+def _source_kinds(tmp_path, lines: list[str]) -> list:
+    """The lines joined with LF, CR LF and lone CR endings in turn, as a
+    path to a file that starts with a byte-order mark, as an open text
+    handle and as a list of lines."""
+    ends = ("\n", "\r\n", "\r")
+    text = "".join(line + ends[i % 3] for i, line in enumerate(lines))
+    path = tmp_path / "graph.nt"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    plain = tmp_path / "plain.nt"
+    plain.write_bytes(text.encode("utf-8"))
+    return [path, plain, text.splitlines(keepends=True)]
+
+
+def test_three_source_kinds_agree(tmp_path):
+    path, plain, listed = _source_kinds(tmp_path, _SOURCE_LINES)
+    with open(plain, encoding="utf-8") as fh:
+        graphs = [kg.load(path), kg.load(fh), kg.load(listed)]
+    want = kg.KnowledgeGraph([
+        Triple("http://x/a", "http://x/name", Literal("Ann")),
+        Triple("http://x/a", "http://x/knows", "http://x/b"),
+        Triple("http://x/b", "http://x/knows", "http://x/a"),
+        Triple("http://x/b", "http://x/name", Literal("Ann")),
+    ])
+    for g in graphs:
+        assert g == want
+        # one object per equal IRI and one per equal Literal, in the
+        # triples and in both index families
+        nodes = [n for t in g.triples for n in (t.subject, t.predicate, t.object)]
+        for table in (g._sp, g._po):
+            nodes += table
+            for index in table.values():
+                nodes += index
+                nodes += [n for v in index.values() for n in v]
+        assert len({id(n) for n in nodes}) == len(set(nodes)) == 5
+
+
+def test_first_bad_line_is_reported_first(tmp_path):
+    # a fresh IRI with an empty local name on line 2 is reported before the
+    # line 3 that does not parse, whatever the source
+    lines = ["<http://x/a> <http://x/p> <http://x/b> .",
+             "<http://x/a> <http://x/p> <http://x/> .",
+             "not a triple"]
+    path, plain, listed = _source_kinds(tmp_path, lines)
+    with open(plain, encoding="utf-8") as fh:
+        for source in (path, fh, listed):
+            with pytest.raises(ParseError) as err:
+                kg.load(source)
+            assert err.value.line_no == 2
+            assert err.value.reason == "invalid object IRI: 'http://x/'"
+
+
 def test_graph_store_fields():
     # the graph store holds the graph and its indexes, no label table
     assert [f.name for f in fields(kg.KnowledgeGraph)] == [
