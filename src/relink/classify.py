@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 from . import text
 from .explain import ExplanationService
-from .kg import DataError, KnowledgeGraph, read_json, read_json_lines
+from .kg import DataError, KnowledgeGraph, read_bytes, read_json, read_json_lines
 from .linking import (
     DEFAULT_THETA_REL,
     GraphLabels,
@@ -495,6 +495,43 @@ def train(
     features = [featurize(ex.masked) for ex in examples]
     labels = [ex.label for ex in examples]
     return fit(features, labels, seed)
+
+
+def trained_on(training: bytes, seed: int) -> dict:
+    """What ``train(load_examples(path), seed)`` depends on, for a training
+    file holding the bytes ``training``: their SHA-256, the seed, and
+    ``EPOCHS``, ``LEARNING_RATE`` and ``L2``. A bundled model file keeps
+    this record, as ``trained_on``, next to its weights."""
+    import hashlib  # here, not at the top: `relink ingest` never hashes
+
+    return {
+        "sha256": hashlib.sha256(training).hexdigest(),
+        "seed": seed,
+        "epochs": EPOCHS,
+        "learning_rate": LEARNING_RATE,
+        "l2": L2,
+    }
+
+
+def train_or_load(
+    training: Union[str, Path], seed: int, bundled: Union[str, Path]
+) -> PatternClassifier:
+    """The classifier ``train(load_examples(training), seed)`` gives: the
+    model in the file ``bundled`` when its ``trained_on`` record equals
+    that of the training file's bytes and ``seed`` (a content-addressed
+    cache), else a fresh training. The two differ at most in the last bits
+    of their weights, as BLAS kernels differ between CPUs."""
+    record = trained_on(read_bytes(training), seed)
+    data = read_json(bundled, "model")
+    if data.get("trained_on") == record:
+        log.info(
+            "bundled model: training file sha256 %s..., seed %d",
+            record["sha256"][:12],
+            seed,
+        )
+        return PatternClassifier.from_json(data)
+    classifier, _ = train(load_examples(training), seed)
+    return classifier
 
 
 @dataclass(frozen=True)

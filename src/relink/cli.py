@@ -118,7 +118,9 @@ class ConfigError(ValueError):
 
 def _existing_file(name: str, path: str) -> str:
     if not Path(path).is_file():
-        raise ConfigError(f"{name} file not found: {path}")
+        # not Path.is_dir: Path("") is Path("."), and "" names no file
+        reason = "is a directory" if os.path.isdir(path) else "not found"
+        raise ConfigError(f"{name} file {reason}: {path}")
     return path
 
 
@@ -162,8 +164,7 @@ def build_linker(cfg: RunConfig) -> Linker:
     if cfg.model:
         classifier = classify.PatternClassifier.load(cfg.model)
     else:
-        examples = classify.load_examples(cfg.training)
-        classifier, _ = classify.train(examples, cfg.seed)
+        classifier = classify.train_or_load(cfg.training, cfg.seed, data_path("model.json"))
     link_config = assemble.LinkConfig(
         max_recursion_depth=cfg.max_depth,
         theta_rel=cfg.theta_rel,

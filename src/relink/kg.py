@@ -464,12 +464,22 @@ def _decode_error(path: Union[str, Path]) -> ParseError | None:
     return None
 
 
+def read_bytes(path: Union[str, Path], error: type[ValueError] = DataError) -> bytes:
+    """The bytes of a file. A directory raises ``error`` naming the file
+    instead of ``IsADirectoryError``; any other ``OSError`` passes."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except IsADirectoryError as exc:
+        raise error(f"{path}: is a directory") from exc
+
+
 def read_lines(path: Union[str, Path]) -> list[str]:
     """The lines of a UTF-8 file, split the way text mode splits them: at
     LF, CR LF and CR, and nowhere else; a leading byte-order mark is
-    dropped. A byte that does not decode raises ``DataError`` naming the
-    file and its line."""
-    data = Path(path).read_bytes()
+    dropped. A byte that does not decode, or a directory, raises
+    ``DataError`` naming the file (and the line)."""
+    data = read_bytes(path)
     try:
         # not "utf-8-sig": its error offsets would not count the mark
         text = _newlines(data.decode("utf-8")).removeprefix("\ufeff")
@@ -521,10 +531,15 @@ def read_json(
     path: Union[str, Path], what: str, error: type[ValueError] = ValueError
 ) -> dict:
     """The JSON object of a UTF-8 file (``what`` names it in errors); a
-    leading byte-order mark is dropped. A file that is not UTF-8, not JSON
-    or not a JSON object raises ``error`` naming the file."""
+    leading byte-order mark is dropped, and line endings are read as text
+    mode reads them. A directory, or a file that is empty, not UTF-8, not
+    JSON or not a JSON object, raises ``error`` naming the file."""
+    raw = read_bytes(path, error)
     try:
-        data = json.loads(Path(path).read_text("utf-8").removeprefix("\ufeff"))
+        text = _newlines(raw.decode("utf-8")).removeprefix("\ufeff")
+        if not text.strip():
+            raise ValueError("empty file")
+        data = json.loads(text)
     except ValueError as exc:
         raise error(f"{path}: {exc}") from exc
     if not isinstance(data, dict):

@@ -21,6 +21,9 @@ from relink.classify import (
     merge_review,
     train,
 )
+from relink.cli import data_path
+from relink.evaluate import load_gold
+from relink.kg import read_lines
 from relink.linking import detect_elements
 from relink.patterns import MetaPattern, has_instance, instantiate, shape_of
 from relink.text import tokenize
@@ -377,6 +380,43 @@ def test_model_rejects_unknown_format(tmp_path):
     path.write_text('{"format": "other/9"}')
     with pytest.raises(ValueError):
         classify.PatternClassifier.load(path)
+
+
+def test_bundled_model_record_names_the_bundled_training_file():
+    import hashlib
+
+    record = json.loads(data_path("model.json").read_text("utf-8"))["trained_on"]
+    training = data_path("training.jsonl").read_bytes()
+    assert record["sha256"] == hashlib.sha256(training).hexdigest()
+    assert record == classify.trained_on(training, 42)
+
+
+def test_bundled_model_answers_as_training_in_process(
+    classifier, training_examples, explainer, family_labels, lexicon
+):
+    """The bundled model stands for ``train(examples, 42)``, but need not be
+    bit-identical to a training on this CPU: OpenBLAS picks its kernel by
+    CPU, and on one x86-64 host its Haswell, Sandybridge and Prescott
+    kernels each trained weights up to 42 ulp (1.1e-16) away from the
+    default kernel's, with no training sentence changing class or 6-digit
+    confidence. So the answers are pinned exactly, the weights within 1e-12."""
+    bundled = classify.PatternClassifier.load(data_path("model.json"))
+    assert bundled.vocabulary == classifier.vocabulary
+    np.testing.assert_allclose(bundled.weights, classifier.weights, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(bundled.bias, classifier.bias, rtol=0, atol=1e-12)
+    phrases = [e.phrase for e in load_gold(data_path("gold.jsonl"))]
+    phrases += [p for p in read_lines(data_path("phrases.txt")) if p.strip()]
+    sentences = [ex.masked for ex in training_examples]
+    for phrase in phrases:
+        explanation = explainer.explain(phrase)
+        if explanation is not None:
+            ms, _ = _mask_sentence(explanation.sentence, family_labels, lexicon)
+            if ms.relation_count >= 2:
+                sentences.append(ms)
+    assert len(sentences) > len(training_examples) + 20
+    for ms in sentences:
+        (got, got_p), (want, want_p) = bundled.predict(ms), classifier.predict(ms)
+        assert (got, round(got_p, 6)) == (want, round(want_p, 6)), ms
 
 
 def test_example_jsonl_round_trip(training_examples, tmp_path):

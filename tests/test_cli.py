@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import fields
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from relink.cli import (
     EXIT_USAGE,
     RunConfig,
     build_config,
+    build_linker,
     data_path,
     main,
     make_parser,
@@ -430,8 +432,8 @@ def test_help_exits_zero():
 
 def test_numpy_loads_only_when_the_classifier_runs():
     """In a fresh interpreter, ``relink ingest`` loads only the graph
-    store; every pipeline module imports without numpy; the classifier
-    loads it."""
+    store, and not hashlib; every pipeline module imports without numpy;
+    the classifier loads it."""
     import os
     import subprocess
     import sys
@@ -442,7 +444,8 @@ def test_numpy_loads_only_when_the_classifier_runs():
         import json, sys
         import relink.cli
         assert relink.cli.main(["ingest"]) == 0
-        print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "relink")))
+        relink_modules = sorted(m for m in sys.modules if m.split(".")[0] == "relink")
+        print(json.dumps(["hashlib" in sys.modules, relink_modules]))
         from relink import *
         import relink.evaluate
         print(json.dumps(["numpy" in sys.modules, sorted(set(relink.__all__) - set(dir(relink)))]))
@@ -457,11 +460,66 @@ def test_numpy_loads_only_when_the_classifier_runs():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     *_, after_ingest, after_imports, after_link = proc.stdout.splitlines()
-    assert json.loads(after_ingest) == ["relink", "relink.cli", "relink.kg"]
+    # hashing the training file, which only build_linker does, imports hashlib
+    assert json.loads(after_ingest) == [False, ["relink", "relink.cli", "relink.kg"]]
     assert json.loads(after_imports) == [False, []]
     golden = Path(__file__).parent / "golden" / "link_patterns.json"
     expected = json.loads(golden.read_text("utf-8"))["mother-in-law"]
     assert json.loads(after_link) == [True, expected]
+
+
+def _train_spy(monkeypatch) -> list[int]:
+    """The seed of each ``classify.train`` call from now on."""
+    from relink import classify
+
+    seeds, train = [], classify.train
+
+    def spy(examples, seed=42):
+        seeds.append(seed)
+        return train(examples, seed)
+
+    monkeypatch.setattr(classify, "train", spy)
+    return seeds
+
+
+def test_default_config_loads_the_bundled_model(monkeypatch):
+    from relink import classify
+
+    seeds = _train_spy(monkeypatch)
+    linker = build_linker(RunConfig())
+    assert seeds == []
+    bundled = classify.PatternClassifier.load(data_path("model.json"))
+    assert linker.classifier.weights.tolist() == bundled.weights.tolist()
+    assert linker.classifier.bias.tolist() == bundled.bias.tolist()
+
+
+@pytest.mark.parametrize("change", ["crlf", "seed"])
+def test_training_bytes_or_seed_off_the_record_trains(monkeypatch, tmp_path, change):
+    # one changed byte, or another seed, is off the bundled model's record:
+    # the linker trains as it would with no bundled model
+    from relink import classify
+
+    training = tmp_path / "training.jsonl"
+    data = data_path("training.jsonl").read_bytes()
+    training.write_bytes(data.replace(b"\n", b"\r\n") if change == "crlf" else data)
+    seed = 43 if change == "seed" else 42
+    want, _ = classify.train(classify.load_examples(training), seed)
+    seeds = _train_spy(monkeypatch)
+    linker = build_linker(RunConfig(training=str(training), seed=seed))
+    assert seeds == [seed]
+    assert linker.classifier.weights.tolist() == want.weights.tolist()
+    assert linker.classifier.bias.tolist() == want.bias.tolist()
+
+
+def test_build_linker_logs_which_model(caplog):
+    caplog.set_level(logging.INFO, logger="relink.classify")
+    build_linker(RunConfig())
+    build_linker(RunConfig(seed=7))
+    digest = json.loads(data_path("model.json").read_text("utf-8"))["trained_on"]["sha256"]
+    bundled, trained = [r for r in caplog.records if r.name == "relink.classify"]
+    assert bundled.getMessage() == f"bundled model: training file sha256 {digest[:12]}..., seed 42"
+    assert trained.getMessage().startswith("trained on 81 examples")
+    assert bundled.levelno == trained.levelno == logging.INFO
 
 
 def test_eval_help_lists_every_method(capsys, monkeypatch):
@@ -491,7 +549,8 @@ def test_ingest_graph_not_a_file_usage_error(capsys, tmp_path, kind):
     code, out, err = run(capsys, "ingest", str(path))
     assert code == EXIT_USAGE
     assert out == ""
-    assert err == f"config error: kg file not found: {path}\n"
+    reason = "not found" if kind == "missing" else "is a directory"
+    assert err == f"config error: kg file {reason}: {path}\n"
 
 
 @pytest.mark.parametrize("content, line_no", [
@@ -826,7 +885,45 @@ def test_directory_for_input_file_usage_error(capsys, tmp_path, monkeypatch, arg
     monkeypatch.setenv("RELINK_PREFIXES", str(tmp_path))  # read by text output only
     name = argv[0].removeprefix("--") if "{d}" in argv else "prefixes"
     got = run(capsys, *[a.format(d=tmp_path) for a in argv])
-    assert got == (EXIT_USAGE, "", f"config error: {name} file not found: {tmp_path}\n")
+    assert got == (EXIT_USAGE, "", f"config error: {name} file is a directory: {tmp_path}\n")
+
+
+def test_directory_for_training_file_usage_error(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("RELINK_TRAINING", str(tmp_path))
+    got = run(capsys, "link", "son")
+    assert got == (EXIT_USAGE, "", f"config error: training file is a directory: {tmp_path}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["eval", "{d}"],
+     ["train", "{d}", "--model-out", "{out}"],
+     ["train", "--review", "{d}", "--model-out", "{out}"],
+     ["collect-training", "{d}", "--out", "{out}"]],
+    ids=["gold", "training", "review", "phrases"],
+)
+def test_directory_for_data_file_data_error(capsys, tmp_path, argv):
+    out = tmp_path / "out"
+    got = run(capsys, *[a.format(d=tmp_path, out=out) for a in argv])
+    assert got == (EXIT_DATA, "", f"data error: {tmp_path}: is a directory\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--config", "{f}", "link", "son"], ["--lexicon", "{f}", "link", "son"],
+     ["--explanations", "{f}", "link", "son"], ["--model", "{f}", "link", "son"],
+     ["--output", "text", "link", "son"]],  # the prefixes path, via RELINK_PREFIXES
+    ids=["config", "lexicon", "explanations", "model", "prefixes"],
+)
+@pytest.mark.parametrize("content", [b"", b"\xef\xbb\xbf\r\n"], ids=["empty", "bom-newline"])
+def test_empty_settings_file_usage_error(capsys, tmp_path, monkeypatch, argv, content):
+    path = tmp_path / "settings.json"
+    path.write_bytes(content)
+    monkeypatch.setenv("RELINK_PREFIXES", str(path))  # read by text output only
+    got = run(capsys, *[a.format(f=path) for a in argv])
+    assert got[0] == EXIT_USAGE
+    assert got[2] == f"error: {path}: empty file\n"
 
 
 def test_missing_prefixes_file_usage_error(capsys, tmp_path, monkeypatch):
