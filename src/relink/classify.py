@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from . import text
 from .explain import ExplanationService
@@ -41,9 +42,6 @@ from .patterns import (
     instantiate,
     shape_of,
 )
-
-if TYPE_CHECKING:  # numpy is imported where the model trains, loads or predicts
-    import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -274,46 +272,45 @@ def _is_number_list(value: object) -> bool:
 class PatternClassifier:
     """Multinomial linear model over sparse features.
 
-    The constructor checks the model and keeps read-only float copies of
-    the array-likes ``weights`` (one row per class of ``CLASSES``, one
-    column per vocabulary index) and ``bias``; a model that does not fit
-    raises ``ValueError("malformed model: …")``.
+    The constructor checks the model and keeps read-only Python float
+    copies of ``weights`` (one row per class of ``CLASSES``, one column per
+    vocabulary index), as a tuple of tuples, and of ``bias``, as a tuple; a
+    model that does not fit raises ``ValueError("malformed model: …")``.
     """
 
     def __init__(
         self,
         vocabulary: dict[str, int],
-        weights: np.ndarray,
-        bias: np.ndarray,
+        weights: Sequence[Sequence[float]],
+        bias: Sequence[float],
     ):
-        import numpy as np
-
         try:
-            weights = np.array(weights, dtype=float)
-            bias = np.array(bias, dtype=float)
-        except (OverflowError, ValueError) as exc:  # ragged rows, an int no float holds
+            weights = tuple(tuple(map(float, row)) for row in weights)
+            bias = tuple(map(float, bias))
+        # an int no float holds, a string that is no number, a row that is a number
+        except (OverflowError, ValueError, TypeError) as exc:
             raise ValueError(f"malformed model: weights and bias: {exc}") from exc
         shape = (len(CLASSES), len(vocabulary))
-        if weights.shape != shape or bias.shape != shape[:1]:
+        widths = sorted({len(row) for row in weights})
+        if len(weights) != shape[0] or widths != [shape[1]] or len(bias) != shape[0]:
             raise ValueError(
-                f"malformed model: weights {weights.shape} and bias"
-                f" {bias.shape} do not fit {shape[0]} classes, {shape[1]} features"
+                f"malformed model: weights ({len(weights)} rows, widths {widths})"
+                f" and bias ({len(bias)}) do not fit {shape[0]} classes, {shape[1]} features"
             )
         if any(type(i) is not int or not 0 <= i < shape[1] for i in vocabulary.values()):
             raise ValueError(
                 f"malformed model: vocabulary indexes must be integers in [0, {shape[1]})"
             )
-        if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
+        if len(set(vocabulary.values())) != len(vocabulary):
+            raise ValueError("malformed model: vocabulary indexes must be distinct")
+        if not all(math.isfinite(x) for row in (bias, *weights) for x in row):
             raise ValueError("malformed model: weights and bias must be finite")
-        weights.flags.writeable = False
-        bias.flags.writeable = False
         self.vocabulary = dict(vocabulary)
         self.weights = weights
         self.bias = bias
-        # feature name -> its weight for each class, as Python floats
-        columns = list(zip(*weights.tolist()))
+        # feature name -> its weight for each class
+        columns = list(zip(*weights))
         self._columns = {name: columns[i] for name, i in self.vocabulary.items()}
-        self._bias = tuple(bias.tolist())
 
     def predict_features(self, feats: dict[str, float]) -> tuple[MetaPattern, float]:
         """The most probable class and its softmax probability.
@@ -321,16 +318,14 @@ class PatternClassifier:
         The scores are summed in Python floats, from the bias and in the
         order of ``feats``, one ``value * weight`` product per class and
         feature: the IEEE operations, in the same order, of adding each
-        feature's numpy weight column to a numpy score vector. The shifted
-        scores go through one ``np.exp`` call on a length-3 array, as the
-        numpy softmax does, and are normalised by ``(e0 + e1) + e2``, the
-        order in which numpy sums a row of three. So the result is
-        bit-identical to that numpy computation
-        (``tests/oracles.py::reference_predict_features``).
+        feature's weight column to a numpy score vector. The shifted scores
+        go through ``math.exp`` and are normalised by ``(e0 + e1) + e2``,
+        the order in which numpy sums a row of three. So the result is
+        bit-identical to that numpy score vector normalised with
+        ``math.exp`` (``tests/oracles.py::reference_predict_features``),
+        and within a few ulp of numpy's ``np.exp`` softmax.
         """
-        import numpy as np
-
-        z0, z1, z2 = self._bias
+        z0, z1, z2 = self.bias
         columns = self._columns
         for name, value in feats.items():
             column = columns.get(name)
@@ -340,7 +335,7 @@ class PatternClassifier:
                 z1 += value * w1
                 z2 += value * w2
         top = max(z0, z1, z2)
-        e0, e1, e2 = np.exp((z0 - top, z1 - top, z2 - top)).tolist()
+        e0, e1, e2 = math.exp(z0 - top), math.exp(z1 - top), math.exp(z2 - top)
         total = (e0 + e1) + e2
         probs = (e0 / total, e1 / total, e2 / total)
         best = max(probs)
@@ -359,8 +354,8 @@ class PatternClassifier:
             "classes": [c.value for c in CLASSES],
             "tie_break": [c.value for c in DEFAULT_TIE_BREAK],
             "vocabulary": self.vocabulary,
-            "weights": self.weights.tolist(),
-            "bias": self.bias.tolist(),
+            "weights": [list(row) for row in self.weights],
+            "bias": list(self.bias),
         }
 
     def save(self, path: Union[str, Path]) -> None:
@@ -477,7 +472,7 @@ def fit(
         s *= rate
         b -= s
 
-    clf = PatternClassifier(vocab, w, b)
+    clf = PatternClassifier(vocab, w.tolist(), b.tolist())
     z = x @ w.T + b
     accuracy = float((z.argmax(axis=1) == y.argmax(axis=1)).mean())
     counts = {cls.value: labels.count(cls) for cls in CLASSES}

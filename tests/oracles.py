@@ -8,6 +8,7 @@ adjacency classification scans raw triple pairs.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import re
 import string
@@ -256,26 +257,50 @@ def reference_fit(
     return vocab, w, b
 
 
-def reference_predict_features(
-    clf: PatternClassifier, feats: dict[str, float]
-) -> tuple[MetaPattern, float]:
-    """``PatternClassifier.predict_features`` in numpy: each feature's
-    weight column scaled and added to a score vector that starts from the
-    bias, then the softmax of that vector."""
+def _shifted_scores(clf: PatternClassifier, feats: dict[str, float]) -> np.ndarray:
+    """Each feature's weight column scaled and added to a numpy score
+    vector that starts from the bias, less its maximum."""
     import numpy as np
 
-    z = clf.bias.copy()
+    z = np.array(clf.bias)
+    weights = np.array(clf.weights)
     for name, value in feats.items():
         idx = clf.vocabulary.get(name)
         if idx is not None:
-            z += value * clf.weights[:, idx]
-    z = z - z.max()
-    probs = np.exp(z)
-    probs /= probs.sum()
+            z += value * weights[:, idx]
+    return z - z.max()
+
+
+def _most_probable(probs: np.ndarray) -> tuple[MetaPattern, float]:
     best = probs.max()
     # exact ties resolve through the fixed class order
     tied = [c for c, p in zip(CLASSES, probs) if p == best]
     return min(tied, key=DEFAULT_TIE_BREAK.index), float(best)
+
+
+def reference_predict_features(
+    clf: PatternClassifier, feats: dict[str, float]
+) -> tuple[MetaPattern, float]:
+    """``PatternClassifier.predict_features`` in numpy: the softmax of the
+    numpy score vector, its exponentials taken by ``math.exp``."""
+    import numpy as np
+
+    probs = np.array([math.exp(v) for v in _shifted_scores(clf, feats).tolist()])
+    probs /= probs.sum()
+    return _most_probable(probs)
+
+
+def numpy_softmax_predict_features(
+    clf: PatternClassifier, feats: dict[str, float]
+) -> tuple[MetaPattern, float]:
+    """The class and probability of numpy's own softmax of the score
+    vector, ``np.exp`` included. Its exp kernel and libm's ``math.exp``
+    differ in the last bit on a few percent of inputs."""
+    import numpy as np
+
+    probs = np.exp(_shifted_scores(clf, feats))
+    probs /= probs.sum()
+    return _most_probable(probs)
 
 
 def reference_pattern_check(

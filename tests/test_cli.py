@@ -430,15 +430,16 @@ def test_help_exits_zero():
     assert "ingest" in proc.stdout and "eval" in proc.stdout
 
 
-def test_numpy_loads_only_when_the_classifier_runs():
+def test_numpy_loads_only_when_a_classifier_trains(tmp_path):
     """In a fresh interpreter, ``relink ingest`` loads only the graph
     store, and not hashlib; every pipeline module imports without numpy;
-    the classifier loads it."""
+    a link with the default config, which loads the bundled model, and
+    ``eval`` load no numpy either. Training does: ``relink train``, and a
+    link whose seed is off the bundled model's record."""
     import os
     import subprocess
     import sys
     import textwrap
-    from pathlib import Path
 
     script = textwrap.dedent("""
         import json, sys
@@ -452,20 +453,41 @@ def test_numpy_loads_only_when_the_classifier_runs():
         linker = relink.cli.build_linker(relink.cli.RunConfig())
         pattern = linker.link("mother-in-law").pattern.to_json()
         print(json.dumps(["numpy" in sys.modules, pattern]))
+        import contextlib, io
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = relink.cli.main(["eval"])
+        print(json.dumps([code, "numpy" in sys.modules]))
+    """)
+    # a command's exit code, and whether it loaded numpy
+    command = textwrap.dedent("""
+        import contextlib, io, json, sys
+        import relink.cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = relink.cli.main(sys.argv[1:])
+        print(json.dumps([code, "numpy" in sys.modules]))
     """)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    *_, after_ingest, after_imports, after_link = proc.stdout.splitlines()
+
+    def stdout(*args: str) -> list[str]:
+        proc = subprocess.run([sys.executable, "-c", *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()
+
+    *_, after_ingest, after_imports, after_link, after_eval = stdout(script)
     # hashing the training file, which only build_linker does, imports hashlib
     assert json.loads(after_ingest) == [False, ["relink", "relink.cli", "relink.kg"]]
     assert json.loads(after_imports) == [False, []]
     golden = Path(__file__).parent / "golden" / "link_patterns.json"
     expected = json.loads(golden.read_text("utf-8"))["mother-in-law"]
-    assert json.loads(after_link) == [True, expected]
+    assert json.loads(after_link) == [False, expected]
+    assert json.loads(after_eval) == [EXIT_OK, False]
+    train = ["train", "--model-out", str(tmp_path / "model.json")]
+    off_record = ["--seed", "7", "link", "mother-in-law"]
+    for argv in (train, off_record):
+        assert json.loads(stdout(command, *argv)[-1]) == [EXIT_OK, True], argv
 
 
 def _train_spy(monkeypatch) -> list[int]:
@@ -489,8 +511,8 @@ def test_default_config_loads_the_bundled_model(monkeypatch):
     linker = build_linker(RunConfig())
     assert seeds == []
     bundled = classify.PatternClassifier.load(data_path("model.json"))
-    assert linker.classifier.weights.tolist() == bundled.weights.tolist()
-    assert linker.classifier.bias.tolist() == bundled.bias.tolist()
+    assert linker.classifier.weights == bundled.weights
+    assert linker.classifier.bias == bundled.bias
 
 
 @pytest.mark.parametrize("change", ["crlf", "seed"])
@@ -507,8 +529,8 @@ def test_training_bytes_or_seed_off_the_record_trains(monkeypatch, tmp_path, cha
     seeds = _train_spy(monkeypatch)
     linker = build_linker(RunConfig(training=str(training), seed=seed))
     assert seeds == [seed]
-    assert linker.classifier.weights.tolist() == want.weights.tolist()
-    assert linker.classifier.bias.tolist() == want.bias.tolist()
+    assert linker.classifier.weights == want.weights
+    assert linker.classifier.bias == want.bias
 
 
 def test_build_linker_logs_which_model(caplog):
@@ -971,7 +993,9 @@ def test_unwritable_output_data_error(capsys, tmp_path, argv):
      lambda m: m["weights"][1].__setitem__(0, "0.5"),
      lambda m: m["weights"][2].__setitem__(0, "x"),
      lambda m: m["weights"][2].append(0.0),  # ragged
-     lambda m: m["bias"].__setitem__(0, 10**400)],  # no float holds it
+     lambda m: m["bias"].__setitem__(0, 10**400),  # no float holds it
+     # two features share a column, so another column is never read
+     lambda m: m["vocabulary"].update(dict.fromkeys(list(m["vocabulary"])[:2], 0))],
 )
 def test_model_shape_checked_at_load(capsys, tmp_path, corrupt):
     model = tmp_path / "model.json"
