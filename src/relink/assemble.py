@@ -2,11 +2,14 @@
 
 The pipeline for a phrase: a direct predicate hit short-circuits to a
 single-edge pattern; otherwise the phrase's explanation sentence is
-analyzed. Detected relation mentions are assembled under the classified
-meta pattern, in sentence order first, then with the order swapped, then
-through the remaining shapes, accepting the first candidate the graph
-validates. Unlinked content n-grams that the explainer can define are
-linked recursively and spliced back in as pseudo-relations.
+analyzed. Unlinked content n-grams that the explainer can define are
+linked recursively and spliced back in as pseudo-relations. One relation
+mention is a single-edge pattern. Two or more are assembled pair by
+pair, left to right: a pair's candidates are the classified meta pattern
+first, then the other shapes in tie-break order (a chain in sentence
+order, then swapped), and the first candidate the graph validates is
+accepted. With three or more mentions, each accepted pair becomes a
+pseudo-relation that pairs with the next mention.
 """
 
 from __future__ import annotations
@@ -159,11 +162,9 @@ class Linker:
         elems = detect_elements(tokens, self.labels, self.lexicon, self.config.theta_rel)
         state.trace.append(_elements_step(tokens, elems, depth))
 
-        substituted = self._resolve_nested(tokens, elems, depth, state)
-        if substituted is not None:
-            tokens, elems = substituted
+        tokens, elems = self._resolve_nested(tokens, elems, depth, state)
 
-        relations = list(elems.relations)
+        relations = elems.relations
         if not relations:
             state.trace.append({"step": "no-match", "reason": "no relations detected"})
             return None
@@ -181,8 +182,6 @@ class Linker:
                 "confidence": round(confidence, 6),
             }
         )
-        if len(relations) == 2:
-            return self._assemble_pair(relations[0], relations[1], elems.types, mp, state)
         return self._fold(relations, elems.types, mp, state)
 
     def _link_single(
@@ -191,6 +190,8 @@ class Linker:
         types: Sequence[TypeHit],
         state: "_LinkState",
     ) -> Optional[SubgraphPattern]:
+        """RP1 over the one relation mention, retried without types when
+        the typed pattern has no instance; a trace step only on success."""
         if isinstance(hit.relation, PseudoRelation):
             # identity substitution: the nested pattern is the answer, and
             # the graph accepted it when it was linked
@@ -217,14 +218,23 @@ class Linker:
         elems: MetaElements,
         depth: int,
         state: "_LinkState",
-    ) -> Optional[tuple[list[Token], MetaElements]]:
-        """Recursively link unexplained n-grams; returns updated sentence or None."""
-        changed = False
+    ) -> tuple[list[Token], MetaElements]:
+        """Recursively link the longest leftmost unlinked content n-gram
+        the explainer can define and splice it in as a pseudo-relation,
+        until no such n-gram is left; returns the sentence as it ends."""
         while True:
-            candidate = self._nested_candidate(tokens, elems, state)
-            if candidate is None:
-                break
-            span, gram, explanation = candidate
+            blocked = [t.span for t in elems.types] + [r.span for r in elems.relations]
+            # a window holds no pseudo-relation, so its tokens are the words
+            for span in content_spans(tokens, blocked):
+                gram = " ".join(tokens[span.start : span.end])
+                key = normalize_phrase(gram)
+                if key in state.active or key in state.failed_nested:
+                    continue
+                explanation = self.explainer.explain(gram)
+                if explanation is not None:
+                    break
+            else:
+                return tokens, elems
             state.trace.append(
                 {
                     "step": "nested-phrase",
@@ -234,7 +244,6 @@ class Linker:
                 }
             )
             sub_tokens: list[Token] = list(text.tokenize(explanation.sentence))
-            key = normalize_phrase(gram)
             state.active.add(key)
             try:
                 sub_pattern = self._link_sentence(sub_tokens, depth + 1, state)
@@ -248,84 +257,56 @@ class Linker:
             tokens = tokens[: span.start] + [pseudo] + tokens[span.end :]
             elems = detect_elements(tokens, self.labels, self.lexicon, self.config.theta_rel)
             state.trace.append(_elements_step(tokens, elems, depth, resubstituted=True))
-            changed = True
-        return (tokens, elems) if changed else None
-
-    def _nested_candidate(
-        self, tokens: list[Token], elems: MetaElements, state: "_LinkState"
-    ):
-        """Longest leftmost unlinked content n-gram the explainer can define."""
-        blocked = [t.span for t in elems.types] + [r.span for r in elems.relations]
-        # a window holds no pseudo-relation, so its tokens are the words
-        for span in content_spans(tokens, blocked):
-            gram = " ".join(tokens[span.start : span.end])
-            key = normalize_phrase(gram)
-            if key in state.active or key in state.failed_nested:
-                continue
-            explanation = self.explainer.explain(gram)
-            if explanation is not None:
-                return span, gram, explanation
-        return None
 
     # -- assembly -------------------------------------------------------------
 
-    def _assemble_pair(
-        self,
-        first: RelationHit,
-        second: RelationHit,
-        types: Sequence[TypeHit],
-        mp: MetaPattern,
-        state: "_LinkState",
-    ) -> Optional[SubgraphPattern]:
-        """The first candidate the graph validates: the predicted shape,
-        then the others in tie-break order (see ``patterns.plans``)."""
-        kinds = (mp, *(k for k in DEFAULT_TIE_BREAK if k is not mp))
-        for kind, (a, b) in plans(kinds, first, second):
-            step = {
-                "step": "candidate",
-                "meta_pattern": kind.value,
-                "order": [_hit_name(a), _hit_name(b)],
-            }
-            pattern = self._build_pattern(kind, (a, b), types)
-            if pattern is None:
-                step.update(accepted=False, reason="unspliceable nested pattern")
-            else:
-                accepted = self._validate(pattern, state)
-                step.update(
-                    pattern=pattern.to_json(),
-                    accepted=accepted,
-                    reason=None if accepted else "no instance in graph",
-                )
-            state.trace.append(step)
-            if step["accepted"]:
-                return pattern
-        state.trace.append({"step": "no-match", "reason": "no candidate validated"})
-        return None
-
     def _fold(
         self,
-        relations: list[RelationHit],
+        relations: Sequence[RelationHit],
         types: Sequence[TypeHit],
         mp: MetaPattern,
         state: "_LinkState",
     ) -> Optional[SubgraphPattern]:
-        """Left-fold more than two relations into nested pseudo-relations."""
-        remaining = list(relations)
-        while len(remaining) > 1:
-            first, second = remaining[0], remaining[1]
-            sub = self._assemble_pair(first, second, types, mp, state)
-            if sub is None:
+        """Assemble two or more relations pair by pair, left to right.
+
+        A pair takes the first candidate the graph validates: the
+        predicted shape, then the others in tie-break order (see
+        ``patterns.plans``). With more than two relations, each accepted
+        pair becomes a pseudo-relation that pairs with the next one.
+        """
+        kinds = (mp, *(k for k in DEFAULT_TIE_BREAK if k is not mp))
+        first, rest = relations[0], relations[1:]
+        for i, second in enumerate(rest):
+            for kind, (a, b) in plans(kinds, first, second):
+                step = {
+                    "step": "candidate",
+                    "meta_pattern": kind.value,
+                    "order": [_hit_name(a), _hit_name(b)],
+                }
+                pattern = self._build_pattern(kind, (a, b), types)
+                if pattern is None:
+                    step.update(accepted=False, reason="unspliceable nested pattern")
+                else:
+                    accepted = self._validate(pattern, state)
+                    step.update(
+                        pattern=pattern.to_json(),
+                        accepted=accepted,
+                        reason=None if accepted else "no instance in graph",
+                    )
+                state.trace.append(step)
+                if step["accepted"]:
+                    break
+            else:
+                state.trace.append({"step": "no-match", "reason": "no candidate validated"})
                 return None
-            merged = Span(first.span.start, second.span.end)
-            pseudo = RelationHit(merged, PseudoRelation("(fold)", sub), 1.0)
-            state.trace.append(
-                {"step": "fold", "pattern": sub.to_json(), "consumed": 2,
-                 "remaining": len(remaining) - 1}
-            )
-            remaining = [pseudo] + remaining[2:]
-        final = remaining[0].relation
-        assert isinstance(final, PseudoRelation)
-        return final.pattern
+            if len(rest) > 1:
+                state.trace.append(
+                    {"step": "fold", "pattern": pattern.to_json(), "consumed": 2,
+                     "remaining": len(rest) - i}
+                )
+                merged = Span(first.span.start, second.span.end)
+                first = RelationHit(merged, PseudoRelation("(fold)", pattern), 1.0)
+        return pattern
 
     def _build_pattern(
         self,

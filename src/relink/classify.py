@@ -207,13 +207,27 @@ class TrainingExample:
     @classmethod
     def from_json(cls, data: dict) -> "TrainingExample":
         return cls(
-            phrase=data["phrase"],
-            sentence=tuple(data["sentence"]),
-            masked=MaskedSentence.from_tokens(data["masked"]),
+            phrase=_string(data["phrase"], "phrase"),
+            sentence=_tokens(data["sentence"], "sentence"),
+            masked=MaskedSentence.from_tokens(_tokens(data["masked"], "masked")),
             label=MetaPattern(data["label"]),
             pattern=SubgraphPattern.from_json(data["pattern"]),
-            origin=data.get("origin", "manual"),
+            origin=_string(data.get("origin", "manual"), "origin"),
         )
+
+
+def _string(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def _tokens(value, name: str) -> tuple[str, ...]:
+    """A JSON list of strings as a tuple; a string, which would iterate
+    as its characters, is refused like any other non-list."""
+    if not isinstance(value, list) or not all(isinstance(t, str) for t in value):
+        raise TypeError(f"{name} must be a list of strings, got {value!r}")
+    return tuple(value)
 
 
 def save_examples(examples: Iterable[TrainingExample], path: Union[str, Path]) -> None:

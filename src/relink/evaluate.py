@@ -50,10 +50,16 @@ class GoldEntry:
 
     @classmethod
     def from_json(cls, data: dict) -> "GoldEntry":
+        phrase = data["phrase"]
+        if not isinstance(phrase, str) or not phrase.strip():
+            raise ValueError(f"phrase must be a non-blank string, got {phrase!r}")
+        known_failure = data.get("known_failure", False)
+        if not isinstance(known_failure, bool):
+            raise TypeError(f"known_failure must be a JSON boolean, got {known_failure!r}")
         return cls(
-            phrase=data["phrase"],
+            phrase=phrase,
             gold_pattern=SubgraphPattern.from_json(data["gold_pattern"]),
-            known_failure=bool(data.get("known_failure", False)),
+            known_failure=known_failure,
         )
 
 

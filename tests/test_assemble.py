@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from relink import kg, linking
-from relink.assemble import LinkConfig, Linker, link_data_driven
+from relink.assemble import PERMISSIVE, STRICT, LinkConfig, Linker, link_data_driven
 from relink.cli import data_path
 from relink.explain import ExplanationService, FixtureProvider
 from relink.linking import MetaElements, PseudoRelation, RelationHit, Span
@@ -12,6 +15,7 @@ from relink.patterns import MetaPattern, SubgraphPattern, has_instance, source_s
 EX = "http://example.org/ontology/"
 FOAF = "http://xmlns.com/foaf/0.1/"
 RES = "http://example.org/resource/"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def edges_of(pattern: SubgraphPattern):
@@ -347,46 +351,76 @@ def test_fold_assembles_three_real_relations(family_graph, lexicon, classifier):
 
 
 def test_link_outputs_match_golden_file(linker):
-    import json
-    from pathlib import Path
-
-    golden_path = Path(__file__).parent / "golden" / "link_patterns.json"
-    golden = json.loads(golden_path.read_text("utf-8"))
+    golden = json.loads((GOLDEN / "link_patterns.json").read_text("utf-8"))
     for phrase, expected in golden.items():
         result = linker.link(phrase)
         got = result.pattern.to_json() if result.pattern else None
         assert got == expected, phrase
 
 
-def test_link_traces_match_golden_file(linker):
-    """Every gold and phrases.txt phrase: the whole result, trace included.
+def _split_confidence(result: dict) -> tuple[dict, list]:
+    """A ``to_json`` result without its classifier confidences, and those."""
+    steps = [dict(step) for step in result["trace"]]
+    confidences = [step.pop("confidence") for step in steps if "confidence" in step]
+    return {**result, "trace": steps}, confidences
+
+
+def _assert_results_match(linker: Linker, golden: dict) -> None:
+    """Each phrase's whole result, trace included, equals its golden one.
 
     Only the classifier confidence is compared within a tolerance, since
     it comes out of numpy training.
     """
-    import json
-    from pathlib import Path
+    for phrase, expected in golden.items():
+        got, got_conf = _split_confidence(linker.link(phrase).to_json())
+        want, want_conf = _split_confidence(expected)
+        assert got == want, phrase
+        assert got_conf == pytest.approx(want_conf, abs=1e-6), phrase
 
-    from relink.cli import data_path
+
+@pytest.mark.parametrize(
+    "name, validation",
+    [("link_traces.json", STRICT), ("link_traces_permissive.json", PERMISSIVE)],
+    ids=[STRICT, PERMISSIVE],
+)
+def test_link_traces_match_golden_file(
+    family_graph, explainer, lexicon, classifier, name, validation
+):
+    """Every gold and phrases.txt phrase in each validation mode."""
     from relink.evaluate import load_gold
 
-    def split_confidence(result: dict) -> tuple[dict, list]:
-        steps = [dict(step) for step in result["trace"]]
-        confidences = [step.pop("confidence") for step in steps if "confidence" in step]
-        return {**result, "trace": steps}, confidences
-
-    golden_path = Path(__file__).parent / "golden" / "link_traces.json"
-    golden = json.loads(golden_path.read_text("utf-8"))
+    golden = json.loads((GOLDEN / name).read_text("utf-8"))
     phrases = {e.phrase for e in load_gold(data_path("gold.jsonl"))}
     phrases.update(
         p.strip() for p in data_path("phrases.txt").read_text("utf-8").splitlines()
     )
     assert set(golden) == phrases - {""}
-    for phrase, expected in golden.items():
-        got, got_conf = split_confidence(linker.link(phrase).to_json())
-        want, want_conf = split_confidence(expected)
-        assert got == want, phrase
-        assert got_conf == pytest.approx(want_conf, abs=1e-6), phrase
+    linker = Linker(family_graph, explainer, lexicon, classifier,
+                    LinkConfig(validation=validation))
+    _assert_results_match(linker, golden)
+
+
+# sentences of three and four directly linked relations, which fold left
+FOLD_SENTENCES = {
+    "chainword": "the child of your spouse's mother",
+    "motherline": "the mother of the father of the mother of your parent",
+    "parentline": "the parent of your parent's parent's parent",
+    "spouseline": "the spouse of the child of your spouse's mother",
+}
+
+
+@pytest.mark.parametrize("validation", [STRICT, PERMISSIVE])
+def test_folds_match_golden_file(family_graph, lexicon, classifier, validation):
+    """Folds that complete, and folds over four mentions. chainword folds
+    twice in both modes; parentline folds three times (its RP4 reading
+    included); motherline and spouseline fold three times only without
+    validation, and in strict mode stop after one and two folds."""
+    golden = json.loads((GOLDEN / "link_folds.json").read_text("utf-8"))
+    assert set(golden[validation]) == set(FOLD_SENTENCES)
+    explainer = ExplanationService([FixtureProvider(FOLD_SENTENCES)])
+    linker = Linker(family_graph, explainer, lexicon, classifier,
+                    LinkConfig(validation=validation))
+    _assert_results_match(linker, golden[validation])
 
 
 def test_link_config_validation():

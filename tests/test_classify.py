@@ -469,7 +469,7 @@ _GOOD_LINE = json.dumps({
      (b'{"phrase": "x"}', "missing key 'sentence'"),
      (_GOOD_LINE.replace('"RP2"', '"RP9"').encode(), "RP9"),
      (_GOOD_LINE.replace('"RP2"', '"RP3"').encode(), "does not match label"),
-     (_GOOD_LINE.replace('"*mother"', "1").encode(), "startswith"),
+     (_GOOD_LINE.replace('"*mother"', "1").encode(), "masked must be a list of strings"),
      (_GOOD_LINE.replace('"*mother", ', "").encode(), "need at least 2 masked relations, got 1"),
      (b"\xff", "'utf-8' codec")],
     ids=["not-json", "not-object", "missing-key", "unknown-label", "wrong-shape",

@@ -668,9 +668,35 @@ _ONE_MASK_LINE = (
 )
 
 
+def _first_line_with(name: str, **changes) -> bytes:
+    """The first line of a bundled JSONL file with some fields replaced."""
+    data = json.loads(data_path(name).read_text("utf-8").splitlines()[0])
+    return json.dumps({**data, **changes}).encode()
+
+
+# the first example with one field of the wrong JSON type; a token list
+# joined into one string would otherwise load as its single characters
+_TRAINING_FIELD_LINES = {
+    "sentence-string": _first_line_with(
+        "training.jsonl", sentence="the mother of a person spouse"
+    ),
+    "masked-string": _first_line_with(
+        "training.jsonl", masked="the *mother of a person *spouse"
+    ),
+    "token-not-string": _first_line_with(
+        "training.jsonl", sentence=["the", "mother", "of", "a", "person", 5]
+    ),
+    "phrase-number": _first_line_with("training.jsonl", phrase=5),
+    "origin-null": _first_line_with("training.jsonl", origin=None),
+}
+
+
 @pytest.mark.parametrize(
-    "line", [b'{"phrase": "x"}', b"[1]", b"{not json", b"\xff", _ONE_MASK_LINE],
-    ids=["missing-key", "not-object", "not-json", "not-utf8", "one-mask"],
+    "line",
+    [b'{"phrase": "x"}', b"[1]", b"{not json", b"\xff", _ONE_MASK_LINE,
+     *_TRAINING_FIELD_LINES.values()],
+    ids=["missing-key", "not-object", "not-json", "not-utf8", "one-mask",
+         *_TRAINING_FIELD_LINES],
 )
 @pytest.mark.parametrize(
     "argv",
@@ -774,8 +800,19 @@ def test_eval_gold_line_not_an_object_data_error(capsys, tmp_path, line):
     [("{not json", "Expecting property name"),
      ("[1]", "not a JSON object"),
      ('{"phrase": "son"}', "missing key 'gold_pattern'"),
-     ('{"phrase": "son", "gold_pattern": {"edges": []}}', "at least one edge")],
-    ids=["not-json", "not-object", "missing-key", "no-edges"],
+     ('{"phrase": "son", "gold_pattern": {"edges": []}}', "at least one edge"),
+     (_first_line_with("gold.jsonl", phrase=5).decode(),
+      "phrase must be a non-blank string, got 5"),
+     (_first_line_with("gold.jsonl", phrase="").decode(),
+      "phrase must be a non-blank string, got ''"),
+     (_first_line_with("gold.jsonl", phrase=" ").decode(),
+      "phrase must be a non-blank string, got ' '"),
+     (_first_line_with("gold.jsonl", known_failure="false").decode(),
+      "known_failure must be a JSON boolean, got 'false'"),
+     (_first_line_with("gold.jsonl", known_failure=0).decode(),
+      "known_failure must be a JSON boolean, got 0")],
+    ids=["not-json", "not-object", "missing-key", "no-edges", "phrase-number",
+         "phrase-empty", "phrase-blank", "known-failure-string", "known-failure-zero"],
 )
 def test_eval_gold_bad_line_named(capsys, tmp_path, line, reason):
     gold = tmp_path / "gold.jsonl"
