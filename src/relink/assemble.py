@@ -8,8 +8,8 @@ mention is a single-edge pattern. Two or more are assembled pair by
 pair, left to right: a pair's candidates are the classified meta pattern
 first, then the other shapes in tie-break order (a chain in sentence
 order, then swapped), and the first candidate the graph validates is
-accepted. With three or more mentions, each accepted pair becomes a
-pseudo-relation that pairs with the next mention.
+accepted. With three or more mentions, each accepted pair but the last
+becomes a pseudo-relation that pairs with the next mention.
 """
 
 from __future__ import annotations
@@ -272,7 +272,8 @@ class Linker:
         A pair takes the first candidate the graph validates: the
         predicted shape, then the others in tie-break order (see
         ``patterns.plans``). With more than two relations, each accepted
-        pair becomes a pseudo-relation that pairs with the next one.
+        pair records a ``fold`` step, and each but the last becomes a
+        pseudo-relation that pairs with the next relation.
         """
         kinds = (mp, *(k for k in DEFAULT_TIE_BREAK if k is not mp))
         first, rest = relations[0], relations[1:]
@@ -304,6 +305,7 @@ class Linker:
                     {"step": "fold", "pattern": pattern.to_json(), "consumed": 2,
                      "remaining": len(rest) - i}
                 )
+            if i + 1 < len(rest):
                 merged = Span(first.span.start, second.span.end)
                 first = RelationHit(merged, PseudoRelation("(fold)", pattern), 1.0)
         return pattern

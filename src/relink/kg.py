@@ -7,13 +7,29 @@ configurable type predicate. A load turns each line straight into a
 plain key tuple, drops duplicate keys, and makes one ``Triple`` per
 distinct triple. Graphs are immutable once loaded and safe to share
 across threads.
+
+A load, and the ``KnowledgeGraph`` constructor, run with the cyclic
+garbage collector paused (``_gc_paused``). Nothing either makes can form
+a cycle: key tuples, ``Triple``s and ``Literal``s hold strings, and the
+indexes hold dicts, lists and frozensets of those. So the collections
+the load's allocations would trigger free nothing and only cost time.
+The pause is for the whole process: loads in several threads share it,
+and the last to finish restores the state the first found. A thread
+that enables or disables the collector while another thread loads can
+find its change undone when that load ends.
+
+Every reader here, the graph's and those of the JSON and line-based
+inputs, reports a byte that is not UTF-8 the same way:
+``<file> line <n>: not valid UTF-8: <reason>``.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import logging
 import re
+import threading
 from collections import defaultdict
 from dataclasses import FrozenInstanceError, dataclass, field
 from operator import attrgetter
@@ -239,6 +255,46 @@ def _line_keys(lines: Iterable[str]) -> list[tuple]:
     return keys
 
 
+class _CollectorPause:
+    """A context that pauses the cyclic garbage collector.
+
+    Entered by several threads at once, it disables the collector when
+    the first enters and re-enables it when the last leaves, and only if
+    it was enabled when the first entered; a lock makes reading the state
+    and changing it one step, so no interleaving of loads can leave the
+    collector off. There is one, ``_gc_paused``, because the collector's
+    state is the whole process's: two pauses would race as unlocked
+    code does.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._inside = 0  # entries not yet left, in every thread
+        self._resume = False  # the collector was enabled when the first entered
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if not self._inside:
+                self._resume = gc.isenabled()
+                gc.disable()
+            self._inside += 1
+
+    def __exit__(self, *exc) -> None:
+        # not ``with self._lock``: the lock's __exit__ gets an argument
+        # tuple, an allocation that would start the resumed collector's
+        # first sweep inside the load rather than after it
+        self._lock.acquire()
+        try:
+            self._inside -= 1
+            if not self._inside and self._resume:
+                gc.enable()
+        finally:
+            self._lock.release()
+
+
+_gc_paused = _CollectorPause()
+
+
 def _sorted_triples(keys: list[tuple]) -> tuple[Triple, ...]:
     """One ``Triple`` per distinct key, in key order, which is
     ``Triple.sort_key`` order, with one ``Literal`` per distinct value.
@@ -298,18 +354,19 @@ class KnowledgeGraph:
         # a plain key tuple per triple, (s, p, 0, iri) or (s, p, 1, value),
         # orders as Triple.sort_key and hashes and compares in C; the
         # first triple seen for each key is the one kept
-        first: dict[tuple, Triple] = {}
-        for t in self.triples:
-            o = t.object
-            if isinstance(o, Literal):
-                key = (t.subject, t.predicate, 1, o.value)
-            else:
-                key = (t.subject, t.predicate, 0, o)
-            if key not in first:
-                first[key] = t
-        ordered = tuple(map(first.__getitem__, sorted(first)))
-        del first  # frees the keys before the indexes grow
-        self._index(ordered)
+        with _gc_paused:
+            first: dict[tuple, Triple] = {}
+            for t in self.triples:
+                o = t.object
+                if isinstance(o, Literal):
+                    key = (t.subject, t.predicate, 1, o.value)
+                else:
+                    key = (t.subject, t.predicate, 0, o)
+                if key not in first:
+                    first[key] = t
+            ordered = tuple(map(first.__getitem__, sorted(first)))
+            del first  # frees the keys before the indexes grow
+            self._index(ordered)
 
     @classmethod
     def _of_sorted(cls, ordered: tuple[Triple, ...], type_predicate: str) -> KnowledgeGraph:
@@ -422,30 +479,33 @@ def load(
 
     Each line becomes one key tuple (``_line_key``), never a ``Triple``;
     the keys are sorted once, and each distinct key gets one ``Triple``,
-    with one ``Literal`` per distinct value (``_sorted_triples``). A file may start with a UTF-8
-    byte-order mark, and its ``ParseError`` names it. One that is not
-    UTF-8 raises ``ParseError`` for the line holding its first
-    undecodable byte; an open text handle, which cannot be read again,
-    for the first line not yet read (see ``_line_keys``).
+    with one ``Literal`` per distinct value (``_sorted_triples``). A
+    file may start with a UTF-8 byte-order mark, and its ``ParseError``
+    names it. One that is not UTF-8 raises ``ParseError`` for the line
+    holding its first undecodable byte; an open text handle, which cannot
+    be read again, for the first line not yet read (see ``_line_keys``).
+    The whole load runs with the cyclic garbage collector paused (see the
+    module's docstring).
     """
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8-sig") as fh:
-            try:
-                keys = _line_keys(fh)
-            except ParseError as exc:
-                if isinstance(exc.__cause__, UnicodeDecodeError):
-                    # None if the file changed after it was read
-                    exc = _decode_error(source) or exc
-                raise ParseError(exc.line_no, exc.reason, source) from None
-    else:
-        keys = _line_keys(source)
-    ordered = _sorted_triples(keys)
-    del keys  # frees the keys before the indexes grow
-    g = KnowledgeGraph._of_sorted(ordered, type_predicate)
-    log.info(
-        "loaded graph: %d triples, %d predicates, %d types, %d entities",
-        len(g.triples), len(g.predicate_set), len(g.type_set), len(g.entity_set),
-    )
+    with _gc_paused:
+        if isinstance(source, (str, Path)):
+            with open(source, encoding="utf-8-sig") as fh:
+                try:
+                    keys = _line_keys(fh)
+                except ParseError as exc:
+                    if isinstance(exc.__cause__, UnicodeDecodeError):
+                        # None if the file changed after it was read
+                        exc = _decode_error(source) or exc
+                    raise ParseError(exc.line_no, exc.reason, source) from None
+        else:
+            keys = _line_keys(source)
+        ordered = _sorted_triples(keys)
+        del keys  # frees the keys before the indexes grow
+        g = KnowledgeGraph._of_sorted(ordered, type_predicate)
+        log.info(
+            "loaded graph: %d triples, %d predicates, %d types, %d entities",
+            len(g.triples), len(g.predicate_set), len(g.type_set), len(g.entity_set),
+        )
     return g
 
 
@@ -479,12 +539,7 @@ def read_lines(path: Union[str, Path]) -> list[str]:
     LF, CR LF and CR, and nowhere else; a leading byte-order mark is
     dropped. A byte that does not decode, or a directory, raises
     ``DataError`` naming the file (and the line)."""
-    data = read_bytes(path)
-    try:
-        # not "utf-8-sig": its error offsets would not count the mark
-        text = _newlines(data.decode("utf-8")).removeprefix("\ufeff")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path} line {_line_of(data, exc)}: {exc}") from exc
+    text = _text(read_bytes(path), path, DataError)
     return text.removesuffix("\n").split("\n") if text else []
 
 
@@ -517,6 +572,20 @@ def read_json_lines(
     return out
 
 
+def _text(data: bytes, path: Union[str, Path], error: type[ValueError]) -> str:
+    """``data`` decoded as UTF-8, a leading byte-order mark dropped and
+    line endings read as text mode reads them. A byte that does not
+    decode raises ``error`` naming the file and its line, as the graph
+    reader does."""
+    try:
+        # not "utf-8-sig": its error offsets would not count the mark
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = _line_of(data, exc)
+        raise error(f"{path} line {line_no}: not valid UTF-8: {exc.reason}") from exc
+    return _newlines(text).removeprefix("\ufeff")
+
+
 def _newlines(text: str) -> str:
     """``text`` with each CR LF and lone CR read as LF, as text mode does."""
     return text.replace("\r\n", "\n").replace("\r", "\n")
@@ -533,10 +602,10 @@ def read_json(
     """The JSON object of a UTF-8 file (``what`` names it in errors); a
     leading byte-order mark is dropped, and line endings are read as text
     mode reads them. A directory, or a file that is empty, not UTF-8, not
-    JSON or not a JSON object, raises ``error`` naming the file."""
-    raw = read_bytes(path, error)
+    JSON or not a JSON object, raises ``error`` naming the file (and, for
+    a byte that does not decode, its line)."""
+    text = _text(read_bytes(path, error), path, error)
     try:
-        text = _newlines(raw.decode("utf-8")).removeprefix("\ufeff")
         if not text.strip():
             raise ValueError("empty file")
         data = json.loads(text)

@@ -187,6 +187,30 @@ def test_nested_ends_found_once_per_pair(linker, monkeypatch, phrase, nested_pla
     assert len(calls) == ends
 
 
+@pytest.mark.parametrize("phrase, folds, ends", [("chainword", 2, 1), ("parentline", 3, 2)])
+def test_fold_ends_found_only_for_pairs_that_follow(
+    family_graph, lexicon, classifier, monkeypatch, phrase, folds, ends
+):
+    """Every accepted pair of a fold over three or more mentions records a
+    fold step, but only a pair that another pair follows becomes a
+    pseudo-relation, so its ends are found: chainword folds twice and
+    parentline three times."""
+    calls = []
+    real = linking.source_sink
+
+    def counted(sp):
+        calls.append(sp)
+        return real(sp)
+
+    monkeypatch.setattr(linking, "source_sink", counted)
+    explainer = ExplanationService([FixtureProvider(FOLD_SENTENCES)])
+    linker = Linker(family_graph, explainer, lexicon, classifier, LinkConfig())
+    result = linker.link(phrase)
+    assert result.matched
+    assert sum(s["step"] == "fold" for s in result.trace) == folds
+    assert len(calls) == ends
+
+
 def test_pseudo_relation_ends_leave_equality_alone(linker):
     grandparent = linker.link("grandparent").pattern
     a = PseudoRelation("grandparent", grandparent)

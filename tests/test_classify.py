@@ -471,7 +471,7 @@ _GOOD_LINE = json.dumps({
      (_GOOD_LINE.replace('"RP2"', '"RP3"').encode(), "does not match label"),
      (_GOOD_LINE.replace('"*mother"', "1").encode(), "masked must be a list of strings"),
      (_GOOD_LINE.replace('"*mother", ', "").encode(), "need at least 2 masked relations, got 1"),
-     (b"\xff", "'utf-8' codec")],
+     (b"\xff", "not valid UTF-8: invalid start byte")],
     ids=["not-json", "not-object", "missing-key", "unknown-label", "wrong-shape",
          "token-not-string", "one-mask", "not-utf8"],
 )
@@ -490,7 +490,7 @@ def test_load_examples_line_endings(tmp_path, newline):
     path.write_bytes(newline.join([_GOOD_LINE.encode()] * 3) + newline)
     assert len(classify.load_examples(path)) == 3
     path.write_bytes(newline.join([_GOOD_LINE.encode(), b"", b"\xff"]) + newline)
-    with pytest.raises(TrainingDataError, match="'utf-8' codec") as err:
+    with pytest.raises(TrainingDataError, match="not valid UTF-8: invalid start byte") as err:
         classify.load_examples(path)
     assert str(err.value).startswith(f"{path} line 3: ")
 

@@ -151,13 +151,27 @@ def test_malformed_json_input_named(capsys, tmp_path, monkeypatch, name, argv, p
     if name == "prefixes.json":
         monkeypatch.setenv("RELINK_PREFIXES", str(path))
     argv = [a.format(path=path, out=tmp_path / "m.json") for a in argv]
-    for payload, reason in [(b'{"son" 1}', f"{path}: Expecting ':' delimiter"),
-                            (b'{"\xff": 1}', f"{path}: 'utf-8' codec")]:
+    for payload, reason in [
+        (b'{"son" 1}', f"{path}: Expecting ':' delimiter"),
+        (b'{"\xff": 1}', f"{path} line 1: not valid UTF-8: invalid start byte"),
+    ]:
         path.write_bytes(payload)
         got, out, err = run(capsys, *argv)
         assert (got, out) == (code, "")
         assert err.startswith(prefix + reason)
         assert err.count(str(path)) == 1
+
+
+def test_review_not_utf8_names_line(capsys, tmp_path):
+    # the line of the first undecodable byte, counting CR LF and lone CR
+    # as text mode does; no model is written
+    review = tmp_path / "review.json"
+    review.write_bytes(b'{\r\n  "accept": [],\r  "reject": ["\xe9"]\n}\n')
+    model = tmp_path / "m.json"
+    code, out, err = run(capsys, "train", "--review", str(review), "--model-out", str(model))
+    assert (code, out) == (EXIT_DATA, "")
+    assert err == f"data error: {review} line 3: not valid UTF-8: invalid continuation byte\n"
+    assert not model.exists()
 
 
 @pytest.mark.parametrize(
@@ -587,7 +601,7 @@ def test_collect_phrases_not_utf8_data_error(capsys, tmp_path, content, line_no)
     code, out, err = run(capsys, "collect-training", str(phrases), "--out", str(out_file))
     assert code == EXIT_DATA
     assert err.startswith(
-        f"data error: {phrases} line {line_no}: 'utf-8' codec can't decode byte 0xff"
+        f"data error: {phrases} line {line_no}: not valid UTF-8: invalid start byte\n"
     )
     assert out == "" and not out_file.exists()
 

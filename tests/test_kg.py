@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import contextlib
+import gc
 import pickle
 import random
 import re
 import string
 import sys
+import threading
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
@@ -563,6 +567,174 @@ def test_open_text_handle_not_utf8_is_parse_error(tmp_path):
         assert 1 <= err.value.line_no <= bad_line
         assert "at or after" in str(err.value)
     assert err.value.line_no > 1  # line 1000 lies past the first decoded chunk
+
+
+# 3,000 distinct triples: enough allocations for the collector to run
+# dozens of young collections were it not paused
+_MANY_LINES = [
+    f"<http://x/s{i}> <http://x/p{i % 7}> <http://x/o{i % 50}> ." if i % 3
+    else f'<http://x/s{i}> <http://x/name> "n{i % 200}" .'
+    for i in range(3000)
+]
+
+
+@contextlib.contextmanager
+def _collector_state(enabled: bool):
+    """Run with the cyclic garbage collector enabled or not, then restore it."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_load_and_constructor_run_no_collection(tmp_path):
+    path = tmp_path / "many.nt"
+    path.write_text("\n".join(_MANY_LINES) + "\n", "utf-8")
+    collections = []
+
+    def count(phase: str, info: dict) -> None:
+        if phase == "start":
+            collections.append(info["generation"])
+
+    runs = {
+        "load path": lambda: kg.load(path),
+        "load lines": lambda: kg.load(_MANY_LINES),
+        "construct": lambda: kg.KnowledgeGraph(kg.parse_line(line, 1) for line in _MANY_LINES),
+    }
+    with _collector_state(True):
+        gc.callbacks.append(count)
+        try:
+            for name, run in runs.items():
+                gc.collect()
+                collections.clear()
+                assert len(run()) == len(_MANY_LINES), name
+                assert collections == [], name
+        finally:
+            gc.callbacks.remove(count)
+
+
+# past the first chunk text mode decodes, so some lines are read first
+_BAD_UTF8 = "\n".join(_MANY_LINES).encode() + b"\n<http://x/a> <http://x/p> <http://x/\xff> .\n"
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize(
+    "content, error",
+    [("\n".join(_MANY_LINES).encode(), None),
+     (b"<http://x/a> <http://x/p> <http://x/b> .\nnot a triple\n", ParseError),
+     (_BAD_UTF8, ParseError),
+     (None, FileNotFoundError)],
+    ids=["loads", "parse-error", "not-utf8", "missing"],
+)
+def test_load_pauses_and_restores_collector(tmp_path, enabled, content, error):
+    # the collector is off while the lines are read, and on after a load
+    # only if it was on before, however the load ended
+    path = tmp_path / "g.nt"
+    if content is not None:
+        path.write_bytes(content)
+    seen: list[bool] = []
+
+    def lines_noting_collector():
+        with open(path, encoding="utf-8") as fh:
+            for line in fh:
+                seen.append(gc.isenabled())
+                yield line
+
+    sources = [path] if content is None else [path, lines_noting_collector()]
+    with _collector_state(enabled):
+        for source in sources:
+            with pytest.raises(error) if error else contextlib.nullcontext():
+                kg.load(source)
+            assert gc.isenabled() is enabled
+    assert (content is None) is (seen == [])
+    assert not any(seen)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_constructor_pauses_and_restores_collector(enabled):
+    # the constructor reads its source with the collector off, and leaves
+    # it as it found it, whether the source ends or fails
+    source = kg.load(_MANY_LINES).triples
+    seen: list[bool] = []
+
+    def triples(fail: bool):
+        for t in source:
+            seen.append(gc.isenabled())
+            yield t
+        if fail:
+            raise RuntimeError("source failed")
+
+    with _collector_state(enabled):
+        assert len(kg.KnowledgeGraph(triples(False))) == len(source)
+        assert gc.isenabled() is enabled
+        with pytest.raises(RuntimeError, match="source failed"):
+            kg.KnowledgeGraph(triples(True))
+        assert gc.isenabled() is enabled
+    assert len(seen) == 2 * len(source) and not any(seen)
+
+
+def test_many_small_loads_in_threads_leave_collector_on():
+    # empty loads that start and end while others run, switching threads
+    # every microsecond: however their pauses and resumes interleave, the
+    # collector is on once all have ended. A pause that read and changed
+    # the collector's state without a lock ended with it off in most rounds.
+    done = []
+
+    def load_many() -> None:
+        for _ in range(5000):
+            kg.load([])
+        done.append(True)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with _collector_state(True):
+            for _ in range(3):
+                threads = [threading.Thread(target=load_many) for _ in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                    assert not t.is_alive()
+                assert gc.isenabled()
+    finally:
+        sys.setswitchinterval(previous)
+    assert len(done) == 12
+
+
+def test_loads_in_threads_beside_linking_match_sequential(tmp_path, linker, explainer,
+                                                          family_graph, lexicon, classifier):
+    """Loads in several threads share the paused collector while another
+    thread links: every graph and every link result equals its sequential
+    one, and the collector is on again once all have finished."""
+    path = tmp_path / "many.nt"
+    path.write_text("\n".join(_MANY_LINES) + "\n", "utf-8")
+    want_graph = kg.load(path)
+    phrases = sorted({e.phrase for e in evaluate.load_gold(data_path("gold.jsonl"))})
+    want_links = [linker.link(p).to_json() for p in phrases]
+    shared = Linker(family_graph, explainer, lexicon, classifier, LinkConfig())
+
+    def load_some(_: int) -> list:
+        return [kg.load(path) for _ in range(3)]
+
+    def link_all() -> list[dict]:
+        return [shared.link(p).to_json() for p in phrases]
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with _collector_state(True):
+            with ThreadPoolExecutor(max_workers=5) as pool:
+                linked = pool.submit(link_all)
+                loaded = list(pool.map(load_some, range(4), timeout=120))
+                links = linked.result(timeout=120)
+            assert gc.isenabled()
+    finally:
+        sys.setswitchinterval(previous)
+    assert all(g == want_graph for graphs in loaded for g in graphs)
+    assert links == want_links
 
 
 def test_load_prefixes_and_shorten(tmp_path):
