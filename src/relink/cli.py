@@ -178,13 +178,18 @@ def build_linker(cfg: RunConfig) -> Linker:
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     cfg = build_config(args)
-    graph = kg.load(_existing_file("kg", cfg.kg))
-    summary = {
-        "triples": len(graph),
-        "predicates": len(graph.predicate_set),
-        "types": len(graph.type_set),
-        "entities": len(graph.entity_set),
-    }
+    path = _existing_file("kg", cfg.kg)
+    # the graph is freed before the load's collector pause ends, so no
+    # collection sweeps what the load made only to find it all dropped
+    with kg._gc_paused:
+        graph = kg.load(path)
+        summary = {
+            "triples": len(graph),
+            "predicates": len(graph.predicate_set),
+            "types": len(graph.type_set),
+            "entities": len(graph.entity_set),
+        }
+        del graph
     if cfg.output == "json":
         print(json.dumps(summary, sort_keys=True))
     else:

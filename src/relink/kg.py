@@ -18,9 +18,16 @@ and the last to finish restores the state the first found. A thread
 that enables or disables the collector while another thread loads can
 find its change undone when that load ends.
 
+A graph file is read about 64 K characters at a time, each chunk ending
+on a line and parsed by one regular-expression pass over all its lines;
+a chunk that holds a faulty line is read again line by line, which gives
+the error, so a file's keys and errors are those of the line reader.
+
 Every reader here, the graph's and those of the JSON and line-based
 inputs, reports a byte that is not UTF-8 the same way:
-``<file> line <n>: not valid UTF-8: <reason>``.
+``<file> line <n>: not valid UTF-8: <reason>``. The graph's reports the
+earliest faulty line: a malformed line before the undecodable byte's
+line wins, whatever the chunk sizes.
 """
 
 from __future__ import annotations
@@ -155,9 +162,23 @@ _NOT_IRI_CHAR = re.compile(rf"[<>{_SPACES}]")
 # '>' either way.
 _IRI_TERM = r"<([^>]+)>"
 _LIT_TERM = r'"([^"]*)"'
-_LINE_RE = re.compile(
-    rf"^\s*{_IRI_TERM}\s+{_IRI_TERM}\s+(?:{_IRI_TERM}|{_LIT_TERM})\s*\.\s*$"
-)
+_TRIPLE = rf"{_IRI_TERM}\s+{_IRI_TERM}\s+(?:{_IRI_TERM}|{_LIT_TERM})\s*\."
+_LINE_RE = re.compile(rf"^\s*{_TRIPLE}\s*$")
+# One row per line of a whole chunk of text: a triple's four terms as
+# ``_LINE_RE`` reads them, or four empty strings for a blank line or one
+# whose first non-space character is '#'. Space before and after a row
+# excludes '\n', so no valid line's row reaches past its line.
+#
+# Why equal counts mean no row spans a line: '^' makes every row start at
+# a line start, and rows do not overlap, so no two start at one line
+# start, and a row that spans lines covers a line start at which no row
+# can then start. A chunk has one line start more than it has '\n's (its
+# end is one when it ends with '\n', and gives an empty row). So when it
+# gives that many rows, every line start begins a row and none is
+# covered: each row is one whole line, which ``_LINE_RE`` reads the same
+# way or ``_line_keys`` skips.
+_ROW_RE = re.compile(rf"^[^\S\n]*(?:{_TRIPLE}[^\S\n]*|#.*)?$", re.M)
+_CHUNK_CHARS = 1 << 16  # characters a path's reader asks for at a time
 
 
 def valid_iri(iri: str) -> bool:
@@ -229,30 +250,92 @@ def _not_a_triple(line: str, line_no: int) -> ParseError:
     return ParseError(line_no, f"not a valid triple: {line.strip()!r}")
 
 
-def _line_keys(lines: Iterable[str]) -> list[tuple]:
+def _undecodable(line_no: int, exc: UnicodeDecodeError) -> ParseError:
+    # text mode decodes ahead of the lines it returns, so the bad byte is
+    # at or after the first line not yet read
+    return ParseError(line_no, f"not valid UTF-8 at or after this line: {exc.reason}")
+
+
+def _line_keys(
+    lines: Iterable[str], iris: dict[str, str] | None = None, start: int = 1
+) -> list[tuple]:
     """The keys (``_line_key``) of a line stream's triples, in line order,
     duplicates included; equal IRIs come out as one string object. Blank
     lines and lines whose first non-space character is '#' are skipped.
+    ``iris`` is the load's intern table and ``start`` the number of the
+    first line.
 
     A stream that fails to decode raises ``ParseError`` for the first
-    line not yet read. Text mode decodes in chunks, so the bad byte is
-    at or after that line.
+    line not yet read (``_undecodable``).
     """
-    iris: dict[str, str] = {}
+    iris = {} if iris is None else iris
     keys: list[tuple] = []
     add = keys.append
-    line_no = 0
+    line_no = start - 1
     try:
-        for line_no, line in enumerate(lines, start=1):
+        for line_no, line in enumerate(lines, start=start):
             head = line.lstrip()
             if not head or head[0] == "#":
                 continue
             add(_line_key(line, line_no, iris))
     except UnicodeDecodeError as exc:
-        raise ParseError(
-            line_no + 1, f"not valid UTF-8 at or after this line: {exc.reason}"
-        ) from exc
+        raise _undecodable(line_no + 1, exc) from exc
     return keys
+
+
+class _Reread(Exception):
+    """A chunk ``_ROW_RE`` cannot read alone: ``_line_keys`` reads it."""
+
+
+def _new_iri(iris: dict[str, str], iri: str) -> str:
+    if not valid_iri(iri):
+        raise _Reread
+    iris[iri] = iri
+    return iri
+
+
+def _file_keys(fh: IO[str]) -> list[tuple]:
+    """The keys ``_line_keys`` gives for the lines of ``fh``, read about
+    ``_CHUNK_CHARS`` characters at a time, each chunk extended to end on a
+    line and parsed by one ``_ROW_RE.findall``; each IRI is checked when
+    first seen and interned, as ``_line_key`` does.
+
+    A chunk with fewer rows than line starts, which means a line that is
+    not a triple, or with an IRI that ``valid_iri`` rejects, is read again
+    line by line by ``_line_keys``, which raises its ``ParseError``; so
+    keys and errors are those of ``_line_keys`` by construction.
+    """
+    iris: dict[str, str] = {}
+    get = iris.get
+    keys: list[tuple] = []
+    add = keys.append
+    line_no = 0  # the lines of the chunks before this one
+    while True:
+        try:
+            chunk = fh.read(_CHUNK_CHARS)
+            if chunk[-1:] != "\n":
+                chunk += fh.readline()
+        except UnicodeDecodeError as exc:
+            raise _undecodable(line_no + 1, exc) from exc
+        if not chunk:
+            return keys
+        rows = _ROW_RE.findall(chunk)
+        ends = chunk.count("\n")
+        mark = len(keys)
+        try:
+            if len(rows) != ends + 1:
+                raise _Reread
+            for s, p, o, lit in rows:
+                if s:  # not a blank or comment line
+                    s = get(s) or _new_iri(iris, s)
+                    p = get(p) or _new_iri(iris, p)
+                    if o:
+                        add((s, p, 0, get(o) or _new_iri(iris, o)))
+                    else:
+                        add((s, p, 1, lit))
+        except _Reread:
+            keys[mark:] = _line_keys(chunk.split("\n"), iris, line_no + 1)
+        line_no += ends
 
 
 class _CollectorPause:
@@ -309,6 +392,7 @@ def _sorted_triples(keys: list[tuple]) -> tuple[Triple, ...]:
     literals: dict[str, Literal] = {}
     triples = []
     append = triples.append
+    new = object.__new__
     last = None
     for key in sorted(keys):
         if key == last:
@@ -317,7 +401,11 @@ def _sorted_triples(keys: list[tuple]) -> tuple[Triple, ...]:
         subject, predicate, kind, obj = key
         if kind:
             obj = literals.get(obj) or literals.setdefault(obj, Literal(obj))
-        append(Triple(subject, predicate, obj))
+        t = new(Triple)  # Triple's own __init__ would add a frame per triple
+        _set_subject(t, subject)
+        _set_predicate(t, predicate)
+        _set_object(t, obj)
+        append(t)
     return tuple(triples)
 
 
@@ -477,21 +565,24 @@ def load(
 ) -> KnowledgeGraph:
     """Parse and index a triple stream; duplicates are dropped silently.
 
-    Each line becomes one key tuple (``_line_key``), never a ``Triple``;
-    the keys are sorted once, and each distinct key gets one ``Triple``,
-    with one ``Literal`` per distinct value (``_sorted_triples``). A
-    file may start with a UTF-8 byte-order mark, and its ``ParseError``
-    names it. One that is not UTF-8 raises ``ParseError`` for the line
-    holding its first undecodable byte; an open text handle, which cannot
-    be read again, for the first line not yet read (see ``_line_keys``).
-    The whole load runs with the cyclic garbage collector paused (see the
-    module's docstring).
+    Each line becomes one key tuple, never a ``Triple``: a path's lines a
+    chunk at a time (``_file_keys``), any other source's one at a time
+    (``_line_keys``), with the same keys and errors. The keys are sorted
+    once, and each distinct key gets one ``Triple``, with one ``Literal``
+    per distinct value (``_sorted_triples``). A file may start with a
+    UTF-8 byte-order mark, and its ``ParseError`` names it. The earliest
+    faulty line wins: a file that is not UTF-8 raises ``ParseError`` for
+    the first malformed line before the one holding its first
+    undecodable byte, else for that line (``_decode_error``); an open
+    text handle, which cannot be read again, for the first line not yet
+    read. The whole load runs with the cyclic garbage collector paused
+    (see the module's docstring).
     """
     with _gc_paused:
         if isinstance(source, (str, Path)):
             with open(source, encoding="utf-8-sig") as fh:
                 try:
-                    keys = _line_keys(fh)
+                    keys = _file_keys(fh)
                 except ParseError as exc:
                     if isinstance(exc.__cause__, UnicodeDecodeError):
                         # None if the file changed after it was read
@@ -510,17 +601,26 @@ def load(
 
 
 def _decode_error(path: Union[str, Path]) -> ParseError | None:
-    """The error for a file that is not UTF-8, at the line of its first
-    undecodable byte; None if the file decodes.
+    """The error for a file that is not UTF-8, or None if it decodes: the
+    first faulty line's among those before the line that holds the first
+    undecodable byte, else ``not valid UTF-8`` at that line.
 
-    Text-mode reading decodes in chunks, so its error gives no line;
-    decoding the whole file again gives the byte offset.
+    Text-mode reading decodes ahead of the lines it returns, so its error
+    gives no line and some lines before it went unread; decoding the whole
+    file again gives the byte offset, and the lines before it are read
+    here, so the earliest fault is reported whatever the chunk sizes.
     """
     data = Path(path).read_bytes()
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        return ParseError(_line_of(data, exc), f"not valid UTF-8: {exc.reason}")
+        head = _newlines(data[: exc.start].decode("utf-8")).removeprefix("\ufeff")
+        before = head.split("\n")[:-1]  # the last is the undecodable line's start
+        try:
+            _line_keys(before)
+        except ParseError as earlier:
+            return earlier
+        return ParseError(len(before) + 1, f"not valid UTF-8: {exc.reason}")
     return None
 
 

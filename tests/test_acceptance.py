@@ -231,6 +231,7 @@ def test_c9_property_suites_present():
             "test_index_round_trip",
             "test_load_is_deterministic",
             "test_parse_line_matches_reference",
+            "test_chunked_reads_equal_line_reads",
         ],
         "test_patterns.py": [
             "test_match_oracle_on_random_graphs",

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import gc
 import json
 import logging
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -19,6 +21,8 @@ from relink.cli import (
     main,
     make_parser,
 )
+
+from .threads import run_together
 
 EX = "http://example.org/ontology/"
 
@@ -55,6 +59,72 @@ def test_ingest_malformed_reports_line(capsys, tmp_path):
     assert err.startswith(f"data error: {path} line 2: not a valid triple")
     # the same message as any other command that loads the graph
     assert run(capsys, "--kg", str(path), "link", "son") == (EXIT_DATA, "", err)
+
+
+def _many_triples(tmp_path) -> Path:
+    """A graph file of 3,000 distinct triples: its load makes thousands of
+    objects the collector tracks, far past the young generation's
+    threshold."""
+    path = tmp_path / "many.nt"
+    path.write_text("".join(f"<http://x/s{i}> <http://x/p{i % 7}> <http://x/o{i % 50}> .\n"
+                            for i in range(3000)), "utf-8")
+    return path
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_ingest_starts_no_collection(capsys, tmp_path, enabled):
+    # ingest drops its graph before the collector resumes, so no collection
+    # sweeps what the load made, and it leaves the collector as it found it
+    path = _many_triples(tmp_path)
+    starts = []
+
+    def note(phase: str, info: dict) -> None:
+        if phase == "start":
+            starts.append(info["generation"])
+
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        # a first ingest fills the tuple free lists, as they are in a process
+        # that ingests again; a freed tuple parked there is not subtracted
+        # from the young generation's count, and a full collection would
+        # empty them. A young collection then starts the count from zero.
+        assert main(["ingest", str(path)]) == EXIT_OK
+        gc.collect(0)
+        gc.callbacks.append(note)
+        try:
+            code = main(["ingest", str(path)])
+        finally:
+            gc.callbacks.remove(note)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert code == EXIT_OK
+    printed = [json.loads(line)["triples"] for line in capsys.readouterr().out.splitlines()]
+    assert printed == [3000, 3000]
+    assert starts == []
+
+
+def test_ingest_in_threads_prints_the_same_counts(capsys, tmp_path):
+    # ingests in several threads share the collector pause: each prints
+    # the sequential counts, and the collector is on once all have ended
+    path = _many_triples(tmp_path)
+    code, want, _ = run(capsys, "ingest", str(path))
+    assert code == EXIT_OK
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    was = gc.isenabled()
+    gc.enable()
+    try:
+        codes = run_together([lambda: main(["ingest", str(path)])] * 4)
+        assert gc.isenabled()
+    finally:
+        sys.setswitchinterval(previous)
+        (gc.enable if was else gc.disable)()
+    assert codes == [EXIT_OK] * 4
+    out = capsys.readouterr().out
+    # a print writes its text and its line end apart, so lines may interleave
+    assert out.count(want.strip()) == 4 and out.count("\n") == 4
 
 
 @pytest.mark.parametrize("command", [["ingest"], ["link", "son"]])

@@ -12,6 +12,8 @@ from relink.explain import (
     normalize_phrase,
 )
 
+from .threads import run_together
+
 
 def test_fixture_lookup_mother_in_law(explainer):
     exp = explainer.explain("mother-in-law")
@@ -355,7 +357,6 @@ def test_cache_stays_bounded_over_distinct_misses():
 
 def test_threads_sharing_one_linker_match_sequential(linker, family_graph, lexicon, classifier):
     import sys
-    from concurrent.futures import ThreadPoolExecutor
 
     from relink.assemble import LinkConfig, Linker
     from relink.cli import data_path
@@ -376,9 +377,8 @@ def test_threads_sharing_one_linker_match_sequential(linker, family_graph, lexic
     previous = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            offsets = [i * 4 % len(phrases) for i in range(16)]
-            passes = list(pool.map(one_pass, offsets, timeout=120))
+        offsets = [i * 4 % len(phrases) for i in range(16)]
+        passes = run_together([lambda o=o: one_pass(o) for o in offsets])
     finally:
         sys.setswitchinterval(previous)
     for results in passes:

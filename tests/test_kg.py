@@ -9,8 +9,8 @@ import string
 import sys
 import threading
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import FrozenInstanceError, fields, replace
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -36,6 +36,7 @@ from .oracles import (
     reference_parse_line,
     reference_tokenize_name,
 )
+from .threads import run_together
 
 
 def test_three_line_file_with_type_triple():
@@ -450,6 +451,7 @@ def test_index_keys_follow_triple_order(family_graph):
             assert list(g._po[p]) == list(dict.fromkeys(t.object for t in ts))
 
 
+_BOM = b"\xef\xbb\xbf"  # UTF-8 byte-order mark
 _SOURCE_LINES = [
     "# a comment",
     '<http://x/a> <http://x/name> "Ann" .',
@@ -471,7 +473,7 @@ def _source_kinds(tmp_path, lines: list[str]) -> list:
     ends = ("\n", "\r\n", "\r")
     text = "".join(line + ends[i % 3] for i, line in enumerate(lines))
     path = tmp_path / "graph.nt"
-    path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    path.write_bytes(_BOM + text.encode("utf-8"))
     plain = tmp_path / "plain.nt"
     plain.write_bytes(text.encode("utf-8"))
     return [path, plain, text.splitlines(keepends=True)]
@@ -567,6 +569,117 @@ def test_open_text_handle_not_utf8_is_parse_error(tmp_path):
         assert 1 <= err.value.line_no <= bad_line
         assert "at or after" in str(err.value)
     assert err.value.line_no > 1  # line 1000 lies past the first decoded chunk
+
+
+@pytest.mark.parametrize("chunk", [64, 256, 1 << 16])
+def test_earliest_fault_wins_over_a_bad_byte(tmp_path, chunk):
+    # a malformed line before the line of a byte that is not UTF-8 is the
+    # one reported, and one after it is not, however far apart they lie and
+    # wherever text mode's decoding and the reader's chunks end
+    good = b"<http://x/a> <http://x/p> <http://x/b> .\n"
+    bad_byte = b"<http://x/a> <http://x/p> <http://x/\xff> .\n"
+    path = tmp_path / "g.nt"
+    with mock.patch.object(kg, "_CHUNK_CHARS", chunk):
+        for gap in (0, 26_000 // len(good)):
+            for head in (b"", _BOM):
+                path.write_bytes(head + good + b"not a triple\n" + good * gap + bad_byte)
+                with pytest.raises(ParseError) as err:
+                    kg.load(path)
+                assert str(err.value) == f"{path} line 2: not a valid triple: 'not a triple'"
+                path.write_bytes(head + good + bad_byte + good * gap + b"not a triple\n")
+                with pytest.raises(ParseError) as err:
+                    kg.load(path)
+                assert str(err.value) == f"{path} line 2: not valid UTF-8: invalid start byte"
+
+
+_GAP_CHARS = (" ", "\t", "\x0b", "\xa0", "\u3000")
+_MALFORMED = (
+    "not a triple",
+    "<http://x/a> <http://x/p> .",
+    "<http://x/a> <http://x/p> <http://x/b> . x",
+    "<http://x/a> <http://x/p> <http://x/b>",
+    '<http://x/a> <http://x/p> "open',  # a literal a later line could close
+    'end" .',
+    "<http://x/a> <http://x/p> <http://x/a<b> .",
+    "<http://x/a> <http://x/p> <http://x/a b> .",
+    "<http://x/> <http://x/p> <http://x/b> .",  # an empty local name
+)
+
+
+@st.composite
+def _graph_files(draw) -> tuple[str, int | None]:
+    """The text of a graph file and where, if anywhere, a byte that is not
+    UTF-8 goes in it. Its lines are triples from a small pool of terms,
+    blank lines, comments indented with tabs, and malformed lines,
+    triples split over two lines among them; terms are separated by runs
+    of spaces, tabs, '\\x0b', '\\xa0' and '\\u3000'; lines end with LF,
+    CR LF or CR, and the last may have no ending."""
+    gap = st.text(st.sampled_from(_GAP_CHARS), min_size=1, max_size=2)
+    edge = st.text(st.sampled_from(_GAP_CHARS), max_size=2)
+    iri = st.sampled_from(("<http://x/a>", "<http://x/b>", "<http://x/p>", "<http://x/q>"))
+    literal = st.sampled_from(('""', '"a b"', '"x>y"', '"#"'))
+    lines = []
+    for _ in range(draw(st.integers(0, 24))):
+        kind = draw(st.integers(0, 11))
+        if kind == 0:
+            lines.append(draw(edge))
+        elif kind == 1:
+            lines.append(draw(edge) + "\t# a comment")
+        elif kind == 2:
+            lines.append(draw(st.sampled_from(_MALFORMED)))
+        else:
+            terms = [draw(iri), draw(iri), draw(st.one_of(iri, literal)), "."]
+            gaps = [draw(gap), draw(gap), draw(edge)]
+            if kind == 3:  # split over two lines
+                gaps[draw(st.integers(0, 2))] = "\n"
+            line = draw(edge) + "".join(t + g for t, g in zip(terms, gaps + [draw(edge)]))
+            lines.extend(line.split("\n"))
+    text = "".join(line + draw(st.sampled_from(("\n", "\r\n", "\r"))) for line in lines)
+    if text and draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    bad_at = draw(st.one_of(st.none(), st.integers(0, len(text))))
+    return text, bad_at
+
+
+def _load_outcome(source):
+    """The graph ``kg.load`` gives, or its error's line number and reason."""
+    try:
+        return kg.load(source)
+    except ParseError as exc:
+        return (exc.line_no, exc.reason)
+
+
+def _text_lines(text: str) -> list[str]:
+    """The lines text mode reads, split at LF, CR LF and CR."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(file=_graph_files(), chunk=st.integers(64, 256), bom=st.booleans())
+@example(file=("<http://x/a> <http://x/p> <http://x/b> .\nnot a triple\n<http://x/a>", 60),
+         chunk=64, bom=False)
+@example(file=('<http://x/a>\x0b<http://x/p>\u3000"v" .\r\n\t# c\r<http://x/a> <http://x/p>'
+               ' "open\n end" .', None), chunk=64, bom=True)
+def test_chunked_reads_equal_line_reads(tmp_path_factory, file, chunk, bom):
+    # a path is read in chunks; with chunks small enough that their ends
+    # fall inside the file, it loads to the same graph, or fails with the
+    # same line and reason, as the list of its lines does; a byte that is
+    # not UTF-8 is reported unless a line before its own is faulty
+    text, bad_at = file
+    path = tmp_path_factory.getbasetemp() / "chunked.nt"
+    if bad_at is None:
+        data = text.encode("utf-8")
+        want = _load_outcome(_text_lines(text))
+    else:
+        data = text[:bad_at].encode("utf-8") + b"\xff" + text[bad_at:].encode("utf-8")
+        before = _text_lines(text[:bad_at])
+        want = _load_outcome(before[:-1])
+        if not isinstance(want, tuple):
+            want = (len(before), "not valid UTF-8: invalid start byte")
+    path.write_bytes(_BOM * bom + data)
+    with mock.patch.object(kg, "_CHUNK_CHARS", chunk):
+        assert _load_outcome(path) == want
+    assert _load_outcome(path) == want  # one chunk
 
 
 # 3,000 distinct triples: enough allocations for the collector to run
@@ -716,7 +829,7 @@ def test_loads_in_threads_beside_linking_match_sequential(tmp_path, linker, expl
     want_links = [linker.link(p).to_json() for p in phrases]
     shared = Linker(family_graph, explainer, lexicon, classifier, LinkConfig())
 
-    def load_some(_: int) -> list:
+    def load_some() -> list:
         return [kg.load(path) for _ in range(3)]
 
     def link_all() -> list[dict]:
@@ -726,10 +839,7 @@ def test_loads_in_threads_beside_linking_match_sequential(tmp_path, linker, expl
     sys.setswitchinterval(1e-5)
     try:
         with _collector_state(True):
-            with ThreadPoolExecutor(max_workers=5) as pool:
-                linked = pool.submit(link_all)
-                loaded = list(pool.map(load_some, range(4), timeout=120))
-                links = linked.result(timeout=120)
+            links, *loaded = run_together([link_all] + [load_some] * 4)
             assert gc.isenabled()
     finally:
         sys.setswitchinterval(previous)
