@@ -437,8 +437,9 @@ def link_data_driven(
     r1, r2 = real[0], real[1]
 
     found: set[tuple[MetaPattern, tuple[str, str]]] = set()
-    for t1 in g.triples:
-        for t2 in g.triples:
+    triples = g.triples  # built on each read, so read once
+    for t1 in triples:
+        for t2 in triples:
             if t1.predicate == r1 and t2.predicate == r2:
                 if t1.object == t2.subject:
                     found.add((MetaPattern.RP2, (r1, r2)))

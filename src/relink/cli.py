@@ -276,7 +276,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     cfg = build_config(args)
     linker = build_linker(cfg)
     gold = evaluate.load_gold(cfg.gold)
-    methods = args.methods.split(",") if args.methods else list(evaluate.METHODS)
+    # an empty --methods is a list of one empty name, which evaluate rejects
+    methods = args.methods.split(",") if args.methods is not None else list(evaluate.METHODS)
     report = evaluate.evaluate(
         gold, methods, linker, timing=args.timing, timing_reps=args.timing_reps
     )

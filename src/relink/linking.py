@@ -61,9 +61,9 @@ def relation_mask_name(ref: RelationRef) -> str:
 Token = Union[str, PseudoRelation]  # sentence tokens after substitution
 
 
-# Span, TypeHit and RelationHit are built for every window and hit, so,
-# like kg.Triple, they store their fields through the slot descriptors,
-# past the frozen __setattr__.
+# Span, TypeHit and RelationHit are built for every window and hit, so
+# they store their fields through the slot descriptors, past the frozen
+# __setattr__ and its by-name lookup.
 
 
 @_frozen

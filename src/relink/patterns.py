@@ -58,7 +58,7 @@ class PatternEdge:
     def __init__(self, src: str, rel: str, dst: str):
         if src == dst:
             raise ValueError(f"edge endpoints must differ: {src}")
-        # the slot descriptors store past the frozen __setattr__, as in kg.Triple
+        # the slot descriptors store past the frozen __setattr__
         _set_src(self, src)
         _set_rel(self, rel)
         _set_dst(self, dst)

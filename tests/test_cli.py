@@ -408,6 +408,15 @@ def test_eval_unknown_method_usage_error(capsys):
     assert code == EXIT_USAGE
 
 
+def test_eval_empty_methods_usage_error(capsys):
+    # an empty list is given, not absent: it names one empty method, as
+    # "--methods ," names two
+    for methods in ("", ","):
+        code, out, err = run(capsys, "eval", "--methods", methods)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: unknown method: ''\n"
+
+
 def test_eval_repeated_method_usage_error(capsys):
     # one row and one timing per method
     code, out, err = run(capsys, "eval", "--methods", "keyword_match,our_approach,keyword_match")

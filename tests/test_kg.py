@@ -31,6 +31,7 @@ from relink.text import tokenize_name
 
 from .oracles import (
     ntriples_line,
+    random_graph,
     random_load_graph,
     reference_load,
     reference_parse_line,
@@ -174,10 +175,11 @@ def test_iri_and_equal_literal_are_two_triples():
 
 
 def test_duplicate_triples_keep_the_first_seen():
+    # the graph keeps no Triple, so a duplicate leaves one equal triple
     first, second = Triple("a", "p", Literal("v")), Triple("a", "p", Literal("v"))
     g = kg.KnowledgeGraph([first, Triple("a", "p", "b"), second])
     assert len(g) == 2
-    assert g.triples[1] is first
+    assert g.triples[1] == first
 
 
 def test_triple_behaviour():
@@ -520,9 +522,44 @@ def test_first_bad_line_is_reported_first(tmp_path):
 def test_graph_store_fields():
     # the graph store holds the graph and its indexes, no label table
     assert [f.name for f in fields(kg.KnowledgeGraph)] == [
-        "triples", "type_predicate", "_sp", "_po",
-        "predicate_set", "type_set", "entity_set", "_counts",
+        "type_predicate", "_sp", "_po",
+        "predicate_set", "type_set", "entity_set", "_counts", "_size",
     ]
+
+
+def _reachable(roots) -> list:
+    """Every object reachable from ``roots`` through ``gc.get_referents``,
+    not descending into classes, which reach their modules."""
+    seen: dict[int, object] = {}
+    stack = list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) not in seen:
+            seen[id(obj)] = obj
+            if not isinstance(obj, type):
+                stack.extend(gc.get_referents(obj))
+    return list(seen.values())
+
+
+def test_graph_keeps_no_triple():
+    # the store keeps keys and indexes only; ``triples`` builds its tuple
+    # on each read
+    source = kg.load(_MANY_LINES).triples
+    for g in (kg.load(_MANY_LINES), kg.KnowledgeGraph(source)):
+        held = _reachable(getattr(g, f.name) for f in fields(g))
+        assert not any(isinstance(obj, Triple) for obj in held)
+        assert any(isinstance(obj, Literal) for obj in held)  # the walk reaches the values
+        assert g.triples == source and g.triples is not g.triples
+
+
+def test_triples_rebuild_the_graph_on_random_graphs():
+    rng = random.Random(13)
+    for _ in range(40):
+        for triples in (random_graph(rng), random_load_graph(rng)):
+            lines = [ntriples_line(t) for t in triples]
+            for g in (kg.load(lines), kg.KnowledgeGraph(triples)):
+                assert len(g) == len(g.triples) == len(set(triples))
+                assert kg.KnowledgeGraph(g.triples) == g
 
 
 def test_constructed_graph_validates_as_loaded():
@@ -845,6 +882,20 @@ def test_loads_in_threads_beside_linking_match_sequential(tmp_path, linker, expl
         sys.setswitchinterval(previous)
     assert all(g == want_graph for graphs in loaded for g in graphs)
     assert links == want_links
+
+
+def test_triples_read_in_threads_match_sequential():
+    # each read builds its own tuple, so threads reading together each get
+    # the sequential one
+    g = kg.load(_MANY_LINES)
+    want = g.triples
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        got = run_together([lambda: g.triples] * 4)
+    finally:
+        sys.setswitchinterval(previous)
+    assert all(triples == want for triples in got)
 
 
 def test_load_prefixes_and_shorten(tmp_path):
