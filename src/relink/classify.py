@@ -427,13 +427,8 @@ def fit(
     An epoch is ``z = x @ w.T + b``, ``z -= z.max(1)``, ``p = exp(z)``,
     ``p /= p.sum(1)``, ``grad = (p - y) / n``,
     ``w -= LEARNING_RATE * (grad.T @ x + L2 * w)`` and
-    ``b -= LEARNING_RATE * grad.sum(0)``. The arrays are small, so the
-    time goes to numpy calls, not arithmetic: each step writes into
-    buffers allocated once, and a row's max and sum over the three
-    classes are taken over column views, the sum as ``(z0 + z1) + z2``
-    as numpy sums a row. The float operations and their order are those
-    of the expressions above, so the weights are bit-identical to theirs
-    (``tests/oracles.py::reference_fit``).
+    ``b -= LEARNING_RATE * grad.sum(0)``; ``tests/oracles.py::reference_fit``
+    runs the same loop.
     """
     import numpy as np
 
@@ -456,35 +451,14 @@ def fit(
     rng = np.random.default_rng(seed)
     w = rng.normal(0.0, 1e-3, size=(c, f))
     b = np.zeros(c)
-    z = np.empty((n, c))  # scores, then probabilities, then the gradient
-    z0, z1, z2 = z[:, 0:1], z[:, 1:2], z[:, 2:3]
-    row = np.empty((n, 1))  # each row's max, then its sum
-    g = np.empty((c, f))  # the weight step
-    r = np.empty((c, f))  # the L2 term
-    s = np.empty(c)  # the bias step
-    # as 0-d arrays, which numpy takes as they are; it converts a Python
-    # number operand on every call
-    count, rate, decay = (np.array(float(v)) for v in (n, LEARNING_RATE, L2))
     for _ in range(EPOCHS):
-        np.matmul(x, w.T, out=z)
-        z += b
-        np.maximum(z0, z1, out=row)
-        np.maximum(row, z2, out=row)
-        z -= row
-        np.exp(z, out=z)
-        np.add(z0, z1, out=row)
-        row += z2
-        z /= row
-        z -= y
-        z /= count
-        np.matmul(z.T, x, out=g)
-        np.multiply(decay, w, out=r)
-        g += r
-        g *= rate
-        w -= g
-        np.add.reduce(z, axis=0, out=s)
-        s *= rate
-        b -= s
+        z = x @ w.T + b
+        z -= z.max(axis=1, keepdims=True)
+        p = np.exp(z)
+        p /= p.sum(axis=1, keepdims=True)
+        grad = (p - y) / n
+        w -= LEARNING_RATE * (grad.T @ x + L2 * w)
+        b -= LEARNING_RATE * grad.sum(axis=0)
 
     clf = PatternClassifier(vocab, w.tolist(), b.tolist())
     z = x @ w.T + b

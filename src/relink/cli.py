@@ -118,8 +118,13 @@ class ConfigError(ValueError):
 
 def _existing_file(name: str, path: str) -> str:
     if not Path(path).is_file():
-        # not Path.is_dir: Path("") is Path("."), and "" names no file
-        reason = "is a directory" if os.path.isdir(path) else "not found"
+        # not Path's tests: Path("") is Path("."), and "" names no file
+        if os.path.isdir(path):
+            reason = "is a directory"
+        elif os.path.exists(path):  # a pipe or a device
+            reason = "is not a regular file"
+        else:
+            reason = "not found"
         raise ConfigError(f"{name} file {reason}: {path}")
     return path
 

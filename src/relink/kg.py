@@ -20,16 +20,18 @@ and the last to finish restores the state the first found. A thread
 that enables or disables the collector while another thread loads can
 find its change undone when that load ends.
 
-A graph file is read about 64 K characters at a time, each chunk ending
-on a line and parsed by one regular-expression pass over all its lines;
-a chunk that holds a faulty line is read again line by line, which gives
-the error, so a file's keys and errors are those of the line reader.
+A graph file is opened once, in binary mode, and read about 64 KB at a
+time, each chunk ending on a line, decoded on its own and parsed by one
+regular-expression pass over all its lines; a chunk that holds a faulty
+line is read again line by line, which gives the error, so a file's keys
+and errors are those of the line reader.
 
 Every reader here, the graph's and those of the JSON and line-based
 inputs, reports a byte that is not UTF-8 the same way:
 ``<file> line <n>: not valid UTF-8: <reason>``. The graph's reports the
-earliest faulty line: a malformed line before the undecodable byte's
-line wins, whatever the chunk sizes.
+earliest faulty line: the chunk that does not decode has its lines
+before the undecodable byte's line read first, so a malformed one among
+them wins, whatever the chunk sizes.
 """
 
 from __future__ import annotations
@@ -166,7 +168,8 @@ _LINE_RE = re.compile(rf"^\s*{_TRIPLE}\s*$")
 # covered: each row is one whole line, which ``_LINE_RE`` reads the same
 # way or ``_line_keys`` skips.
 _ROW_RE = re.compile(rf"^[^\S\n]*(?:{_TRIPLE}[^\S\n]*|#.*)?$", re.M)
-_CHUNK_CHARS = 1 << 16  # characters a path's reader asks for at a time
+_CHUNK_BYTES = 1 << 16  # bytes a path's reader asks for at a time
+_BOM = b"\xef\xbb\xbf"  # a UTF-8 byte-order mark
 
 
 def valid_iri(iri: str) -> bool:
@@ -282,16 +285,22 @@ def _new_iri(iris: dict[str, str], iri: str) -> str:
     return iri
 
 
-def _file_keys(fh: IO[str]) -> list[tuple]:
-    """The keys ``_line_keys`` gives for the lines of ``fh``, read about
-    ``_CHUNK_CHARS`` characters at a time, each chunk extended to end on a
-    line and parsed by one ``_ROW_RE.findall``; each IRI is checked when
-    first seen and interned, as ``_line_key`` does.
+def _file_keys(fh: IO[bytes]) -> list[tuple]:
+    """The keys ``_line_keys`` gives for the lines of the binary file
+    ``fh``, read about ``_CHUNK_BYTES`` bytes at a time, each chunk
+    extended to end on ``b"\\n"``, so it splits no UTF-8 character and no
+    CR LF pair, decoded, read with text mode's line endings and parsed by
+    one ``_ROW_RE.findall``; each IRI is checked when first seen and
+    interned, as ``_line_key`` does. A byte-order mark is dropped from the
+    first chunk only. A file whose lines all end in a lone CR is one chunk.
 
     A chunk with fewer rows than line starts, which means a line that is
     not a triple, or with an IRI that ``valid_iri`` rejects, is read again
     line by line by ``_line_keys``, which raises its ``ParseError``; so
-    keys and errors are those of ``_line_keys`` by construction.
+    keys and errors are those of ``_line_keys`` by construction. A chunk
+    that does not decode has its complete lines before the bad byte read
+    by ``_line_keys``, so an earlier faulty line wins, and otherwise
+    raises ``not valid UTF-8`` at the bad byte's line.
     """
     iris: dict[str, str] = {}
     get = iris.get
@@ -299,16 +308,24 @@ def _file_keys(fh: IO[str]) -> list[tuple]:
     add = keys.append
     line_no = 0  # the lines of the chunks before this one
     while True:
-        try:
-            chunk = fh.read(_CHUNK_CHARS)
-            if chunk[-1:] != "\n":
-                chunk += fh.readline()
-        except UnicodeDecodeError as exc:
-            raise _undecodable(line_no + 1, exc) from exc
+        chunk = fh.read(_CHUNK_BYTES)
+        if chunk[-1:] != b"\n":
+            chunk += fh.readline()
         if not chunk:
             return keys
-        rows = _ROW_RE.findall(chunk)
-        ends = chunk.count("\n")
+        if not line_no:  # the first chunk: one before it would have ended a line
+            chunk = chunk.removeprefix(_BOM)
+        try:
+            text = chunk.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            before = _lines_before(chunk, exc)
+            _line_keys(before, iris, line_no + 1)  # an earlier faulty line wins
+            line_no += len(before) + 1
+            raise ParseError(line_no, f"not valid UTF-8: {exc.reason}") from exc
+        if "\r" in text:
+            text = _newlines(text)
+        rows = _ROW_RE.findall(text)
+        ends = text.count("\n")
         mark = len(keys)
         try:
             if len(rows) != ends + 1:
@@ -322,7 +339,7 @@ def _file_keys(fh: IO[str]) -> list[tuple]:
                     else:
                         add((s, p, 1, lit))
         except _Reread:
-            keys[mark:] = _line_keys(chunk.split("\n"), iris, line_no + 1)
+            keys[mark:] = _line_keys(text.split("\n"), iris, line_no + 1)
         line_no += ends
 
 
@@ -546,26 +563,25 @@ def load(
     """Parse and index a triple stream; duplicates are dropped silently.
 
     Each line becomes one key tuple, never a ``Triple``: a path's lines a
-    chunk at a time (``_file_keys``), any other source's one at a time
-    (``_line_keys``), with the same keys and errors. The graph is built
-    from the keys as the constructor builds it (``KnowledgeGraph._index``).
-    A file may start with a UTF-8 byte-order mark, and its ``ParseError``
-    names it. The earliest faulty line wins: a file that is not UTF-8
-    raises ``ParseError`` for the first malformed line before the one
-    holding its first undecodable byte, else for that line
-    (``_decode_error``); an open text handle, which cannot be read again,
-    for the first line not yet read. The whole load runs with the cyclic
-    garbage collector paused (see the module's docstring).
+    chunk of bytes at a time (``_file_keys``), any other source's one at a
+    time (``_line_keys``), with the same keys and errors. The graph is
+    built from the keys as the constructor builds it
+    (``KnowledgeGraph._index``). A path is opened once, in binary mode, so
+    a named pipe loads as a file does. A file may start with a UTF-8
+    byte-order mark, and its ``ParseError`` names it. The earliest faulty
+    line wins: a file that is not UTF-8 raises ``ParseError`` for the
+    first malformed line before the one holding its first undecodable
+    byte, else for that line; an open text handle, which decodes ahead of
+    the lines it returns, for the first line not yet read. The whole load
+    runs with the cyclic garbage collector paused (see the module's
+    docstring).
     """
     with _gc_paused:
         if isinstance(source, (str, Path)):
-            with open(source, encoding="utf-8-sig") as fh:
+            with open(source, "rb") as fh:
                 try:
                     keys = _file_keys(fh)
                 except ParseError as exc:
-                    if isinstance(exc.__cause__, UnicodeDecodeError):
-                        # None if the file changed after it was read
-                        exc = _decode_error(source) or exc
                     raise ParseError(exc.line_no, exc.reason, source) from None
         else:
             keys = _line_keys(source)
@@ -576,30 +592,6 @@ def load(
             len(g), len(g.predicate_set), len(g.type_set), len(g.entity_set),
         )
     return g
-
-
-def _decode_error(path: Union[str, Path]) -> ParseError | None:
-    """The error for a file that is not UTF-8, or None if it decodes: the
-    first faulty line's among those before the line that holds the first
-    undecodable byte, else ``not valid UTF-8`` at that line.
-
-    Text-mode reading decodes ahead of the lines it returns, so its error
-    gives no line and some lines before it went unread; decoding the whole
-    file again gives the byte offset, and the lines before it are read
-    here, so the earliest fault is reported whatever the chunk sizes.
-    """
-    data = Path(path).read_bytes()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        head = _newlines(data[: exc.start].decode("utf-8")).removeprefix("\ufeff")
-        before = head.split("\n")[:-1]  # the last is the undecodable line's start
-        try:
-            _line_keys(before)
-        except ParseError as earlier:
-            return earlier
-        return ParseError(len(before) + 1, f"not valid UTF-8: {exc.reason}")
-    return None
 
 
 def read_bytes(path: Union[str, Path], error: type[ValueError] = DataError) -> bytes:
@@ -659,7 +651,7 @@ def _text(data: bytes, path: Union[str, Path], error: type[ValueError]) -> str:
         # not "utf-8-sig": its error offsets would not count the mark
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line_no = _line_of(data, exc)
+        line_no = len(_lines_before(data, exc)) + 1
         raise error(f"{path} line {line_no}: not valid UTF-8: {exc.reason}") from exc
     return _newlines(text).removeprefix("\ufeff")
 
@@ -669,9 +661,10 @@ def _newlines(text: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _line_of(data: bytes, exc: UnicodeDecodeError) -> int:
-    """The 1-based line of ``data`` that holds the byte ``exc`` failed on."""
-    return _newlines(data[: exc.start].decode("utf-8")).count("\n") + 1
+def _lines_before(data: bytes, exc: UnicodeDecodeError) -> list[str]:
+    """The complete lines of ``data`` before the one that holds the byte
+    ``exc`` failed on."""
+    return _newlines(data[: exc.start].decode("utf-8")).split("\n")[:-1]
 
 
 def read_json(

@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import json
 import logging
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -658,13 +659,22 @@ def test_eval_help_wraps_between_method_names(capsys, monkeypatch):
     assert set(METHODS) <= words
 
 
-@pytest.mark.parametrize("kind", ["missing", "directory"])
+@pytest.mark.parametrize("kind", [
+    "missing",
+    "directory",
+    pytest.param("pipe", marks=pytest.mark.skipif(not hasattr(os, "mkfifo"),
+                                                  reason="no named pipes")),
+])
 def test_ingest_graph_not_a_file_usage_error(capsys, tmp_path, kind):
-    path = tmp_path / "missing.nt" if kind == "missing" else tmp_path
+    path = {"missing": tmp_path / "missing.nt", "directory": tmp_path,
+            "pipe": tmp_path / "graph.fifo"}[kind]
+    if kind == "pipe":  # it exists, but is no file
+        os.mkfifo(path)
     code, out, err = run(capsys, "ingest", str(path))
     assert code == EXIT_USAGE
     assert out == ""
-    reason = "not found" if kind == "missing" else "is a directory"
+    reason = {"missing": "not found", "directory": "is a directory",
+              "pipe": "is not a regular file"}[kind]
     assert err == f"config error: kg file {reason}: {path}\n"
 
 

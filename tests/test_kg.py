@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import gc
+import os
 import pickle
 import random
 import re
@@ -608,6 +609,35 @@ def test_open_text_handle_not_utf8_is_parse_error(tmp_path):
     assert err.value.line_no > 1  # line 1000 lies past the first decoded chunk
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_named_pipe_not_utf8_names_the_bad_line(tmp_path):
+    # a pipe can be read only once, so the bad byte's line must come from
+    # the one read; the reader stops there, and the writer's pipe breaks
+    good = b"<http://x/a> <http://x/p> <http://x/b> .\n"
+    bad = b"<http://x/a> <http://x/p> <http://x/\xff> .\n"
+    path = tmp_path / "graph.fifo"
+    os.mkfifo(path)
+
+    def write() -> None:
+        try:
+            with open(path, "wb") as fh:
+                fh.write(good * 9 + bad + good * 5000)
+        except BrokenPipeError:
+            pass
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        with pytest.raises(ParseError) as err:
+            kg.load(path)
+    finally:
+        if writer.is_alive():  # a writer still waiting for a reader opens now
+            os.close(os.open(path, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join(60)
+    assert not writer.is_alive()
+    assert str(err.value) == f"{path} line 10: not valid UTF-8: invalid start byte"
+
+
 @pytest.mark.parametrize("chunk", [64, 256, 1 << 16])
 def test_earliest_fault_wins_over_a_bad_byte(tmp_path, chunk):
     # a malformed line before the line of a byte that is not UTF-8 is the
@@ -616,7 +646,7 @@ def test_earliest_fault_wins_over_a_bad_byte(tmp_path, chunk):
     good = b"<http://x/a> <http://x/p> <http://x/b> .\n"
     bad_byte = b"<http://x/a> <http://x/p> <http://x/\xff> .\n"
     path = tmp_path / "g.nt"
-    with mock.patch.object(kg, "_CHUNK_CHARS", chunk):
+    with mock.patch.object(kg, "_CHUNK_BYTES", chunk):
         for gap in (0, 26_000 // len(good)):
             for head in (b"", _BOM):
                 path.write_bytes(head + good + b"not a triple\n" + good * gap + bad_byte)
@@ -627,6 +657,19 @@ def test_earliest_fault_wins_over_a_bad_byte(tmp_path, chunk):
                 with pytest.raises(ParseError) as err:
                     kg.load(path)
                 assert str(err.value) == f"{path} line 2: not valid UTF-8: invalid start byte"
+
+
+@pytest.mark.parametrize("chunk", [16, 1 << 16])
+def test_only_a_leading_byte_order_mark_is_dropped(tmp_path, chunk):
+    # a mark that starts a later line, with small chunks also a later
+    # chunk, is part of that line, as it is in the list of the file's lines
+    good = "<http://x/a> <http://x/p> <http://x/b> ."
+    path = tmp_path / "g.nt"
+    path.write_bytes(_BOM + f"{good}\n\ufeff{good}\n".encode("utf-8"))
+    want = _load_outcome([good, "\ufeff" + good])
+    assert want[0] == 2
+    with mock.patch.object(kg, "_CHUNK_BYTES", chunk):
+        assert _load_outcome(path) == want
 
 
 _GAP_CHARS = (" ", "\t", "\x0b", "\xa0", "\u3000")
@@ -714,7 +757,7 @@ def test_chunked_reads_equal_line_reads(tmp_path_factory, file, chunk, bom):
         if not isinstance(want, tuple):
             want = (len(before), "not valid UTF-8: invalid start byte")
     path.write_bytes(_BOM * bom + data)
-    with mock.patch.object(kg, "_CHUNK_CHARS", chunk):
+    with mock.patch.object(kg, "_CHUNK_BYTES", chunk):
         assert _load_outcome(path) == want
     assert _load_outcome(path) == want  # one chunk
 
