@@ -5,15 +5,26 @@ box; a JSON config file, RELINK_* environment variables, and flags
 override them in that order. Exit codes: 0 success, 2 usage or config
 error, 3 no match (``link`` finds no pattern, ``collect-training`` no
 example), 4 data error.
+
+A command that reads the graph loads it with the cyclic garbage
+collector paused (``_gc_paused``), ``ingest`` until it drops the graph:
+nothing a load makes (key tuples, ``Literal``s, and dicts, lists and
+frozensets of strings) forms a cycle, so the collections it would
+trigger only cost time. ``kg.load`` leaves a library caller's collector
+alone. The pause is the process's: loads in threads share it, and the
+last to end restores what the first found, which can undo a change
+another thread made to the collector meanwhile.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import os
 import sys
+import threading
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -129,6 +140,46 @@ def _existing_file(name: str, path: str) -> str:
     return path
 
 
+class _CollectorPause:
+    """A context that pauses the cyclic garbage collector.
+
+    Entered by several threads at once, it disables the collector when
+    the first enters and re-enables it when the last leaves, and only if
+    it was enabled when the first entered; a lock makes reading the state
+    and changing it one step, so no interleaving of loads can leave the
+    collector off. There is one, ``_gc_paused``, because the collector's
+    state is the whole process's: two pauses would race as unlocked
+    code does.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._inside = 0  # entries not yet left, in every thread
+        self._resume = False  # the collector was enabled when the first entered
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if not self._inside:
+                self._resume = gc.isenabled()
+                gc.disable()
+            self._inside += 1
+
+    def __exit__(self, *exc) -> None:
+        # not ``with self._lock``: the lock's __exit__ gets an argument
+        # tuple, an allocation that would start the resumed collector's
+        # first sweep inside the load rather than after it
+        self._lock.acquire()
+        try:
+            self._inside -= 1
+            if not self._inside and self._resume:
+                gc.enable()
+        finally:
+            self._lock.release()
+
+
+_gc_paused = _CollectorPause()
+
+
 def _providers(cfg: RunConfig):
     from . import explain
 
@@ -157,7 +208,8 @@ def _load_sources(cfg: RunConfig, *more: str):
 
     for path_name in ("kg", "lexicon", "explanations", *more):
         _existing_file(path_name, getattr(cfg, path_name))
-    graph = kg.load(cfg.kg)
+    with _gc_paused:
+        graph = kg.load(cfg.kg)
     lexicon = linking.Lexicon.load(cfg.lexicon, graph)
     return graph, lexicon, explain.ExplanationService(_providers(cfg))
 
@@ -186,7 +238,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     path = _existing_file("kg", cfg.kg)
     # the graph is freed before the load's collector pause ends, so no
     # collection sweeps what the load made only to find it all dropped
-    with kg._gc_paused:
+    with _gc_paused:
         graph = kg.load(path)
         summary = {
             "triples": len(graph),

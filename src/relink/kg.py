@@ -10,16 +10,6 @@ indexes from the sorted distinct keys. The graph keeps no ``Triple``:
 ``KnowledgeGraph.triples`` builds them from the indexes on each read.
 Graphs are immutable once loaded and safe to share across threads.
 
-A load, and the ``KnowledgeGraph`` constructor, run with the cyclic
-garbage collector paused (``_gc_paused``). Nothing either makes can form
-a cycle: key tuples and ``Literal``s hold strings, and the indexes hold
-dicts, lists and frozensets of those. So the collections the key tuples
-and index containers would trigger free nothing and only cost time.
-The pause is for the whole process: loads in several threads share it,
-and the last to finish restores the state the first found. A thread
-that enables or disables the collector while another thread loads can
-find its change undone when that load ends.
-
 A graph file is opened once, in binary mode, and read about 64 KB at a
 time, each chunk ending on a line, decoded on its own and parsed by one
 regular-expression pass over all its lines; a chunk that holds a faulty
@@ -36,15 +26,13 @@ them wins, whatever the chunk sizes.
 
 from __future__ import annotations
 
-import gc
 import json
 import logging
 import re
-import threading
 from dataclasses import FrozenInstanceError, dataclass, field
 from pathlib import Path
 from types import MappingProxyType
-from typing import IO, Callable, Iterable, KeysView, Mapping, TypeVar, Union
+from typing import IO, Callable, Iterable, Iterator, KeysView, Mapping, TypeVar, Union
 
 log = logging.getLogger(__name__)
 
@@ -241,12 +229,6 @@ def _not_a_triple(line: str, line_no: int) -> ParseError:
     return ParseError(line_no, f"not a valid triple: {line.strip()!r}")
 
 
-def _undecodable(line_no: int, exc: UnicodeDecodeError) -> ParseError:
-    # text mode decodes ahead of the lines it returns, so the bad byte is
-    # at or after the first line not yet read
-    return ParseError(line_no, f"not valid UTF-8 at or after this line: {exc.reason}")
-
-
 def _line_keys(
     lines: Iterable[str], iris: dict[str, str] | None = None, start: int = 1
 ) -> list[tuple]:
@@ -257,7 +239,8 @@ def _line_keys(
     first line.
 
     A stream that fails to decode raises ``ParseError`` for the first
-    line not yet read (``_undecodable``).
+    line not yet read: text mode decodes ahead of the lines it returns,
+    so the bad byte is at or after that line.
     """
     iris = {} if iris is None else iris
     keys: list[tuple] = []
@@ -270,7 +253,8 @@ def _line_keys(
                 continue
             add(_line_key(line, line_no, iris))
     except UnicodeDecodeError as exc:
-        raise _undecodable(line_no + 1, exc) from exc
+        reason = f"not valid UTF-8 at or after this line: {exc.reason}"
+        raise ParseError(line_no + 1, reason) from exc
     return keys
 
 
@@ -285,14 +269,31 @@ def _new_iri(iris: dict[str, str], iri: str) -> str:
     return iri
 
 
+def _chunks(fh: IO[bytes]) -> Iterator[bytes]:
+    """The bytes of ``fh``, read ``_CHUNK_BYTES`` at a time, in chunks that
+    end after a read's last LF, or last CR but its final byte, which may
+    begin a CR LF pair: no chunk splits a UTF-8 character or a CR LF pair,
+    and the bytes after the cut, or a read with no line end, open the next."""
+    pieces = []
+    while data := fh.read(_CHUNK_BYTES):
+        cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, -1)) + 1
+        if not cut:  # a line longer than a read
+            pieces.append(data)
+            continue
+        pieces.append(data[:cut])
+        chunk = b"".join(pieces)
+        pieces = [data[cut:]]
+        del data  # not kept while the chunk is parsed
+        yield chunk
+    yield b"".join(pieces)
+
+
 def _file_keys(fh: IO[bytes]) -> list[tuple]:
     """The keys ``_line_keys`` gives for the lines of the binary file
-    ``fh``, read about ``_CHUNK_BYTES`` bytes at a time, each chunk
-    extended to end on ``b"\\n"``, so it splits no UTF-8 character and no
-    CR LF pair, decoded, read with text mode's line endings and parsed by
-    one ``_ROW_RE.findall``; each IRI is checked when first seen and
-    interned, as ``_line_key`` does. A byte-order mark is dropped from the
-    first chunk only. A file whose lines all end in a lone CR is one chunk.
+    ``fh``, read in ``_chunks``, each decoded, read with text mode's line
+    endings and parsed by one ``_ROW_RE.findall``; each IRI is checked
+    when first seen and interned, as ``_line_key`` does. A byte-order mark
+    is dropped from the first chunk only.
 
     A chunk with fewer rows than line starts, which means a line that is
     not a triple, or with an IRI that ``valid_iri`` rejects, is read again
@@ -307,12 +308,7 @@ def _file_keys(fh: IO[bytes]) -> list[tuple]:
     keys: list[tuple] = []
     add = keys.append
     line_no = 0  # the lines of the chunks before this one
-    while True:
-        chunk = fh.read(_CHUNK_BYTES)
-        if chunk[-1:] != b"\n":
-            chunk += fh.readline()
-        if not chunk:
-            return keys
+    for chunk in _chunks(fh):
         if not line_no:  # the first chunk: one before it would have ended a line
             chunk = chunk.removeprefix(_BOM)
         try:
@@ -341,46 +337,7 @@ def _file_keys(fh: IO[bytes]) -> list[tuple]:
         except _Reread:
             keys[mark:] = _line_keys(text.split("\n"), iris, line_no + 1)
         line_no += ends
-
-
-class _CollectorPause:
-    """A context that pauses the cyclic garbage collector.
-
-    Entered by several threads at once, it disables the collector when
-    the first enters and re-enables it when the last leaves, and only if
-    it was enabled when the first entered; a lock makes reading the state
-    and changing it one step, so no interleaving of loads can leave the
-    collector off. There is one, ``_gc_paused``, because the collector's
-    state is the whole process's: two pauses would race as unlocked
-    code does.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._inside = 0  # entries not yet left, in every thread
-        self._resume = False  # the collector was enabled when the first entered
-
-    def __enter__(self) -> None:
-        with self._lock:
-            if not self._inside:
-                self._resume = gc.isenabled()
-                gc.disable()
-            self._inside += 1
-
-    def __exit__(self, *exc) -> None:
-        # not ``with self._lock``: the lock's __exit__ gets an argument
-        # tuple, an allocation that would start the resumed collector's
-        # first sweep inside the load rather than after it
-        self._lock.acquire()
-        try:
-            self._inside -= 1
-            if not self._inside and self._resume:
-                gc.enable()
-        finally:
-            self._lock.release()
-
-
-_gc_paused = _CollectorPause()
+    return keys
 
 
 @dataclass(frozen=True, init=False)
@@ -410,24 +367,18 @@ class KnowledgeGraph:
     type_set: frozenset[str]
     entity_set: frozenset[str]
     _counts: dict = field(repr=False)  # predicate -> its number of triples
-    # the number of triples, which ``len`` reads without allocating: the
-    # collector counts a new graph's objects as allocations, so the first
-    # object allocated after a build can start a collection
-    _size: int = field(repr=False)
 
     def __init__(self, triples: Iterable[Triple] = (), type_predicate: str = RDF_TYPE):
-        # a triple's key is the one its line gives (``_line_key``); the
-        # source is read with the collector paused, as a load's lines are
-        with _gc_paused:
-            keys = []
-            add = keys.append
-            for t in triples:
-                o = t.object
-                if isinstance(o, Literal):
-                    add((t.subject, t.predicate, 1, o.value))
-                else:
-                    add((t.subject, t.predicate, 0, o))
-            self._index(keys, type_predicate)
+        # a triple's key is the one its line gives (``_line_key``)
+        keys = []
+        add = keys.append
+        for t in triples:
+            o = t.object
+            if isinstance(o, Literal):
+                add((t.subject, t.predicate, 1, o.value))
+            else:
+                add((t.subject, t.predicate, 0, o))
+        self._index(keys, type_predicate)
 
     def _index(self, keys: list[tuple], type_predicate: str) -> None:
         """Build every index from ``keys``, one ``_line_key`` tuple per
@@ -511,7 +462,6 @@ class KnowledgeGraph:
         put(self, "type_set", frozenset(types))
         put(self, "entity_set", frozenset(entities))
         put(self, "_counts", {p: len(subjects) for p, (subjects, _) in columns.items()})
-        put(self, "_size", sum(self._counts.values()))
 
     @property
     def triples(self) -> tuple[Triple, ...]:
@@ -525,7 +475,7 @@ class KnowledgeGraph:
         ))
 
     def __len__(self) -> int:
-        return self._size
+        return sum(self._counts.values())
 
     # -- lookups ---------------------------------------------------------
 
@@ -572,25 +522,22 @@ def load(
     line wins: a file that is not UTF-8 raises ``ParseError`` for the
     first malformed line before the one holding its first undecodable
     byte, else for that line; an open text handle, which decodes ahead of
-    the lines it returns, for the first line not yet read. The whole load
-    runs with the cyclic garbage collector paused (see the module's
-    docstring).
+    the lines it returns, for the first line not yet read.
     """
-    with _gc_paused:
-        if isinstance(source, (str, Path)):
-            with open(source, "rb") as fh:
-                try:
-                    keys = _file_keys(fh)
-                except ParseError as exc:
-                    raise ParseError(exc.line_no, exc.reason, source) from None
-        else:
-            keys = _line_keys(source)
-        g = KnowledgeGraph.__new__(KnowledgeGraph)
-        g._index(keys, type_predicate)
-        log.info(
-            "loaded graph: %d triples, %d predicates, %d types, %d entities",
-            len(g), len(g.predicate_set), len(g.type_set), len(g.entity_set),
-        )
+    if isinstance(source, (str, Path)):
+        with open(source, "rb") as fh:
+            try:
+                keys = _file_keys(fh)
+            except ParseError as exc:
+                raise ParseError(exc.line_no, exc.reason, source) from None
+    else:
+        keys = _line_keys(source)
+    g = KnowledgeGraph.__new__(KnowledgeGraph)
+    g._index(keys, type_predicate)
+    log.info(
+        "loaded graph: %d triples, %d predicates, %d types, %d entities",
+        len(g), len(g.predicate_set), len(g.type_set), len(g.entity_set),
+    )
     return g
 
 

@@ -128,6 +128,33 @@ def test_ingest_in_threads_prints_the_same_counts(capsys, tmp_path):
     assert out.count(want.strip()) == 4 and out.count("\n") == 4
 
 
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_build_linker_loads_its_graph_with_collector_paused(monkeypatch, enabled):
+    # every command that links loads its graph through _load_sources,
+    # which pauses the collector for the load alone and then leaves it as
+    # it found it; kg.load itself does not touch it
+    from relink import kg
+
+    load = kg.load
+    seen = []
+
+    def noting_load(*args, **kwargs):
+        seen.append(gc.isenabled())
+        graph = load(*args, **kwargs)
+        seen.append(gc.isenabled())
+        return graph
+
+    monkeypatch.setattr(kg, "load", noting_load)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        build_linker(RunConfig())
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False, False]
+
+
 @pytest.mark.parametrize("command", [["ingest"], ["link", "son"]])
 def test_graph_not_utf8_data_error(capsys, tmp_path, command):
     path = tmp_path / "latin1.nt"

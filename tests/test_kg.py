@@ -9,6 +9,7 @@ import re
 import string
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 from dataclasses import FrozenInstanceError, fields, replace
 from unittest import mock
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from relink import evaluate, kg
+from relink import cli, evaluate, kg
 from relink.assemble import LinkConfig, Linker, link_data_driven
 from relink.cli import data_path
 from relink.linking import Lexicon, MetaElements, RelationHit, Span, type_dictionary
@@ -524,7 +525,7 @@ def test_graph_store_fields():
     # the graph store holds the graph and its indexes, no label table
     assert [f.name for f in fields(kg.KnowledgeGraph)] == [
         "type_predicate", "_sp", "_po",
-        "predicate_set", "type_set", "entity_set", "_counts", "_size",
+        "predicate_set", "type_set", "entity_set", "_counts",
     ]
 
 
@@ -672,6 +673,38 @@ def test_only_a_leading_byte_order_mark_is_dropped(tmp_path, chunk):
         assert _load_outcome(path) == want
 
 
+def test_no_chunk_ends_between_cr_and_lf(tmp_path):
+    # a read that ends on the CR of a CR LF pair does not end a chunk
+    # there, which would count the pair as two line ends: with every read
+    # size below, some read ends on each byte of a line
+    good = b"<http://x/a> <http://x/p> <http://x/b> .\r\n"
+    path = tmp_path / "g.nt"
+    path.write_bytes(good * 20 + b"not a triple\r\n")
+    for chunk in range(len(good) - 1, 2 * len(good)):
+        with mock.patch.object(kg, "_CHUNK_BYTES", chunk), pytest.raises(ParseError) as err:
+            kg.load(path)
+        assert err.value.line_no == 21, chunk
+
+
+def test_lone_cr_file_is_read_a_chunk_at_a_time(tmp_path):
+    # a file whose lines all end in a lone CR holds no LF: a reader that
+    # extended each chunk to the next LF would hold the whole file at once,
+    # and its load's peak would be 5.1 MB here against the LF copy's 1.8
+    text = "\n".join(_MANY_LINES[:300] * 40) + "\n"  # duplicates: the reader dominates
+    assert len(text) > 2 * kg._CHUNK_BYTES
+    peaks = {}
+    for name, end in (("lf", "\n"), ("cr", "\r")):
+        path = tmp_path / f"{name}.nt"
+        path.write_bytes(text.replace("\n", end).encode("utf-8"))
+        tracemalloc.start()
+        try:
+            assert len(kg.load(path)) == 300
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["cr"] <= 1.5 * peaks["lf"], peaks
+
+
 _GAP_CHARS = (" ", "\t", "\x0b", "\xa0", "\u3000")
 _MALFORMED = (
     "not a triple",
@@ -763,7 +796,7 @@ def test_chunked_reads_equal_line_reads(tmp_path_factory, file, chunk, bom):
 
 
 # 3,000 distinct triples: enough allocations for the collector to run
-# dozens of young collections were it not paused
+# dozens of young collections were it running
 _MANY_LINES = [
     f"<http://x/s{i}> <http://x/p{i % 7}> <http://x/o{i % 50}> ." if i % 3
     else f'<http://x/s{i}> <http://x/name> "n{i % 200}" .'
@@ -782,34 +815,44 @@ def _collector_state(enabled: bool):
         (gc.enable if was else gc.disable)()
 
 
-def test_load_and_constructor_run_no_collection(tmp_path):
-    path = tmp_path / "many.nt"
-    path.write_text("\n".join(_MANY_LINES) + "\n", "utf-8")
-    collections = []
-
-    def count(phase: str, info: dict) -> None:
-        if phase == "start":
-            collections.append(info["generation"])
-
-    runs = {
-        "load path": lambda: kg.load(path),
-        "load lines": lambda: kg.load(_MANY_LINES),
-        "construct": lambda: kg.KnowledgeGraph(kg.parse_line(line, 1) for line in _MANY_LINES),
-    }
-    with _collector_state(True):
-        gc.callbacks.append(count)
-        try:
-            for name, run in runs.items():
-                gc.collect()
-                collections.clear()
-                assert len(run()) == len(_MANY_LINES), name
-                assert collections == [], name
-        finally:
-            gc.callbacks.remove(count)
-
-
 # past the first chunk text mode decodes, so some lines are read first
 _BAD_UTF8 = "\n".join(_MANY_LINES).encode() + b"\n<http://x/a> <http://x/p> <http://x/\xff> .\n"
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_load_and_constructor_leave_collector_as_found(tmp_path, enabled):
+    # the collector policy is the CLI's: a load of a path or of lines, and
+    # the constructor, run with the collector as the caller set it, whether
+    # they end or fail, and a source they read sees it so on every item
+    path = tmp_path / "g.nt"
+    path.write_text("\n".join(_MANY_LINES) + "\n", "utf-8")
+    bad = tmp_path / "bad.nt"
+    bad.write_bytes(_BAD_UTF8)
+    source = kg.load(_MANY_LINES).triples
+    seen: list[bool] = []
+
+    def noting(items):
+        for item in items:
+            seen.append(gc.isenabled())
+            yield item
+
+    runs = [
+        lambda: kg.load(path),
+        lambda: kg.load(_MANY_LINES),
+        lambda: kg.load(noting(_MANY_LINES)),
+        lambda: kg.KnowledgeGraph(source),
+        lambda: kg.KnowledgeGraph(noting(source)),
+    ]
+    with _collector_state(enabled):
+        for run in runs:
+            assert len(run()) == len(_MANY_LINES)
+            assert gc.isenabled() is enabled
+        for source_path in (bad, tmp_path / "missing.nt"):
+            with pytest.raises((ParseError, FileNotFoundError)):
+                kg.load(source_path)
+            assert gc.isenabled() is enabled
+    assert len(seen) == 2 * len(_MANY_LINES)
+    assert set(seen) == {enabled}
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
@@ -822,8 +865,9 @@ _BAD_UTF8 = "\n".join(_MANY_LINES).encode() + b"\n<http://x/a> <http://x/p> <htt
     ids=["loads", "parse-error", "not-utf8", "missing"],
 )
 def test_load_pauses_and_restores_collector(tmp_path, enabled, content, error):
-    # the collector is off while the lines are read, and on after a load
-    # only if it was on before, however the load ended
+    # in the CLI's collector pause, the collector is off while the lines
+    # are read, and on after a load only if it was on before, however the
+    # load ended
     path = tmp_path / "g.nt"
     if content is not None:
         path.write_bytes(content)
@@ -839,7 +883,8 @@ def test_load_pauses_and_restores_collector(tmp_path, enabled, content, error):
     with _collector_state(enabled):
         for source in sources:
             with pytest.raises(error) if error else contextlib.nullcontext():
-                kg.load(source)
+                with cli._gc_paused:
+                    kg.load(source)
             assert gc.isenabled() is enabled
     assert (content is None) is (seen == [])
     assert not any(seen)
@@ -847,8 +892,9 @@ def test_load_pauses_and_restores_collector(tmp_path, enabled, content, error):
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
 def test_constructor_pauses_and_restores_collector(enabled):
-    # the constructor reads its source with the collector off, and leaves
-    # it as it found it, whether the source ends or fails
+    # in the CLI's collector pause, as ``ingest`` builds its graph, the
+    # constructor reads its source with the collector off, and the pause
+    # leaves it as it found it, whether the source ends or fails
     source = kg.load(_MANY_LINES).triples
     seen: list[bool] = []
 
@@ -860,24 +906,27 @@ def test_constructor_pauses_and_restores_collector(enabled):
             raise RuntimeError("source failed")
 
     with _collector_state(enabled):
-        assert len(kg.KnowledgeGraph(triples(False))) == len(source)
+        with cli._gc_paused:
+            assert len(kg.KnowledgeGraph(triples(False))) == len(source)
         assert gc.isenabled() is enabled
-        with pytest.raises(RuntimeError, match="source failed"):
+        with pytest.raises(RuntimeError, match="source failed"), cli._gc_paused:
             kg.KnowledgeGraph(triples(True))
         assert gc.isenabled() is enabled
     assert len(seen) == 2 * len(source) and not any(seen)
 
 
 def test_many_small_loads_in_threads_leave_collector_on():
-    # empty loads that start and end while others run, switching threads
-    # every microsecond: however their pauses and resumes interleave, the
-    # collector is on once all have ended. A pause that read and changed
-    # the collector's state without a lock ended with it off in most rounds.
+    # empty loads, each in the CLI's collector pause, that start and end
+    # while others run, switching threads every microsecond: however their
+    # pauses and resumes interleave, the collector is on once all have
+    # ended. A pause that read and changed the collector's state without a
+    # lock ended with it off in most rounds.
     done = []
 
     def load_many() -> None:
         for _ in range(5000):
-            kg.load([])
+            with cli._gc_paused:
+                kg.load([])
         done.append(True)
 
     previous = sys.getswitchinterval()
@@ -899,9 +948,9 @@ def test_many_small_loads_in_threads_leave_collector_on():
 
 def test_loads_in_threads_beside_linking_match_sequential(tmp_path, linker, explainer,
                                                           family_graph, lexicon, classifier):
-    """Loads in several threads share the paused collector while another
-    thread links: every graph and every link result equals its sequential
-    one, and the collector is on again once all have finished."""
+    """Loads in several threads share the CLI's collector pause while
+    another thread links: every graph and every link result equals its
+    sequential one, and the collector is on again once all have finished."""
     path = tmp_path / "many.nt"
     path.write_text("\n".join(_MANY_LINES) + "\n", "utf-8")
     want_graph = kg.load(path)
@@ -910,7 +959,11 @@ def test_loads_in_threads_beside_linking_match_sequential(tmp_path, linker, expl
     shared = Linker(family_graph, explainer, lexicon, classifier, LinkConfig())
 
     def load_some() -> list:
-        return [kg.load(path) for _ in range(3)]
+        graphs = []
+        for _ in range(3):
+            with cli._gc_paused:
+                graphs.append(kg.load(path))
+        return graphs
 
     def link_all() -> list[dict]:
         return [shared.link(p).to_json() for p in phrases]
