@@ -5,8 +5,8 @@ angle brackets, plain literals in double quotes, terminating dot) and
 builds subject/predicate/object indexes; types are the objects of a
 configurable type predicate. A load turns each line straight into a
 plain key tuple, and the constructor keys each ``Triple`` it is given
-the same way; both then sort the keys, drop duplicates and build the
-indexes from the sorted distinct keys. The graph keeps no ``Triple``:
+the same way; both stream the keys into one indexing pass, which holds
+no list of all keys. The graph keeps no ``Triple``:
 ``KnowledgeGraph.triples`` builds them from the indexes on each read.
 Graphs are immutable once loaded and safe to share across threads.
 
@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import logging
 import re
+from collections import defaultdict
 from dataclasses import FrozenInstanceError, dataclass, field
 from pathlib import Path
 from types import MappingProxyType
@@ -231,31 +232,28 @@ def _not_a_triple(line: str, line_no: int) -> ParseError:
 
 def _line_keys(
     lines: Iterable[str], iris: dict[str, str] | None = None, start: int = 1
-) -> list[tuple]:
-    """The keys (``_line_key``) of a line stream's triples, in line order,
-    duplicates included; equal IRIs come out as one string object. Blank
-    lines and lines whose first non-space character is '#' are skipped.
-    ``iris`` is the load's intern table and ``start`` the number of the
-    first line.
+) -> Iterator[tuple]:
+    """The keys (``_line_key``) of a line stream's triples, yielded in
+    line order, duplicates included; equal IRIs come out as one string
+    object. Blank lines and lines whose first non-space character is '#'
+    are skipped. ``iris`` is the load's intern table and ``start`` the
+    number of the first line.
 
     A stream that fails to decode raises ``ParseError`` for the first
     line not yet read: text mode decodes ahead of the lines it returns,
     so the bad byte is at or after that line.
     """
     iris = {} if iris is None else iris
-    keys: list[tuple] = []
-    add = keys.append
     line_no = start - 1
     try:
         for line_no, line in enumerate(lines, start=start):
             head = line.lstrip()
             if not head or head[0] == "#":
                 continue
-            add(_line_key(line, line_no, iris))
+            yield _line_key(line, line_no, iris)
     except UnicodeDecodeError as exc:
         reason = f"not valid UTF-8 at or after this line: {exc.reason}"
         raise ParseError(line_no + 1, reason) from exc
-    return keys
 
 
 class _Reread(Exception):
@@ -288,12 +286,13 @@ def _chunks(fh: IO[bytes]) -> Iterator[bytes]:
     yield b"".join(pieces)
 
 
-def _file_keys(fh: IO[bytes]) -> list[tuple]:
+def _file_keys(fh: IO[bytes]) -> Iterator[tuple]:
     """The keys ``_line_keys`` gives for the lines of the binary file
     ``fh``, read in ``_chunks``, each decoded, read with text mode's line
     endings and parsed by one ``_ROW_RE.findall``; each IRI is checked
-    when first seen and interned, as ``_line_key`` does. A byte-order mark
-    is dropped from the first chunk only.
+    when first seen and interned, as ``_line_key`` does. Each chunk's
+    keys are yielded once it is read whole. A byte-order mark is dropped
+    from the first chunk only.
 
     A chunk with fewer rows than line starts, which means a line that is
     not a triple, or with an IRI that ``valid_iri`` rejects, is read again
@@ -305,8 +304,6 @@ def _file_keys(fh: IO[bytes]) -> list[tuple]:
     """
     iris: dict[str, str] = {}
     get = iris.get
-    keys: list[tuple] = []
-    add = keys.append
     line_no = 0  # the lines of the chunks before this one
     for chunk in _chunks(fh):
         if not line_no:  # the first chunk: one before it would have ended a line
@@ -315,14 +312,15 @@ def _file_keys(fh: IO[bytes]) -> list[tuple]:
             text = chunk.decode("utf-8")
         except UnicodeDecodeError as exc:
             before = _lines_before(chunk, exc)
-            _line_keys(before, iris, line_no + 1)  # an earlier faulty line wins
+            yield from _line_keys(before, iris, line_no + 1)  # an earlier faulty line wins
             line_no += len(before) + 1
             raise ParseError(line_no, f"not valid UTF-8: {exc.reason}") from exc
         if "\r" in text:
             text = _newlines(text)
         rows = _ROW_RE.findall(text)
         ends = text.count("\n")
-        mark = len(keys)
+        keys = []
+        add = keys.append
         try:
             if len(rows) != ends + 1:
                 raise _Reread
@@ -335,9 +333,9 @@ def _file_keys(fh: IO[bytes]) -> list[tuple]:
                     else:
                         add((s, p, 1, lit))
         except _Reread:
-            keys[mark:] = _line_keys(text.split("\n"), iris, line_no + 1)
+            keys = _line_keys(text.split("\n"), iris, line_no + 1)
+        yield from keys
         line_no += ends
-    return keys
 
 
 @dataclass(frozen=True, init=False)
@@ -353,8 +351,8 @@ class KnowledgeGraph:
     predicate's subject and object sets (``predicate_subjects``,
     ``predicate_objects``), and equal value sets are one ``frozenset``.
     ``entity_set`` and the type set are read from them; ``predicate_count``
-    reads a per-predicate triple count taken when the triples are grouped,
-    and ``len`` their sum. A node's types are its IRI objects of
+    reads a per-predicate triple count taken from the ``sp`` sets, and
+    ``len`` their sum. A node's types are its IRI objects of
     ``type_predicate``. Every index is built here; the graph is shared
     across threads, so no lazy population happens later. Two graphs are
     equal when their type predicates and indexes are.
@@ -370,47 +368,41 @@ class KnowledgeGraph:
 
     def __init__(self, triples: Iterable[Triple] = (), type_predicate: str = RDF_TYPE):
         # a triple's key is the one its line gives (``_line_key``)
-        keys = []
-        add = keys.append
-        for t in triples:
-            o = t.object
-            if isinstance(o, Literal):
-                add((t.subject, t.predicate, 1, o.value))
-            else:
-                add((t.subject, t.predicate, 0, o))
-        self._index(keys, type_predicate)
+        self._index((
+            (t.subject, t.predicate, 1, t.object.value) if isinstance(t.object, Literal)
+            else (t.subject, t.predicate, 0, t.object) for t in triples
+        ), type_predicate)
 
-    def _index(self, keys: list[tuple], type_predicate: str) -> None:
+    def _index(self, keys: Iterable[tuple], type_predicate: str) -> None:
         """Build every index from ``keys``, one ``_line_key`` tuple per
-        triple in any order, duplicates included, with one ``Literal`` per
-        distinct value.
+        triple in any order, duplicates included, read once, with one
+        ``Literal`` per distinct value.
 
-        Sorting puts equal keys side by side, so a key equal to the one
-        before it is a duplicate, and the distinct keys come in
-        ``Triple.sort_key`` order, the order the index keys follow.
-        ``keys`` is sorted in place and emptied once its triples are
-        grouped by predicate, so the key tuples are freed before the
-        indexes grow: a load of the 25,507-triple ingest benchmark file
-        peaks at 5.2 MB under tracemalloc, and at 7.2 MB when the keys
-        live until the indexes are built.
+        The keys are grouped by predicate, then by subject. Each
+        predicate's subjects, distinct strings, are then sorted and walked
+        once: a subject's objects, without duplicates and in ``node_key``
+        order, are frozen into ``sp`` and added to ``po``. So the index
+        keys come in ``Triple.sort_key`` order (``po``'s in order of first
+        appearance there), the order the early exits of ``has_instance``'s
+        set tests follow. A predicate's group is dropped once indexed: a
+        load of the 25,507-triple ingest benchmark file peaks at 4.4 MB
+        under tracemalloc.
         """
         literals: dict[str, Literal] = {}
-        columns: dict[str, tuple[list, list]] = {}  # predicate -> subjects, objects
-        last = None
-        keys.sort()
-        for key in keys:
-            if key == last:
-                continue
-            last = key
-            subject, predicate, kind, obj = key
+        groups: dict[str, dict] = defaultdict(dict)  # predicate -> subject -> object(s)
+        for subject, predicate, kind, obj in keys:
             if kind:
                 obj = literals.get(obj) or literals.setdefault(obj, Literal(obj))
-            column = columns.get(predicate)
-            if column is None:
-                column = columns[predicate] = ([], [])
-            column[0].append(subject)
-            column[1].append(obj)
-        keys.clear()
+            group = groups[predicate]
+            # a subject holds its bare object until a second one arrives, so
+            # the many with one object never get a list; a load interns its
+            # objects, so most duplicates stop here and the rest at the walk
+            held = group.setdefault(subject, obj)
+            if held is not obj:
+                if type(held) is list:
+                    held.append(obj)
+                else:
+                    group[subject] = [held, obj]
 
         # equal value sets become one frozenset: many keys hold the same set
         # (the instances of a type, the subjects of one edge to a hub). The
@@ -420,32 +412,38 @@ class KnowledgeGraph:
         shared: dict[frozenset, frozenset] = {}
         single: dict[Node, frozenset] = {}
 
-        def grouped(keys: Iterable[Node], values: Iterable[Node]) -> dict:
-            # a key holds its bare value until a second one arrives, so the
-            # many keys with one value never get a list; every (s, p, o) is
-            # unique, so a value seen under a key is never seen there again
-            out: dict = {}
-            hold = out.setdefault
-            for key, value in zip(keys, values):
-                held = hold(key, value)
-                if held is not value:
-                    if type(held) is list:
-                        held.append(value)
-                    else:
-                        out[key] = [held, value]
-            for key, held in out.items():
-                if type(held) is list:
+        def frozen(held) -> frozenset:  # a bare value or a list of distinct ones
+            if type(held) is list:
+                if len(held) > 1:
                     fs = frozenset(held)
-                    out[key] = shared.setdefault(fs, fs)
-                else:
-                    fs = single.get(held)
-                    if fs is None:
-                        fs = single[held] = frozenset((held,))
-                    out[key] = fs
-            return out
+                    return shared.setdefault(fs, fs)
+                held = held[0]
+            fs = single.get(held)
+            if fs is None:
+                fs = single[held] = frozenset((held,))
+            return fs
 
-        sp = {p: grouped(subjects, objects) for p, (subjects, objects) in columns.items()}
-        po = {p: grouped(objects, subjects) for p, (subjects, objects) in columns.items()}
+        sp: dict[str, dict] = {}
+        po: dict[str, dict] = {}
+        for p in list(groups):
+            group = groups.pop(p)
+            by_s = sp[p] = {}
+            by_o: dict = {}
+            hold = by_o.setdefault
+            for s in sorted(group):
+                objects = group[s]
+                if type(objects) is list:
+                    objects = sorted(set(objects), key=node_key)
+                by_s[s] = frozen(objects)
+                # each subject is reached once, so (o, s) is new to ``by_o``
+                for o in objects if type(objects) is list else (objects,):
+                    held = hold(o, s)
+                    if held is not s:
+                        if type(held) is list:
+                            held.append(s)
+                        else:
+                            by_o[o] = [held, s]
+            po[p] = {o: frozen(held) for o, held in by_o.items()}
         entities: set[str] = set()
         for index in sp.values():
             entities.update(index)
@@ -458,10 +456,10 @@ class KnowledgeGraph:
         put(self, "type_predicate", type_predicate)
         put(self, "_sp", sp)
         put(self, "_po", po)
-        put(self, "predicate_set", frozenset(columns))
+        put(self, "predicate_set", frozenset(sp))
         put(self, "type_set", frozenset(types))
         put(self, "entity_set", frozenset(entities))
-        put(self, "_counts", {p: len(subjects) for p, (subjects, _) in columns.items()})
+        put(self, "_counts", {p: sum(map(len, index.values())) for p, index in sp.items()})
 
     @property
     def triples(self) -> tuple[Triple, ...]:
@@ -515,7 +513,7 @@ def load(
     Each line becomes one key tuple, never a ``Triple``: a path's lines a
     chunk of bytes at a time (``_file_keys``), any other source's one at a
     time (``_line_keys``), with the same keys and errors. The graph is
-    built from the keys as the constructor builds it
+    built from the keys as they are read, as the constructor builds it
     (``KnowledgeGraph._index``). A path is opened once, in binary mode, so
     a named pipe loads as a file does. A file may start with a UTF-8
     byte-order mark, and its ``ParseError`` names it. The earliest faulty
@@ -524,16 +522,15 @@ def load(
     byte, else for that line; an open text handle, which decodes ahead of
     the lines it returns, for the first line not yet read.
     """
+    g = KnowledgeGraph.__new__(KnowledgeGraph)
     if isinstance(source, (str, Path)):
         with open(source, "rb") as fh:
             try:
-                keys = _file_keys(fh)
+                g._index(_file_keys(fh), type_predicate)
             except ParseError as exc:
                 raise ParseError(exc.line_no, exc.reason, source) from None
     else:
-        keys = _line_keys(source)
-    g = KnowledgeGraph.__new__(KnowledgeGraph)
-    g._index(keys, type_predicate)
+        g._index(_line_keys(source), type_predicate)
     log.info(
         "loaded graph: %d triples, %d predicates, %d types, %d entities",
         len(g), len(g.predicate_set), len(g.type_set), len(g.entity_set),

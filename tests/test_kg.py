@@ -435,18 +435,27 @@ def _check_against_reference(g, triples, ref, round_):
     assert g.entity_set == ref["entity_set"]
 
 
-def test_index_keys_follow_triple_order(family_graph):
-    # _search seeds from predicate_subjects and match_instances(limit=k)
-    # follows that order, so dict equality, which ignores it, is not enough:
-    # a predicate's subjects come in sorted-triple order and its objects in
-    # order of first appearance there
+def test_index_keys_follow_triple_order(family_graph, tmp_path):
+    # no result depends on the order of the index keys (test_patterns
+    # reverses it), but has_instance's costs do: _search seeds from
+    # predicate_subjects, and the semi-join's isdisjoint and <= tests stop
+    # early in key order. So dict equality, which ignores the order, is not
+    # enough: from every source, a file read in small chunks with its lines
+    # shuffled and repeated included, a predicate's subjects come in
+    # sorted-triple order and its objects in order of first appearance there
     rng = random.Random(5)
     graphs = [family_graph, kg.KnowledgeGraph(reversed(family_graph.triples))]
+    path = tmp_path / "g.nt"
     for _ in range(20):
         triples = list(random_load_graph(rng))
         rng.shuffle(triples)
         lines = [ntriples_line(t) for t in triples]
         graphs += [kg.load(lines), kg.KnowledgeGraph(triples)]
+        repeated = lines + rng.sample(lines, len(lines) // 2)
+        rng.shuffle(repeated)
+        path.write_text("".join(line + "\n" for line in repeated), "utf-8")
+        with mock.patch.object(kg, "_CHUNK_BYTES", 128):
+            graphs.append(kg.load(path))
     for g in graphs:
         for p in g.predicate_set:
             ts = [t for t in g.triples if t.predicate == p]
@@ -686,6 +695,33 @@ def test_no_chunk_ends_between_cr_and_lf(tmp_path):
         assert err.value.line_no == 21, chunk
 
 
+@pytest.mark.parametrize("chunk", [64, 256])
+def test_duplicates_in_other_chunks_are_dropped(tmp_path, chunk):
+    # a line and its copies read in other chunks are one triple, with an IRI
+    # object or a literal one, and a literal whose text is an IRI stays
+    # apart from that IRI; the counts are taken from the indexes
+    distinct = [
+        "<http://x/a> <http://x/p> <http://x/b> .",
+        '<http://x/a> <http://x/p> "http://x/b" .',
+        "<http://x/a> <http://x/p> <http://x/c> .",
+        '<http://x/a> <http://x/name> "Ann" .',
+        '<http://x/b> <http://x/name> "Ann" .',
+        "<http://x/b> <http://x/p> <http://x/b> .",
+    ]
+    path = tmp_path / "dup.nt"
+    path.write_text("".join(line + "\n" for line in distinct * 2 + distinct[::-1]), "utf-8")
+    with mock.patch.object(kg, "_CHUNK_BYTES", chunk):
+        with open(path, "rb") as fh:
+            chunks = [set(c.decode().splitlines()) for c in kg._chunks(fh)]
+        g = kg.load(path)
+    assert all(sum(line in c for c in chunks) > 1 for line in distinct)
+    want = kg.load(distinct)
+    assert g == want and len(g) == len(want) == len(distinct)
+    assert [g.predicate_count(p) for p in ("http://x/p", "http://x/name")] == [4, 2]
+    assert g.objects("http://x/a", "http://x/p") == {
+        "http://x/b", "http://x/c", Literal("http://x/b")}
+
+
 def test_lone_cr_file_is_read_a_chunk_at_a_time(tmp_path):
     # a file whose lines all end in a lone CR holds no LF: a reader that
     # extended each chunk to the next LF would hold the whole file at once,
@@ -773,6 +809,8 @@ def _text_lines(text: str) -> list[str]:
          chunk=64, bom=False)
 @example(file=('<http://x/a>\x0b<http://x/p>\u3000"v" .\r\n\t# c\r<http://x/a> <http://x/p>'
                ' "open\n end" .', None), chunk=64, bom=True)
+@example(file=('<http://x/a> <http://x/p> "open\r\n end" .\r\n# c\r\n'
+               '<http://x/a> <http://x/p> <http://x/b> .\r\n', None), chunk=64, bom=False)
 def test_chunked_reads_equal_line_reads(tmp_path_factory, file, chunk, bom):
     # a path is read in chunks; with chunks small enough that their ends
     # fall inside the file, it loads to the same graph, or fails with the

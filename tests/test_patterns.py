@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import random
 
 import pytest
@@ -362,6 +363,37 @@ def test_match_oracle_larger_patterns():
     # the sample must exercise both outcomes
     assert checked == 48
     assert 0 < nonempty < checked
+
+
+def test_index_key_order_changes_no_answer():
+    # the graph keeps its index keys in triple order for has_instance's
+    # costs alone: with every index's keys reversed, the answers are the same
+    rng = random.Random(404)
+    nonempty = 0
+    for _ in range(24):
+        triples = random_graph(
+            rng, n_entities=6, n_predicates=3, n_triples=22, n_types=2, literal_rate=0.2
+        )
+        g = graph_from_triples(triples)
+        flipped = copy.copy(g)
+        for name in ("_sp", "_po"):
+            table = getattr(g, name)
+            flipped_table = {p: dict(reversed(table[p].items())) for p in reversed(table)}
+            object.__setattr__(flipped, name, flipped_table)
+        assert flipped == g
+        assert all(list(flipped._sp[p]) == list(g._sp[p])[::-1] for p in g._sp)
+        preds = sorted({t.predicate for t in triples if t.predicate != g.type_predicate})
+        types = sorted(g.type_set)
+        a, b, c, d = (rng.choice(preds) for _ in range(4))
+        cycle = SubgraphPattern.make([("x", a, "y"), ("w", d, "z"), ("y", b, "z"), ("z", c, "x")])
+        for sp in (_random_tree_pattern(rng, preds, rng.choice([2, 3, 4])), cycle):
+            sp = _maybe_typed(rng, sp, types)
+            assert has_instance(flipped, sp) == has_instance(g, sp), sp
+            for k in (1, 2, 5, None):
+                assert match_instances(flipped, sp, limit=k) == match_instances(g, sp, limit=k)
+            nonempty += has_instance(g, sp)
+    # the sample must exercise both outcomes
+    assert 0 < nonempty < 48
 
 
 def test_adjacent_instantiations_spouse_mother(family_graph, ns):
