@@ -19,7 +19,7 @@ _EXPORTS = {
     "GraphLabels": "linking", "Lexicon": "linking", "MetaElements": "linking",
     "detect_elements": "linking", "detect_relations": "linking",
     "detect_types": "linking", "direct_match": "linking", "link_simple": "linking",
-    "type_dictionary": "linking",
+    "entity_labels": "linking", "type_dictionary": "linking",
     "MetaPattern": "patterns", "PatternEdge": "patterns",
     "SubgraphPattern": "patterns", "adjacent_instantiations": "patterns",
     "has_instance": "patterns", "instantiate": "patterns",

@@ -31,6 +31,7 @@ from .linking import (
     Token,
     detect_elements,
     direct_match,
+    entity_labels,
     relation_mask_name,
 )
 from .patterns import (
@@ -549,6 +550,7 @@ def harvest(
     if not 0.0 <= theta_rel <= 1.0:
         raise ValueError(f"theta_rel must be in [0, 1], got {theta_rel!r}")
     labels = GraphLabels.of(g)
+    entities = entity_labels(g)
     examples: list[TrainingExample] = []
     skipped: list[HarvestSkip] = []
 
@@ -565,6 +567,10 @@ def harvest(
         hit = direct_match(phrase, labels, lexicon)
         if hit is not None:
             skip(phrase, f"direct {hit.category} match: {hit.iri}")
+            continue
+        entity = entities.get(tuple(text.tokenize(phrase)))
+        if entity is not None:
+            skip(phrase, f"direct entity match: {entity}")
             continue
         explanation = explainer.explain(phrase)
         if explanation is None:

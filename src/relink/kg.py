@@ -444,12 +444,14 @@ class KnowledgeGraph:
                         else:
                             by_o[o] = [held, s]
             po[p] = {o: frozen(held) for o, held in by_o.items()}
-        entities: set[str] = set()
+        entities: set = set()
         for index in sp.values():
             entities.update(index)
         for p, index in po.items():
             if p != type_predicate:
-                entities.update(o for o in index if not isinstance(o, Literal))
+                entities.update(index)
+        # a Literal never equals an IRI string, so this drops the literals alone
+        entities.difference_update(literals.values())
         types = (o for o in po.get(type_predicate, ()) if not isinstance(o, Literal))
 
         put = object.__setattr__  # the dataclass is frozen

@@ -187,11 +187,13 @@ class Lexicon:
 @_frozen
 @dataclass(frozen=True, slots=True)
 class GraphLabels:
-    """A graph's predicate, entity and type names as token sequences: the
+    """A graph's predicate and type names as token sequences: the
     vocabulary mention detection and direct matching read.
 
-    ``GraphLabels.of(g)`` builds every table at once; the ``Linker``
-    keeps the value as ``labels`` and shares it across threads.
+    ``GraphLabels.of(g)`` builds every table at once, tokenizing each
+    predicate and type name once and no entity name, so its cost does not
+    grow with the entity count; the ``Linker`` keeps the value as
+    ``labels`` and shares it across threads.
     """
 
     # every predicate but the type predicate, in sorted order -> its label tokens
@@ -200,8 +202,6 @@ class GraphLabels:
     relation_postings: dict[str, tuple[str, ...]]
     # label tokens -> the first IRI in sorted order with that label
     relation_keys: dict[tuple[str, ...], str]
-    # entity local-name tokens -> the first IRI in sorted order
-    entity_labels: dict[tuple[str, ...], str]
     type_dictionary: dict[tuple[str, ...], str]
     # a type key's first token -> the lengths of the keys it begins, longest first
     type_key_starts: dict[str, tuple[int, ...]]
@@ -214,7 +214,10 @@ class GraphLabels:
             if p != g.type_predicate
         }
         postings: defaultdict[str, list[str]] = defaultdict(list)
+        keys: dict[tuple[str, ...], str] = {}
         for iri, label in relations.items():
+            if label:
+                keys.setdefault(label, iri)  # the first in sorted order wins
             for token in dict.fromkeys(label):  # each relation once per token
                 postings[token].append(iri)
         types = type_dictionary(g)
@@ -224,17 +227,22 @@ class GraphLabels:
         return cls(
             relations,
             {token: tuple(iris) for token, iris in postings.items()},
-            _first_by_key(relations),
-            _first_by_key(g.entity_set),
+            keys,
             types,
             {token: tuple(sorted(lengths, reverse=True)) for token, lengths in starts.items()},
         )
 
 
-def _first_by_key(iris: Iterable[str]) -> dict[tuple[str, ...], str]:
-    """First IRI in sorted order for each token key of a local name."""
+def entity_labels(g: KnowledgeGraph) -> dict[tuple[str, ...], str]:
+    """Map tokenized entity local names to the first entity IRI in sorted
+    order with that name.
+
+    The linker's direct check takes relation hits alone, so this table
+    is not in ``GraphLabels``: only ``harvest`` reads it, to skip a phrase
+    that names an entity, and builds it once per call.
+    """
     out: dict[tuple[str, ...], str] = {}
-    for iri in sorted(iris):
+    for iri in sorted(g.entity_set):
         key = text.tokenize_name(local_name(iri))
         if key and key not in out:
             out[key] = iri
@@ -451,17 +459,18 @@ def detect_elements(
 
 @dataclass(frozen=True)
 class DirectHit:
-    category: str  # "relation" | "type" | "entity"
+    category: str  # "relation" | "type"
     iri: str
 
 
 def direct_match(phrase: str, labels: GraphLabels, lex: Lexicon) -> Optional[DirectHit]:
-    """Does the phrase name a relation, type, or entity of the graph outright?
+    """Does the phrase name a relation or type of the graph outright?
 
     Only the exact tier applies for relations (no similarity fallback):
     a phrase is "simple" when it matches a predicate label verbatim or
-    through the lexicon. Relations are tried before types and entities,
-    the lexicon's smallest target IRI before the label table.
+    through the lexicon. Relations are tried before types, the lexicon's
+    smallest target IRI before the label table. Entity names are
+    ``entity_labels``' to answer.
     """
     key = tuple(text.tokenize(phrase))
     if not key:
@@ -475,7 +484,4 @@ def direct_match(phrase: str, labels: GraphLabels, lex: Lexicon) -> Optional[Dir
     type_iri = labels.type_dictionary.get(key)
     if type_iri is not None:
         return DirectHit("type", type_iri)
-    entity = labels.entity_labels.get(key)
-    if entity is not None:
-        return DirectHit("entity", entity)
     return None

@@ -540,7 +540,12 @@ def test_harvest_skips_direct_matches(family_graph, explainer, lexicon):
     assert [s.phrase for s in result.skipped] == [
         "founder", "mother", "person", "Ludwig van Beethoven",
     ]
-    assert all("direct" in s.reason for s in result.skipped)
+    assert [s.reason for s in result.skipped] == [
+        "direct relation match: http://example.org/ontology/founder",
+        "direct relation match: http://example.org/ontology/mother",
+        "direct type match: http://example.org/ontology/Person",
+        "direct entity match: http://example.org/resource/LudwigVanBeethoven",
+    ]
 
 
 def test_harvest_skips_ambiguous_pairs(family_graph, explainer, lexicon):

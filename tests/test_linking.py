@@ -151,7 +151,8 @@ def test_graph_labels_oracle_on_random_graphs():
         assert list(labels.relation_labels.items()) == ref["relation_labels"], round_
         assert labels.relation_postings == ref["relation_postings"], round_
         assert labels.relation_keys == ref["relation_keys"], round_
-        assert list(labels.entity_labels.items()) == list(ref["entity_labels"].items())
+        entities = linking.entity_labels(kg.KnowledgeGraph(triples, type_predicate))
+        assert list(entities.items()) == list(ref["entity_labels"].items()), round_
         assert (list(labels.type_dictionary.items())
                 == list(ref["type_dictionary"].items())), round_
         starts: dict = {}
@@ -160,6 +161,34 @@ def test_graph_labels_oracle_on_random_graphs():
         assert labels.type_key_starts == {
             token: tuple(sorted(lengths, reverse=True)) for token, lengths in starts.items()
         }, round_
+
+
+def test_graph_labels_tokenize_no_entity_name(family_graph, monkeypatch):
+    """``GraphLabels.of`` tokenizes each non-type predicate name and each
+    type name once, and no entity name: about 1,000 more entities add no
+    call."""
+    mother = EX + "mother"
+    extra = [kg.Triple(f"{RES}Extra{i}", mother, f"{RES}Extra{i + 1}") for i in range(1000)]
+    wide = kg.KnowledgeGraph(family_graph.triples + tuple(extra))
+    assert len(wide.entity_set) == len(family_graph.entity_set) + 1001
+    assert wide.predicate_set == family_graph.predicate_set
+    assert wide.type_set == family_graph.type_set
+    calls = []
+    real = text.tokenize_name
+
+    def counted(name):
+        calls.append(name)
+        return real(name)
+
+    monkeypatch.setattr(text, "tokenize_name", counted)
+    counts = []
+    for g in (family_graph, wide):
+        calls.clear()
+        GraphLabels.of(g)
+        counts.append(len(calls))
+    monkeypatch.setattr(text, "tokenize_name", real)
+    expected = len(family_graph.predicate_set) - 1 + len(family_graph.type_set)
+    assert counts == [expected, expected]
 
 
 def test_graph_labels_built_once_by_the_linker(linker, family_labels):
@@ -567,10 +596,22 @@ def test_direct_match_type(family_labels, lexicon):
     assert hit is not None and (hit.category, hit.iri) == ("type", EX + "Person")
 
 
-def test_direct_match_entity(family_labels, lexicon):
-    hit = direct_match("Ludwig van Beethoven", family_labels, lexicon)
-    assert hit is not None and hit.category == "entity"
-    assert hit.iri == RES + "LudwigVanBeethoven"
+def test_direct_match_entity(family_graph, family_labels, lexicon):
+    # an entity's name is no relation or type: the entity table answers it
+    assert direct_match("Ludwig van Beethoven", family_labels, lexicon) is None
+    entities = linking.entity_labels(family_graph)
+    assert entities[tuple(tokenize("Ludwig van Beethoven"))] == RES + "LudwigVanBeethoven"
+
+
+def test_entity_labels_keep_the_first_iri_per_name():
+    g = kg.load([
+        f'<{RES}a_b> <{EX}knows> <{RES}aB> .',
+        f'<{RES}aB> <{EX}name> "c d" .',
+        f'<{RES}aB> <{kg.RDF_TYPE}> <{EX}Person> .',
+    ])
+    # sorted IRI order: "aB" comes before "a_b"; literals and types are no entities
+    assert linking.entity_labels(g) == {("a", "b"): RES + "aB"}
+    assert direct_match("a b", GraphLabels.of(g), Lexicon()) is None
 
 
 def test_direct_match_compound_phrase_misses(family_labels, lexicon):
